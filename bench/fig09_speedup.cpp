@@ -36,7 +36,7 @@ main()
         for (const PlatformKind kind : kCols)
             cells.push_back({b, kind, 1});
     const std::vector<WorkloadResult> results =
-        runBenchCells(cells, cfg, execWorkersFromEnv(1));
+        runBenchCells(cells, cfg, sweepJobsFromEnv(1));
 
     Table table({"Class", "Workload", "CAP-fs (ms)", "CAP-mm", "GPM",
                  "GPUfs"});

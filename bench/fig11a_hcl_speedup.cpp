@@ -53,7 +53,7 @@ main()
 
     // Canonical cell order: (kvs conv, kvs hcl, db conv, db hcl).
     SweepOptions opt;
-    opt.workers = execWorkersFromEnv(1);
+    opt.workers = sweepJobsFromEnv(1);
     const std::vector<SimNs> ns = sweep(
         std::size_t(4),
         [&](SweepLane &, std::size_t i) {

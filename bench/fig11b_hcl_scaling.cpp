@@ -73,7 +73,7 @@ main()
 
     // Canonical cell order: (t0 conv, t0 hcl, t1 conv, t1 hcl, ...).
     SweepOptions opt;
-    opt.workers = execWorkersFromEnv(1);
+    opt.workers = sweepJobsFromEnv(1);
     const std::vector<SimNs> ns = sweep(
         threads.size() * 2,
         [&](SweepLane &, std::size_t i) {

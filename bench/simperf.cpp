@@ -13,23 +13,12 @@
  *     coarse-grain parallel lever. The summed ops come from the
  *     canonical-order result slots and must match bitwise across
  *     widths (enforced below).
- *  2. block-engine: GPM cells whose kernels carry the
- *     block_independent marking, re-run with SimConfig::exec_workers
- *     = 1/2/4/8 — the fine-grain parallel executor under test. The
- *     modelled results are bit-identical at every width (enforced by
- *     test_parallel_executor); only host time may change.
- *  3. crash-matrix: a 300-scenario bounded torture sweep (5 workloads
+ *  2. crash-matrix: a 300-scenario bounded torture sweep (5 workloads
  *     x 3 domains x 4 crash specs x 5 eviction seeds), itself swept
  *     at every width via TortureConfig::jobs; the FNV signature folds
  *     canonical-order slots and must match bitwise across widths
  *     (enforced below).
- *  4. crash-armed: the same bounded matrix at jobs=1 with the
- *     *in-scenario* width swept via TortureConfig::exec_workers =
- *     1/2/4/8 — the parallel crash-armed engine (DESIGN.md decision
- *     #8). The signature must match the crash-matrix stage's bitwise
- *     at every width (enforced below); the speedup lands in the perf
- *     envelope.
- *  5. media-record: the interleaved media backend's recordWrite path
+ *  3. media-record: the interleaved media backend's recordWrite path
  *     at 1/2/4/8 DIMMs (the Jobs column is the DIMM count) — 16 Ki
  *     warps appending into private granule slabs, record + close
  *     timed end to end. One DIMM must replay the legacy single-table
@@ -89,10 +78,9 @@ struct StageRow {
  */
 double
 runCells(const std::vector<BenchCell> &cells, unsigned jobs,
-         int exec_workers, double &ops_sink)
+         double &ops_sink)
 {
-    SimConfig cfg;
-    cfg.exec_workers = exec_workers;
+    const SimConfig cfg;
     const auto t0 = Clock::now();
     const std::vector<WorkloadResult> results =
         runBenchCells(cells, cfg, static_cast<int>(jobs));
@@ -142,23 +130,15 @@ main(int argc, char **argv)
               : std::vector<unsigned>{1, 2, 4, 8};
 
     std::vector<BenchCell> fig9;
-    std::vector<BenchCell> engine;
     if (smoke) {
         fig9 = {{Bench::PrefixSum, PlatformKind::Gpm, 1},
                 {Bench::Srad, PlatformKind::Gpm, 1}};
-        engine = fig9;
     } else {
         for (const Bench b : kAllBenches)
             for (const PlatformKind kind :
                  {PlatformKind::CapFs, PlatformKind::CapMm,
                   PlatformKind::Gpm, PlatformKind::Gpufs})
                 fig9.push_back({b, kind, 1});
-        // GPM cells whose hot kernels are block_independent (native
-        // persistence + checkpointing; see DESIGN.md section 4).
-        for (const Bench b :
-             {Bench::PrefixSum, Bench::Srad, Bench::DbInsert,
-              Bench::Dnn, Bench::Blk, Bench::Hotspot})
-            engine.push_back({b, PlatformKind::Gpm, 1});
     }
 
     std::vector<StageRow> rows;
@@ -168,7 +148,7 @@ main(int argc, char **argv)
     for (const unsigned jobs : widths) {
         double ops = 0.0;
         StageRow r{"fig9-cells", jobs, fig9.size(),
-                   runCells(fig9, jobs, /*exec_workers=*/1, ops)};
+                   runCells(fig9, jobs, ops)};
         if (ref_ops < 0)
             ref_ops = ops;
         GPM_REQUIRE(ops == ref_ops,
@@ -177,15 +157,7 @@ main(int argc, char **argv)
         rows.push_back(r);
     }
 
-    // Stage 2: the parallel block engine, cells sequential.
-    for (const unsigned workers : widths) {
-        double ops = 0.0;
-        rows.push_back({"block-engine", workers, engine.size(),
-                        runCells(engine, /*jobs=*/1,
-                                 static_cast<int>(workers), ops)});
-    }
-
-    // Stage 3: the bounded crash matrix, itself swept at each width.
+    // Stage 2: the bounded crash matrix, itself swept at each width.
     // The signature folds canonical-order result slots, so it must be
     // bit-identical whatever the worker count.
     TortureConfig tcfg = crashMatrixConfig(smoke);
@@ -208,28 +180,7 @@ main(int argc, char **argv)
                     ": ", hex(r.signature()), " vs ", hex(ref_sig));
     }
 
-    // Stage 4: the same matrix with in-scenario parallelism instead —
-    // crash-armed launches fan out across exec_workers and must still
-    // land on the stage-3 signature bit for bit.
-    for (const unsigned workers : widths) {
-        TortureConfig acfg = crashMatrixConfig(smoke);
-        acfg.jobs = 1;
-        acfg.exec_workers = static_cast<int>(workers);
-        const auto t0 = Clock::now();
-        const TortureReport r = TortureRunner::run(acfg);
-        rows.push_back({"crash-armed", workers, r.results.size(),
-                        secondsSince(t0)});
-        GPM_REQUIRE(r.violations() == 0,
-                    "crash-armed matrix reported violations at "
-                    "exec_workers=",
-                    workers);
-        GPM_REQUIRE(r.signature() == ref_sig,
-                    "crash-armed signature diverged at exec_workers=",
-                    workers, ": ", hex(r.signature()), " vs ",
-                    hex(ref_sig));
-    }
-
-    // Stage 5: the multi-DIMM media backend's recordWrite hot path.
+    // Stage 3: the multi-DIMM media backend's recordWrite hot path.
     // Same drive pattern as BM_NvmModelInterleaved: per-warp private
     // granule slabs striped over the DIMM set, streams round-robined
     // so every record resolves through the stream table. Slabs are
@@ -317,26 +268,6 @@ main(int argc, char **argv)
         w.field("signature", hex(treport.signature()));
         w.field("bit_identical_widths",
                 std::uint64_t(widths.size()));
-        w.endObject();
-        w.key("crash_armed");
-        w.beginObject();
-        {
-            double armed_base = 0.0, armed_best = 0.0;
-            for (const StageRow &r : rows) {
-                if (r.stage != "crash-armed")
-                    continue;
-                if (r.jobs == 1)
-                    armed_base = r.wall_s;
-                if (armed_best == 0.0 || r.wall_s < armed_best)
-                    armed_best = r.wall_s;
-            }
-            w.field("scenarios", std::uint64_t(treport.results.size()));
-            w.field("signature", hex(ref_sig));
-            w.field("bit_identical_widths",
-                    std::uint64_t(widths.size()));
-            w.field("best_speedup",
-                    armed_best > 0 ? armed_base / armed_best : 0.0);
-        }
         w.endObject();
         w.field("fig9_best_speedup", best > 0 ? base / best : 0.0);
         {

@@ -125,8 +125,7 @@ WitnessStatus
 confirmWitness(
     const Finding &finding, const CheckScenario &scenario,
     const std::function<std::unique_ptr<RecoveryInvariant>(
-        const std::string &)> &factory,
-    int exec_workers)
+        const std::string &)> &factory)
 {
     GPM_REQUIRE(!finding.witness_spec.empty(),
                 "finding has no witness to confirm");
@@ -135,11 +134,10 @@ confirmWitness(
          CheckCell::witnessSeeds(finding.witness_survive)) {
         TortureResult r;
         r.scenario = {scenario.workload, scenario.domain, spec, seed,
-                      finding.witness_survive, exec_workers};
+                      finding.witness_survive};
         const std::unique_ptr<RecoveryInvariant> inv =
             factory(scenario.workload);
         DomainSetup setup = domainSetupFor(scenario.domain);
-        setup.exec_workers = exec_workers;
         const CrashPoint point =
             spec.materialize(inv->doomedThreadPhases());
         r.outcome = inv->run(setup, point, seed,
@@ -168,7 +166,6 @@ runCell(SweepLane &lane, const CheckScenario &sc, const CheckConfig &cfg)
             cfg.factory(sc.workload);
         DomainSetup setup = domainSetupFor(sc.domain);
         setup.recorder = &rec;
-        setup.exec_workers = cfg.exec_workers;
         // A crash point past any reachable thread-phase count: the
         // workload runs clean end to end, the pool still crashes
         // exactly once afterwards (survive 0, so the trace shows
@@ -187,8 +184,7 @@ runCell(SweepLane &lane, const CheckScenario &sc, const CheckConfig &cfg)
             for (Finding &f : cell.report.findings) {
                 if (f.witness == WitnessStatus::Unconfirmed &&
                     f.severity >= cfg.confirm_floor) {
-                    f.witness = confirmWitness(f, sc, cfg.factory,
-                                               cfg.exec_workers);
+                    f.witness = confirmWitness(f, sc, cfg.factory);
                     lane.count("gpmcheck.witness_replays");
                 }
             }

@@ -51,12 +51,6 @@ struct CheckConfig {
     std::vector<PersistDomain> domains;   ///< default: all three
     int jobs = 1;                         ///< sweep workers (0 = auto)
 
-    /** In-scenario executor width for every cell's Machine (and for
-     *  witness-replay scenarios). The recorder stream, findings and
-     *  signature are bit-identical at any width (DESIGN.md decisions
-     *  #7/#8) — the corpus cross-check pins this. */
-    int exec_workers = 1;
-
     std::uint64_t seed = 1;               ///< trace-capture seed
     bool confirm_witnesses = false;       ///< replay witnesses
     Severity confirm_floor = Severity::Warn;  ///< replay at/above
@@ -112,7 +106,6 @@ CheckReport runCheck(const CheckConfig &cfg);
 WitnessStatus confirmWitness(
     const Finding &finding, const CheckScenario &scenario,
     const std::function<std::unique_ptr<RecoveryInvariant>(
-        const std::string &)> &factory,
-    int exec_workers = 1);
+        const std::string &)> &factory);
 
 } // namespace gpm

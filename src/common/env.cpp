@@ -6,7 +6,7 @@
 namespace gpm {
 
 std::optional<int>
-parseExecWorkers(std::string_view s)
+parseSweepJobs(std::string_view s)
 {
     if (s.empty() || s.size() > 5)
         return std::nullopt;
@@ -16,23 +16,23 @@ parseExecWorkers(std::string_view s)
             return std::nullopt;  // rejects sign, space, trailing junk
         v = v * 10 + (c - '0');
     }
-    if (v > kMaxExecWorkers)
+    if (v > kMaxSweepJobs)
         return std::nullopt;
     return static_cast<int>(v);
 }
 
 std::optional<int>
-parseExecWorkers(const char *s)
+parseSweepJobs(const char *s)
 {
     if (s == nullptr)
         return std::nullopt;
-    return parseExecWorkers(std::string_view(s));
+    return parseSweepJobs(std::string_view(s));
 }
 
 int
-execWorkersFromEnv(int fallback)
+sweepJobsFromEnv(int fallback)
 {
-    return parseExecWorkers(std::getenv("GPM_EXEC_WORKERS"))
+    return parseSweepJobs(std::getenv("GPM_EXEC_WORKERS"))
         .value_or(fallback);
 }
 

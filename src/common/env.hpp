@@ -1,13 +1,14 @@
 /**
  * @file
- * Shared parsing of the executor worker-count knob.
+ * Shared parsing of the sweep-width knob.
  *
- * SimConfig::exec_workers is settable from two places — the
- * GPM_EXEC_WORKERS environment variable (every bench driver) and the
- * --jobs flag (gpmbench, gpmtrace). Both funnel through
- * parseExecWorkers() so the accepted grammar is defined exactly once:
- * a decimal integer in [0, 1024], no trailing junk, no empty string
- * (0 means one worker per hardware thread; see SimConfig).
+ * The scenario-sweep engine's default width (harness/sweep.hpp) is
+ * settable from two places — the GPM_EXEC_WORKERS environment variable
+ * (fig09, fig10, fig11a, fig11b, gpmtorture, gpmcheck) and the --jobs
+ * flag of the sweeping CLIs. Both funnel through parseSweepJobs() so
+ * the accepted grammar is defined exactly once: a decimal integer in
+ * [0, 1024], no trailing junk, no empty string (0 means one worker per
+ * hardware thread; see SweepOptions::workers).
  */
 #pragma once
 
@@ -16,29 +17,30 @@
 
 namespace gpm {
 
-/** Upper bound on an explicit worker count. */
-constexpr int kMaxExecWorkers = 1024;
+/** Upper bound on an explicit sweep width. */
+constexpr int kMaxSweepJobs = 1024;
 
 /**
- * Strictly parse a worker count.
+ * Strictly parse a sweep width.
  *
- * @return The value for well-formed input in [0, kMaxExecWorkers];
+ * @return The value for well-formed input in [0, kMaxSweepJobs];
  *         std::nullopt for null/empty/non-numeric/out-of-range input
  *         (including any trailing non-digit characters).
  */
-std::optional<int> parseExecWorkers(const char *s);
+std::optional<int> parseSweepJobs(const char *s);
 
 /** string_view convenience overload. */
-std::optional<int> parseExecWorkers(std::string_view s);
+std::optional<int> parseSweepJobs(std::string_view s);
 
 /**
- * Worker count from the GPM_EXEC_WORKERS environment variable.
+ * Default sweep width from the GPM_EXEC_WORKERS environment variable.
  *
  * @return The parsed value, or @p fallback when the variable is unset
- *         or rejected by parseExecWorkers (invalid input degrades to
- *         the sequential reference rather than erroring, so a stray
- *         environment never breaks a bench run).
+ *         or rejected by parseSweepJobs (invalid input degrades to one
+ *         worker rather than erroring, so a stray environment never
+ *         breaks a bench run). Sweep width never changes any result —
+ *         only host wall-clock.
  */
-int execWorkersFromEnv(int fallback = 1);
+int sweepJobsFromEnv(int fallback = 1);
 
 } // namespace gpm

@@ -72,8 +72,7 @@ struct CrashGrid {
      * 5% thread-phase fraction, the first three fences (both sides)
      * and five store ordinals. 30 specs; with the default workload,
      * domain, seed and survival axes widened to 12 seeds this yields
-     * 10800 scenarios. Parallel crash-armed execution (decision #8) is
-     * what makes this tractable as a standing oracle.
+     * 10800 scenarios.
      */
     static CrashGrid fine();
 };

@@ -139,7 +139,6 @@ class PmheapInvariant : public RecoveryInvariant
         TortureOutcome o;
         try {
             SimConfig cfg;
-            cfg.exec_workers = setup.exec_workers;
             applyMediaConfig(cfg, setup.media);
             Machine m(cfg, setup.kind, 8_MiB, seed);
             if (setup.recorder)

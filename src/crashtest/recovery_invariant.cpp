@@ -65,7 +65,6 @@ runScenario(const DomainSetup &setup, std::uint64_t seed, Body &&body)
     TortureOutcome o;
     try {
         SimConfig cfg;
-        cfg.exec_workers = setup.exec_workers;
         applyMediaConfig(cfg, setup.media);
         // Scaled-down workloads: a small pool keeps the per-scenario
         // allocation cost from dominating thousand-cell sweeps.

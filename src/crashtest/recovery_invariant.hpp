@@ -48,18 +48,11 @@ struct DomainSetup {
      *  1200-scenario signature is untouched. */
     PmEventRecorder *recorder = nullptr;
 
-    /** In-scenario executor width (SimConfig::exec_workers) for the
-     *  scenario's Machine. Every observable — durable image, stats,
-     *  tier bytes, the signature — is bit-identical at any width
-     *  (DESIGN.md decisions #7/#8), so this knob only trades host
-     *  threads for in-scenario wall-clock. */
-    int exec_workers = 1;
-
     /** Media backend (SimConfig::media) for the scenario's Machine.
      *  Media models are timing-only — PmPool owns functional
      *  durability — so every backend reproduces the same functional
-     *  outcomes and the same signature; like exec_workers, this is
-     *  never folded into scenario keys. */
+     *  outcomes and the same signature; this is never folded into
+     *  scenario keys. */
     MediaConfig media{};
 };
 

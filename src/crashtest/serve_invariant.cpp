@@ -60,7 +60,6 @@ class ServeInvariant : public RecoveryInvariant
             ServeConfig sc;
             sc.platform = setup.kind;
             sc.open_persist_window = setup.open_persist_window;
-            sc.exec_workers = setup.exec_workers;
             sc.media = setup.media;
             // Saturated small-store config: 8x batch_max clients with
             // zero think time keep both admission queues deep, so

@@ -191,7 +191,6 @@ runScenarioCell(SweepLane &lane, const TortureScenario &sc)
     const std::unique_ptr<RecoveryInvariant> inv =
         makeInvariant(sc.workload);
     DomainSetup setup = domainSetupFor(sc.domain);
-    setup.exec_workers = sc.exec_workers;
     setup.media = sc.media;
     const CrashPoint point =
         sc.spec.materialize(inv->doomedThreadPhases());
@@ -225,9 +224,8 @@ TortureRunner::enumerate(const TortureConfig &cfg)
             for (const CrashSpec &spec : cfg.specs)
                 for (const std::uint64_t seed : cfg.seeds)
                     for (const double p : cfg.survive_probs)
-                        scenarios.push_back({name, domain, spec, seed,
-                                             p, cfg.exec_workers,
-                                             cfg.media});
+                        scenarios.push_back(
+                            {name, domain, spec, seed, p, cfg.media});
     return scenarios;
 }
 

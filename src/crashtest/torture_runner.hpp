@@ -45,11 +45,6 @@ struct TortureScenario {
     std::uint64_t seed = 1;
     double survive_prob = 0.0;
 
-    /** In-scenario executor width (copied from TortureConfig). Not an
-     *  axis and not folded into key()/signature(): every width yields
-     *  bit-identical outcomes (DESIGN.md decision #8). */
-    int exec_workers = 1;
-
     /** Media backend (copied from TortureConfig). Not an axis and not
      *  folded into key()/signature(): media models are timing-only, so
      *  every backend yields bit-identical functional outcomes. */
@@ -102,23 +97,12 @@ struct TortureConfig {
     int jobs = 1;
 
     /**
-     * In-scenario executor width (SimConfig::exec_workers) applied to
-     * every scenario's Machine; 0 means one lane per hardware thread.
-     * Orthogonal to jobs: jobs parallelizes *across* scenarios, this
-     * parallelizes block execution *inside* each one. The signature is
-     * bit-identical at any width, so jobs x exec_workers is purely a
-     * wall-clock trade (oversubscription caps the useful product at
-     * the host's core count).
-     */
-    int exec_workers = 1;
-
-    /**
      * Media backend (SimConfig::media) applied to every scenario's
-     * Machine. Like exec_workers, not an axis and never part of the
-     * signature: PmPool owns functional durability, media models only
-     * price the traffic, so a signature pinned under the default NVM
-     * backend must reproduce under every other backend (CI sweeps all
-     * four and diffs the signatures).
+     * Machine. Not an axis and never part of the signature: PmPool
+     * owns functional durability, media models only price the traffic,
+     * so a signature pinned under the default NVM backend must
+     * reproduce under every other backend (CI sweeps all four and
+     * diffs the signatures).
      */
     MediaConfig media{};
 

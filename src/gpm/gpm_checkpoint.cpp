@@ -178,9 +178,6 @@ GpmCheckpoint::checkpointGpm(std::uint32_t group, std::uint64_t dst,
     copy.name = "gpmcp_checkpoint";
     copy.blocks = blocks;
     copy.block_threads = tpb;
-    // Disjoint warp-interleaved stores from host staging: blocks are
-    // independent, so the copy fans out across exec workers.
-    copy.block_independent = true;
     if (crash_point_ && !crash_in_flip_) {
         copy.crash = *crash_point_;
         crash_point_.reset();
@@ -283,7 +280,6 @@ GpmCheckpoint::checkpoint(std::uint32_t group)
         copy.blocks = static_cast<std::uint32_t>(
             std::max<std::uint64_t>(1, ceilDiv(words, 256 * 32)));
         copy.block_threads = 256;
-        copy.block_independent = true;
         const std::uint32_t warp = m_->config().warp_size;
         copy.phases.push_back([=, this](ThreadCtx &ctx) {
             const std::uint64_t chunk = std::uint64_t(warp) * 32;

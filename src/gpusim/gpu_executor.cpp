@@ -1,8 +1,6 @@
 #include "gpusim/gpu_executor.hpp"
 
 #include <algorithm>
-#include <mutex>
-#include <thread>
 
 #include "pmem/pm_events.hpp"
 #include "telemetry/telemetry.hpp"
@@ -23,59 +21,27 @@ ThreadCtx::pmWriteStream(std::uint64_t stream, std::uint64_t addr,
                          const void *src, std::uint64_t size,
                          std::source_location loc)
 {
-    ExecLane &lane = *lane_;
-    if (lane.buffered) {
-        // Shadow the store: bounds errors must surface at the faulting
-        // phase (not at replay), loads from this block must observe it
-        // (overlay), and the replay needs the payload as stored *now* —
-        // a later fence may have to drain exactly this value even if
-        // the address is overwritten afterwards.
-        exec_->pool_->requireRange(addr, size);
-        lane.ops.push_back(ShadowOp{ShadowOp::Kind::Write,
-                                    lane.cur_phase, globalId(), addr,
-                                    size, lane.payload.size()});
-        const auto *p = static_cast<const std::uint8_t *>(src);
-        lane.payload.insert(lane.payload.end(), p, p + size);
-        lane.overlay.apply(addr, src, size);
-    } else {
-        exec_->pool_->deviceWrite(globalId(), addr, src, size);
-    }
-    lane.stats.pm_payload_bytes += size;
+    exec_->pool_->deviceWrite(globalId(), addr, src, size);
+    exec_->block_stats_.pm_payload_bytes += size;
     const SiteId site = siteOf(loc);
-    warp_->accesses.push_back(WarpAccess{site, lane.sites.next(site), addr,
+    warp_->accesses.push_back(WarpAccess{site, exec_->sites_.next(site),
+                                         addr,
                                          static_cast<std::uint32_t>(size),
                                          stream});
-    if (!lane.buffered)
-        exec_->noteStore(exec_->executed_);
+    exec_->noteStore(exec_->executed_);
 }
 
 void
 ThreadCtx::pmRead(std::uint64_t addr, void *dst, std::uint64_t size)
 {
-    ExecLane &lane = *lane_;
-    if (lane.buffered) {
-        exec_->pool_->requireRange(addr, size);
-        lane.overlay.read(addr, dst, size);
-    } else {
-        exec_->pool_->read(addr, dst, size);
-    }
-    lane.stats.pm_read_bytes += size;
+    exec_->pool_->read(addr, dst, size);
+    exec_->block_stats_.pm_read_bytes += size;
 }
 
 bool
 ThreadCtx::threadfenceSystem()
 {
-    ExecLane &lane = *lane_;
-    ++lane.stats.fences;
-    if (lane.buffered) {
-        // persistOwner's return value depends only on the persistence
-        // domain (fixed for the launch), so the buffered fence can
-        // answer now and drain at replay.
-        lane.ops.push_back(ShadowOp{ShadowOp::Kind::Fence,
-                                    lane.cur_phase, globalId(), 0, 0,
-                                    0});
-        return fenceIsPersist(exec_->pool_->domain());
-    }
+    ++exec_->block_stats_.fences;
     exec_->noteFenceBefore(exec_->executed_);
     const bool persisted = exec_->pool_->persistOwner(globalId());
     exec_->noteFenceAfter(exec_->executed_);
@@ -85,13 +51,159 @@ ThreadCtx::threadfenceSystem()
 void
 ThreadCtx::work(double ops)
 {
-    lane_->stats.work_ops += ops;
+    exec_->block_stats_.work_ops += ops;
 }
 
 void
 ThreadCtx::hbmTraffic(std::uint64_t bytes)
 {
-    lane_->stats.hbm_bytes += bytes;
+    exec_->block_stats_.hbm_bytes += bytes;
+}
+
+// ---- SiteTable -----------------------------------------------------------
+
+std::uint32_t
+SiteTable::next(SiteId site)
+{
+    if (live_ * 2 >= slots_.size())
+        grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::uint64_t h = site * 0x9e3779b97f4a7c15ull;
+    std::size_t i = (h ^ (h >> 32)) & mask;
+    for (;;) {
+        Slot &s = slots_[i];
+        if (s.epoch != epoch_) {
+            s.site = site;
+            s.epoch = epoch_;
+            s.count = 1;
+            ++live_;
+            return 0;
+        }
+        if (s.site == site)
+            return s.count++;
+        i = (i + 1) & mask;
+    }
+}
+
+void
+SiteTable::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    live_ = 0;
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot &s : old) {
+        if (s.epoch != epoch_)
+            continue;
+        std::uint64_t h = s.site * 0x9e3779b97f4a7c15ull;
+        std::size_t i = (h ^ (h >> 32)) & mask;
+        while (slots_[i].epoch == epoch_)
+            i = (i + 1) & mask;
+        slots_[i] = s;
+        ++live_;
+    }
+}
+
+// ---- WarpFlushScratch ----------------------------------------------------
+
+std::uint32_t
+WarpFlushScratch::groupOf(SiteId site, std::uint32_t occurrence,
+                          std::uint64_t stream, std::uint32_t ngroups)
+{
+    const std::size_t mask = slots.size() - 1;
+    std::uint64_t h = site * 0x9e3779b97f4a7c15ull;
+    h ^= (std::uint64_t(occurrence) + 1) * 0xff51afd7ed558ccdull;
+    h ^= (stream + 1) * 0xc4ceb9fe1a85ec53ull;
+    std::size_t i = (h ^ (h >> 32)) & mask;
+    for (;;) {
+        Slot &s = slots[i];
+        if (s.epoch != epoch) {
+            s.site = site;
+            s.stream = stream;
+            s.occurrence = occurrence;
+            s.group = ngroups;
+            s.epoch = epoch;
+            return ngroups;
+        }
+        if (s.site == site && s.occurrence == occurrence &&
+            s.stream == stream)
+            return s.group;
+        i = (i + 1) & mask;
+    }
+}
+
+void
+WarpFlushScratch::coalesce(std::uint64_t granule, std::uint64_t global_warp,
+                           WarpRecorder &warp, LaunchStats &stats,
+                           std::vector<LineTxn> &out)
+{
+    std::vector<WarpAccess> &acc = warp.accesses;
+    if (acc.empty())
+        return;
+
+    // Keep the load factor under 1/2 so every probe terminates; the
+    // group count is bounded by the access count.
+    if (slots.size() < acc.size() * 2 + 2) {
+        std::size_t n = slots.size();
+        while (n < acc.size() * 2 + 2)
+            n *= 2;
+        slots.assign(n, Slot{});
+    }
+    ++epoch;
+
+    // Pass 1: assign each access its (site, occurrence, stream) group
+    // in first-appearance order — the SIMT instruction stream of the
+    // warp.
+    group_of.clear();
+    std::uint32_t ngroups = 0;
+    for (const WarpAccess &a : acc) {
+        const std::uint32_t g =
+            groupOf(a.site, a.occurrence, a.stream, ngroups);
+        if (g == ngroups)
+            ++ngroups;
+        group_of.push_back(g);
+    }
+
+    // Pass 2: counting scatter so each group's accesses land
+    // contiguously, preserving intra-group program order.
+    cursor.assign(ngroups, 0);
+    for (const std::uint32_t g : group_of)
+        ++cursor[g];
+    group_start.assign(ngroups + 1, 0);
+    for (std::uint32_t g = 0; g < ngroups; ++g)
+        group_start[g + 1] = group_start[g] + cursor[g];
+    grouped.resize(acc.size());
+    std::fill(cursor.begin(), cursor.end(), 0u);
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+        const std::uint32_t g = group_of[i];
+        grouped[group_start[g] + cursor[g]++] = &acc[i];
+    }
+
+    // Pass 3: per group, one transaction per touched coalescing line
+    // in ascending address order (lane order on real hardware).
+    for (std::uint32_t g = 0; g < ngroups; ++g) {
+        const WarpAccess *first = grouped[group_start[g]];
+        const std::uint64_t stream =
+            first->stream != 0 ? first->stream : global_warp;
+        lines.clear();
+        for (std::uint32_t i = group_start[g]; i < group_start[g + 1];
+             ++i) {
+            const WarpAccess *a = grouped[i];
+            const std::uint64_t lo = a->addr / granule;
+            const std::uint64_t hi = (a->addr + a->size - 1) / granule;
+            for (std::uint64_t l = lo; l <= hi; ++l)
+                lines.push_back(l);
+        }
+        std::sort(lines.begin(), lines.end());
+        lines.erase(std::unique(lines.begin(), lines.end()),
+                    lines.end());
+        for (const std::uint64_t line : lines) {
+            out.push_back(LineTxn{stream, line * granule});
+            ++stats.pm_line_txns;
+            stats.pm_line_bytes += granule;
+        }
+    }
+    acc.clear();
 }
 
 // ---- executor ------------------------------------------------------------
@@ -123,385 +235,84 @@ GpuExecutor::noteStore(std::uint64_t executed)
 }
 
 void
-GpuExecutor::mergeTelemetryShards()
+GpuExecutor::mergeTelemetryShard()
 {
-    if (telemetry::Session *s = telemetry::Session::current()) {
-        seq_lane_.tshard.mergeInto(s->metrics);
-        for (ExecLane &lane : lanes_)
-            lane.tshard.mergeInto(s->metrics);
-    } else {
-        seq_lane_.tshard.clear();
-        for (ExecLane &lane : lanes_)
-            lane.tshard.clear();
-    }
-}
-
-unsigned
-GpuExecutor::resolvedWorkers() const
-{
-    const int w = cfg_->exec_workers;
-    if (w > 0)
-        return static_cast<unsigned>(w);
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    if (telemetry::Session *s = telemetry::Session::current())
+        tshard_.mergeInto(s->metrics);
+    else
+        tshard_.clear();
 }
 
 void
 GpuExecutor::runBlock(const KernelDesc &kernel, std::uint32_t block,
-                      ExecLane &lane, std::uint64_t crash_at)
+                      std::uint64_t crash_at)
 {
     const std::uint32_t warp_size =
         static_cast<std::uint32_t>(cfg_->warp_size);
     const std::uint32_t warps_per_block =
         (kernel.block_threads + warp_size - 1) / warp_size;
-    if (lane.warps.size() < warps_per_block)
-        lane.warps.resize(warps_per_block);
+    if (warps_.size() < warps_per_block)
+        warps_.resize(warps_per_block);
 
-    lane.stats = LaunchStats{};
+    block_stats_ = LaunchStats{};
 
     // Emits even when the block throws KernelCrashed, so crash-armed
     // launches show their partial block on the timeline.
     telemetry::Span bspan("block", kernel.name);
-    if (bspan.armed()) {
+    if (bspan.armed())
         bspan.arg("block", std::uint64_t(block));
-        bspan.arg("mode", lane.buffered ? "shadow" : "direct");
-    }
 
+    PmEventRecorder *rec = pool_->recorder();
     for (std::size_t p = 0; p < kernel.phases.size(); ++p) {
-        lane.cur_phase = static_cast<std::uint32_t>(p);
-        // Direct mode mutates the pool as it goes, so the recorder's
-        // phase context tracks the loop; buffered blocks tag their
-        // shadow ops instead and the replay re-establishes the phase.
-        if (!lane.buffered) {
-            if (PmEventRecorder *rec = pool_->recorder())
-                rec->setPhase(static_cast<std::uint32_t>(p));
-        }
+        if (rec)
+            rec->setPhase(static_cast<std::uint32_t>(p));
         for (std::uint32_t t = 0; t < kernel.block_threads; ++t) {
-            if (!lane.buffered && executed_ == crash_at)
+            if (executed_ == crash_at)
                 throw KernelCrashed{executed_};
-            lane.sites.beginThread();
-            ThreadCtx ctx(*this, lane, lane.warps[t / warp_size], block,
-                          t, kernel.block_threads, kernel.blocks,
-                          warp_size);
+            sites_.beginThread();
+            ThreadCtx ctx(*this, warps_[t / warp_size], block, t,
+                          kernel.block_threads, kernel.blocks, warp_size);
             kernel.phases[p](ctx);
-            if (!lane.buffered)
-                ++executed_;
+            ++executed_;
         }
-        // Phase boundary: retire every warp's coalesced stores. In
-        // direct mode the line transactions feed the NVM model right
-        // away; in buffered mode they stay in the lane's log for the
-        // block-ordered replay.
+        // Phase boundary: retire every warp's coalesced stores into the
+        // NVM model.
         for (std::uint32_t w = 0; w < warps_per_block; ++w) {
-            const std::size_t n_acc = lane.warps[w].accesses.size();
-            const std::size_t mark = lane.txns.size();
+            const std::uint64_t global_warp =
+                std::uint64_t(block) * warps_per_block + w;
+            const std::size_t n_acc = warps_[w].accesses.size();
+            txns_.clear();
             {
                 // Null category keeps empty warps off the timeline.
                 telemetry::Span fspan(n_acc ? "flush" : nullptr,
                                       "warp-flush");
-                lane.flush.coalesce(cfg_->coalesce_bytes,
-                                    std::uint64_t(block) *
-                                            warps_per_block +
-                                        w,
-                                    lane.warps[w], lane.stats,
-                                    lane.txns);
+                flush_.coalesce(cfg_->coalesce_bytes, global_warp,
+                                warps_[w], block_stats_, txns_);
                 if (fspan.armed()) {
-                    fspan.arg("warp", std::uint64_t(block) *
-                                          warps_per_block + w);
+                    fspan.arg("warp", global_warp);
                     fspan.arg("accesses", std::uint64_t(n_acc));
-                    fspan.arg("line_txns",
-                              std::uint64_t(lane.txns.size() - mark));
+                    fspan.arg("line_txns", std::uint64_t(txns_.size()));
                 }
             }
             if (n_acc) {
-                lane.tshard.add(telemetry::HotCounter::WarpFlushes, 1);
-                lane.tshard.add(telemetry::HotCounter::FlushedAccesses,
-                                n_acc);
-                lane.tshard.add(telemetry::HotCounter::CoalescedLineTxns,
-                                lane.txns.size() - mark);
+                tshard_.add(telemetry::HotCounter::WarpFlushes, 1);
+                tshard_.add(telemetry::HotCounter::FlushedAccesses, n_acc);
+                tshard_.add(telemetry::HotCounter::CoalescedLineTxns,
+                            txns_.size());
             }
-            if (!lane.buffered) {
-                const std::size_t n_txn = lane.txns.size() - mark;
-                telemetry::Span cspan(n_txn ? "line-commit" : nullptr,
-                                      "nvm-commit");
-                for (std::size_t i = mark; i < lane.txns.size(); ++i)
-                    nvm_->recordWrite(lane.txns[i].stream,
-                                      lane.txns[i].addr,
-                                      cfg_->coalesce_bytes);
-                if (cspan.armed()) {
-                    cspan.arg("txns", std::uint64_t(n_txn));
-                    cspan.arg("bytes",
-                              std::uint64_t(n_txn) * cfg_->coalesce_bytes);
-                }
-                lane.txns.resize(mark);
+            telemetry::Span cspan(txns_.empty() ? nullptr : "line-commit",
+                                  "nvm-commit");
+            for (const LineTxn &txn : txns_)
+                nvm_->recordWrite(txn.stream, txn.addr,
+                                  cfg_->coalesce_bytes);
+            if (cspan.armed()) {
+                cspan.arg("txns", std::uint64_t(txns_.size()));
+                cspan.arg("bytes", std::uint64_t(txns_.size()) *
+                                       cfg_->coalesce_bytes);
             }
         }
     }
-    lane.tshard.add(telemetry::HotCounter::BlocksExecuted, 1);
-}
-
-void
-GpuExecutor::launchSequential(const KernelDesc &kernel,
-                              std::uint64_t crash_at)
-{
-    ExecLane &lane = seq_lane_;
-    lane.buffered = false;
-    lane.resetLaunch();
-    // A previous crashed launch may have left stale phase accesses.
-    for (WarpRecorder &w : lane.warps)
-        w.accesses.clear();
-
-    for (std::uint32_t b = 0; b < kernel.blocks; ++b) {
-        runBlock(kernel, b, lane, crash_at);
-        // Per-block accumulation in block order: the exact summation
-        // the parallel reduction performs, so work_ops associates
-        // identically on both paths.
-        cur_ += lane.stats;
-    }
-}
-
-void
-GpuExecutor::ensureScheduler(unsigned lanes)
-{
-    if (sched_ && sched_->lanes() != lanes)
-        sched_.reset();
-    if (!sched_)
-        sched_ = std::make_unique<BlockScheduler>(lanes - 1);
-    if (lanes_.size() != lanes)
-        lanes_.resize(lanes);
-}
-
-void
-GpuExecutor::replayBlock(const BlockSlice &slice)
-{
-    ExecLane &lane = lanes_[slice.lane];
-    telemetry::Span rspan("block", "replay");
-    if (rspan.armed())
-        rspan.arg("ops",
-                  std::uint64_t(slice.ops_end - slice.ops_begin));
-    PmEventRecorder *rec = pool_->recorder();
-    for (std::size_t i = slice.ops_begin; i < slice.ops_end; ++i) {
-        const ShadowOp &op = lane.ops[i];
-        if (rec)
-            rec->setPhase(op.phase);
-        if (op.kind == ShadowOp::Kind::Write)
-            pool_->deviceWrite(op.owner, op.addr,
-                               lane.payload.data() + op.payload,
-                               op.size);
-        else
-            pool_->persistOwner(op.owner);
-    }
-    {
-        const std::size_t n_txn = slice.txns_end - slice.txns_begin;
-        telemetry::Span cspan(n_txn ? "line-commit" : nullptr,
-                              "nvm-commit-replay");
-        for (std::size_t i = slice.txns_begin; i < slice.txns_end; ++i)
-            nvm_->recordWrite(lane.txns[i].stream, lane.txns[i].addr,
-                              cfg_->coalesce_bytes);
-        if (cspan.armed()) {
-            cspan.arg("txns", std::uint64_t(n_txn));
-            cspan.arg("bytes", std::uint64_t(n_txn) * cfg_->coalesce_bytes);
-        }
-    }
-    lane.tshard.add(telemetry::HotCounter::BlocksReplayed, 1);
-}
-
-void
-GpuExecutor::launchParallel(const KernelDesc &kernel, unsigned lanes)
-{
-    ensureScheduler(lanes);
-    for (ExecLane &lane : lanes_) {
-        lane.buffered = true;
-        lane.resetLaunch();
-        for (WarpRecorder &w : lane.warps)
-            w.accesses.clear();
-    }
-    slices_.assign(kernel.blocks, BlockSlice{});
-
-    // Workers only read the shared pool (visible image, bounds,
-    // domain); every mutation is buffered in the claiming lane. The
-    // block -> lane assignment is scheduling-dependent and irrelevant:
-    // slices_ is indexed by block.
-    sched_->dispatch(kernel.blocks,
-                     [&](unsigned lane_idx, std::uint32_t b) {
-                         ExecLane &lane = lanes_[lane_idx];
-                         lane.overlay.beginBlock(pool_);
-                         BlockSlice s;
-                         s.lane = lane_idx;
-                         s.ops_begin = lane.ops.size();
-                         s.txns_begin = lane.txns.size();
-                         runBlock(kernel, b, lane, ~std::uint64_t(0));
-                         s.ops_end = lane.ops.size();
-                         s.txns_end = lane.txns.size();
-                         s.stats = lane.stats;
-                         slices_[b] = s;
-                     });
-
-    // Deterministic block-ordered reduction: replaying block b's ops
-    // contiguously is exactly what the sequential executor does (it
-    // runs blocks whole-block-at-a-time), so pending-extent order,
-    // crash RNG enumeration, NVM run formation and the stats sums are
-    // all bit-identical to workers=1.
-    for (std::uint32_t b = 0; b < kernel.blocks; ++b) {
-        replayBlock(slices_[b]);
-        cur_ += slices_[b].stats;
-    }
-}
-
-void
-GpuExecutor::launchParallelArmed(const KernelDesc &kernel, unsigned lanes,
-                                 std::uint64_t crash_at)
-{
-    // CrashPoint ordinals are 1-based counts over the block-sequential
-    // event order, and every block's event totals are deterministic
-    // functions of the kernel alone — so the ordinal names a unique
-    // (crash block B, intra-block offset) no matter which lane runs
-    // which block. Strategy (DESIGN.md decision #8): shadow-execute,
-    // find B from the per-block event counts, replay blocks [0, B)
-    // exactly as a clean parallel launch would, then re-execute block
-    // B *directly* on the sequential lane with the event counters
-    // pre-wound to the prefix sums. The direct run hits the armed
-    // trigger at the precise sequential instant, reproducing mid-phase
-    // flush state, recorder context and the KernelCrashed payload
-    // bit-for-bit; blocks past B are discarded.
-    const std::uint64_t tp_block =
-        std::uint64_t(kernel.block_threads) * kernel.phases.size();
-    const bool by_phase =
-        armed_->trigger == CrashPoint::Trigger::ThreadPhases;
-    const bool by_store =
-        armed_->trigger == CrashPoint::Trigger::AfterPmStore;
-
-    // ThreadPhases names its block upfront (the trigger checks
-    // executed_ *before* each thread-phase, so crash_at landing on a
-    // block boundary crashes at the start of that block). Fence/store
-    // ordinals need the shadow counts, so all blocks dispatch and an
-    // early-cancel kicks in once the done prefix provably contains
-    // the ordinal.
-    const std::uint32_t prefix_blocks =
-        by_phase ? static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                       kernel.blocks, crash_at / tp_block))
-                 : kernel.blocks;
-
-    slices_.assign(kernel.blocks, BlockSlice{});
-    if (prefix_blocks > 0) {
-        ensureScheduler(lanes);
-        for (ExecLane &lane : lanes_) {
-            lane.buffered = true;
-            lane.resetLaunch();
-            for (WarpRecorder &w : lane.warps)
-                w.accesses.clear();
-        }
-
-        // Early-cancel bookkeeping (event triggers only): a bitmap of
-        // finished blocks and the cumulative event count over the
-        // *contiguous* done prefix. Once that prefix's events reach
-        // the armed ordinal, every unclaimed block could only be
-        // discarded at replay — stop handing them out. Claimed blocks
-        // still finish, so by the time dispatch() joins, every block
-        // <= the crash block has a complete slice.
-        std::mutex done_m;
-        std::vector<std::uint8_t> done(prefix_blocks, 0);
-        std::uint32_t done_prefix = 0;
-        std::uint64_t done_events = 0;
-
-        sched_->dispatch(
-            prefix_blocks, [&](unsigned lane_idx, std::uint32_t b) {
-                ExecLane &lane = lanes_[lane_idx];
-                lane.overlay.beginBlock(pool_);
-                BlockSlice s;
-                s.lane = lane_idx;
-                s.ops_begin = lane.ops.size();
-                s.txns_begin = lane.txns.size();
-                const telemetry::HotShard::Counts t0 =
-                    lane.tshard.values();
-                runBlock(kernel, b, lane, ~std::uint64_t(0));
-                s.ops_end = lane.ops.size();
-                s.txns_end = lane.txns.size();
-                s.stats = lane.stats;
-                s.tshard_delta =
-                    telemetry::HotShard::diff(lane.tshard.values(), t0);
-                slices_[b] = s;
-                if (!by_phase) {
-                    std::lock_guard<std::mutex> lk(done_m);
-                    done[b] = 1;
-                    while (done_prefix < prefix_blocks &&
-                           done[done_prefix]) {
-                        const BlockSlice &p = slices_[done_prefix];
-                        done_events += by_store ? p.storeEvents()
-                                                : p.fenceEvents();
-                        ++done_prefix;
-                        if (done_events >= armed_->count) {
-                            sched_->cancel();
-                            break;
-                        }
-                    }
-                }
-            });
-    }
-
-    // Map the ordinal onto the block-sequential order.
-    std::uint32_t crash_block = kernel.blocks;  // sentinel: not fired
-    if (by_phase) {
-        if (crash_at / tp_block < kernel.blocks)
-            crash_block = static_cast<std::uint32_t>(crash_at / tp_block);
-    } else {
-        std::uint64_t cum = 0;
-        for (std::uint32_t b = 0; b < kernel.blocks; ++b) {
-            cum += by_store ? slices_[b].storeEvents()
-                            : slices_[b].fenceEvents();
-            if (cum >= armed_->count) {
-                crash_block = b;
-                break;
-            }
-        }
-    }
-
-    if (crash_block >= kernel.blocks) {
-        // The ordinal lies beyond the launch: the sequential executor
-        // would run to completion, so replay the full grid and return.
-        for (std::uint32_t b = 0; b < kernel.blocks; ++b) {
-            replayBlock(slices_[b]);
-            cur_ += slices_[b].stats;
-        }
-        return;
-    }
-
-    // Blocks > crash_block (and the crash block's own shadow run) are
-    // discarded: drop their hot-counter contributions and re-fold only
-    // the surviving prefix deltas, *before* replay so BlocksReplayed
-    // adds land on clean shards. The sequential crash never executed
-    // the discarded blocks, so merged telemetry must not count them.
-    for (ExecLane &lane : lanes_)
-        lane.tshard.clear();
-    for (std::uint32_t b = 0; b < crash_block; ++b)
-        seq_lane_.tshard.addValues(slices_[b].tshard_delta);
-
-    for (std::uint32_t b = 0; b < crash_block; ++b) {
-        replayBlock(slices_[b]);
-        cur_ += slices_[b].stats;
-    }
-
-    // Pre-wind the event counters to the crash block's prefix sums and
-    // re-execute it directly; the armed trigger fires mid-block at its
-    // global ordinal exactly as it would have sequentially. The crash
-    // block's partial stats are not folded into cur_ — runBlock throws
-    // first — matching launchSequential.
-    executed_ = std::uint64_t(crash_block) * tp_block;
-    fence_count_ = 0;
-    store_count_ = 0;
-    for (std::uint32_t b = 0; b < crash_block; ++b) {
-        fence_count_ += slices_[b].fenceEvents();
-        store_count_ += slices_[b].storeEvents();
-    }
-
-    ExecLane &lane = seq_lane_;
-    lane.buffered = false;
-    lane.resetLaunch();
-    for (WarpRecorder &w : lane.warps)
-        w.accesses.clear();
-    runBlock(kernel, crash_block, lane, crash_at);
-    GPM_REQUIRE(false, "kernel '", kernel.name,
-                "': armed crash ordinal mapped to block ", crash_block,
-                " but the direct re-execution completed without firing");
+    tshard_.add(telemetry::HotCounter::BlocksExecuted, 1);
 }
 
 LaunchStats
@@ -535,7 +346,7 @@ GpuExecutor::launch(const KernelDesc &kernel)
     // the launch, so a crashed launch's partial work is still counted.
     struct ShardGuard {
         GpuExecutor *e;
-        ~ShardGuard() { e->mergeTelemetryShards(); }
+        ~ShardGuard() { e->mergeTelemetryShard(); }
     } shard_guard{this};
 
     // Bracket the persistency event stream. The end marker rides a
@@ -554,18 +365,16 @@ GpuExecutor::launch(const KernelDesc &kernel)
         }
     } mark_guard{rec};
 
-    // CrashPoint ordinals are defined over the block-sequential event
-    // order; the armed parallel path maps the ordinal to its position
-    // in the block-ordered replay, so crash-armed launches fan out
-    // like clean ones (DESIGN.md decision #8).
-    const unsigned lanes = resolvedWorkers();
-    if (kernel.block_independent && kernel.blocks > 1 && lanes > 1) {
-        if (armed_)
-            launchParallelArmed(kernel, lanes, crash_at);
-        else
-            launchParallel(kernel, lanes);
-    } else {
-        launchSequential(kernel, crash_at);
+    // A previous crashed launch may have left stale phase accesses.
+    for (WarpRecorder &w : warps_)
+        w.accesses.clear();
+
+    for (std::uint32_t b = 0; b < kernel.blocks; ++b) {
+        runBlock(kernel, b, crash_at);
+        // Sum per block, in block order: this fixes how the work_ops
+        // floating-point total associates, which the modelled time of
+        // every pinned figure depends on.
+        cur_ += block_stats_;
     }
 
     armed_.reset();

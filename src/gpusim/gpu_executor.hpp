@@ -11,35 +11,101 @@
  * transaction stream feeds the Optane model keyed by warp, so
  * per-warp contiguity (or its absence) determines the media tier.
  *
- * Blocks execute in sequence by default. Launches whose KernelDesc
- * sets block_independent may instead be fanned out across the
- * persistent host worker pool in block_scheduler.hpp: each worker
- * records a buffered shadow log, and a block-ordered reduction
- * replays the logs into the shared pool and NVM model so every
- * observable is bit-identical to the sequential order. Crash-armed
- * launches fan out too: the armed ordinal is mapped onto the
- * block-ordered replay (blocks before the crash block replay fully,
- * the crash block re-executes directly with pre-wound event counters
- * so the trigger fires at the exact sequential instant, later blocks
- * are discarded — DESIGN.md decision #8). SimConfig::exec_workers
- * selects the width; 1 (the default) keeps the reference sequential
- * path.
+ * Blocks execute in sequence on the calling thread. Host parallelism
+ * lives one level up, in the scenario-sweep engine (harness/sweep.hpp),
+ * which runs whole independent Machines concurrently.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <vector>
 
-#include "gpusim/block_scheduler.hpp"
 #include "gpusim/kernel.hpp"
 #include "gpusim/launch_stats.hpp"
 #include "gpusim/thread_ctx.hpp"
 #include "memsim/media_backend.hpp"
 #include "memsim/sim_config.hpp"
 #include "pmem/pm_pool.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace gpm {
+
+/** One coalesced NVM line transaction (size is the coalesce granule). */
+struct LineTxn {
+    std::uint64_t stream;
+    std::uint64_t addr;
+};
+
+/**
+ * Per-thread occurrence counters for static access sites, O(1) per
+ * lookup via open addressing. Epoch stamping makes beginThread() O(1):
+ * slots from earlier threads are simply stale, never cleared.
+ */
+class SiteTable
+{
+  public:
+    /** Start counting for a fresh (thread, phase) execution. */
+    void
+    beginThread()
+    {
+        ++epoch_;
+        live_ = 0;
+    }
+
+    /** 0-based occurrence of @p site within the current thread. */
+    std::uint32_t next(SiteId site);
+
+  private:
+    struct Slot {
+        SiteId site = 0;
+        std::uint64_t epoch = 0;
+        std::uint32_t count = 0;
+    };
+
+    void grow();
+
+    std::vector<Slot> slots_ = std::vector<Slot>(64);
+    std::uint64_t epoch_ = 0;
+    std::size_t live_ = 0;
+};
+
+/**
+ * Reusable scratch for warp-flush coalescing: groups a warp's phase
+ * accesses by (site, occurrence, stream) in first-appearance order and
+ * dedups touched coalescing lines per group in ascending address
+ * order, without a node allocation per access.
+ */
+struct WarpFlushScratch {
+    struct Slot {
+        SiteId site = 0;
+        std::uint64_t stream = 0;
+        std::uint32_t occurrence = 0;
+        std::uint32_t group = 0;
+        std::uint64_t epoch = 0;
+    };
+
+    std::vector<Slot> slots = std::vector<Slot>(64);
+    std::uint64_t epoch = 0;
+    std::vector<std::uint32_t> group_of;    ///< access index -> group
+    std::vector<std::uint32_t> group_start; ///< group -> first slot
+    std::vector<std::uint32_t> cursor;      ///< scatter cursors
+    std::vector<const WarpAccess *> grouped;
+    std::vector<std::uint64_t> lines;
+
+    /**
+     * Coalesce @p warp's buffered accesses: append one LineTxn per
+     * (group, touched line) to @p out and account pm_line_* in
+     * @p stats. Clears the recorder for the next phase.
+     */
+    void coalesce(std::uint64_t granule, std::uint64_t global_warp,
+                  WarpRecorder &warp, LaunchStats &stats,
+                  std::vector<LineTxn> &out);
+
+  private:
+    std::uint32_t groupOf(SiteId site, std::uint32_t occurrence,
+                          std::uint64_t stream, std::uint32_t ngroups);
+};
 
 /** The simulated GPU: executes kernels and accounts their traffic. */
 class GpuExecutor
@@ -70,70 +136,34 @@ class GpuExecutor
     /**
      * Accounting of the most recent launch. After a KernelCrashed
      * unwind this holds the *partial* stats — exactly the blocks that
-     * completed before the crash point, identical at any worker width
-     * (the equivalence suite compares them against sequential).
+     * completed before the crash point.
      */
     const LaunchStats &lastLaunchStats() const { return cur_; }
-
-    /**
-     * Lanes a parallel-eligible launch would use: exec_workers, with 0
-     * meaning one lane per hardware thread and anything below 1 lane
-     * clamped to sequential.
-     */
-    unsigned resolvedWorkers() const;
 
   private:
     friend class ThreadCtx;
 
     /**
-     * Execute one block (every phase, every thread) into @p lane. In
-     * direct mode (lane.buffered == false) PM stores and NVM line
-     * transactions retire immediately and crash triggers are armed;
-     * in buffered mode everything lands in the lane's shadow log.
-     * Either way lane.stats holds the block's accounting afterwards.
+     * Execute one block (every phase, every thread): PM stores and NVM
+     * line transactions retire immediately and crash triggers are
+     * armed. block_stats_ holds the block's accounting afterwards.
      */
     void runBlock(const KernelDesc &kernel, std::uint32_t block,
-                  ExecLane &lane, std::uint64_t crash_at);
-
-    void launchSequential(const KernelDesc &kernel,
-                          std::uint64_t crash_at);
-    void launchParallel(const KernelDesc &kernel, unsigned lanes);
+                  std::uint64_t crash_at);
 
     /**
-     * Crash-armed parallel launch: shadow-execute, map the armed
-     * ordinal to its (crash block, intra-block offset) position in
-     * the block-sequential event order, replay the blocks before it,
-     * then re-execute the crash block directly with pre-wound event
-     * counters so the trigger fires at the exact sequential instant
-     * (throws KernelCrashed). When the ordinal lies beyond the launch
-     * the full grid replays and the launch completes normally.
-     */
-    void launchParallelArmed(const KernelDesc &kernel, unsigned lanes,
-                             std::uint64_t crash_at);
-
-    /** Replay one block's shadow log into the shared pool/NVM model. */
-    void replayBlock(const BlockSlice &slice);
-
-    void ensureScheduler(unsigned lanes);
-
-    /**
-     * Fold every lane's telemetry shard into the installed session's
-     * registry — or discard the pending values when telemetry is off —
-     * so shard counts never leak across sessions. Runs at every launch
+     * Fold the telemetry shard into the installed session's registry
+     * — or discard the pending values when telemetry is off — so
+     * shard counts never leak across sessions. Runs at every launch
      * boundary, including crash unwinds.
      */
-    void mergeTelemetryShards();
+    void mergeTelemetryShard();
 
     /**
-     * Crash-trigger bookkeeping, called from the ThreadCtx data path
-     * in direct mode only (buffered blocks count events in their
-     * shadow logs instead). Event counters are per launch and
-     * 1-based, so e.g. CrashPoint::beforeFence(1) dies before the
-     * first fence of the launch ever persists anything. The ordinals
-     * are defined over the block-sequential event order; the parallel
-     * crash-armed path pre-winds these counters to the crash block's
-     * prefix sums before re-executing it, so they keep their global
-     * meaning at any worker width.
+     * Crash-trigger bookkeeping, called from the ThreadCtx data path.
+     * Event counters are per launch and 1-based, so e.g.
+     * CrashPoint::beforeFence(1) dies before the first fence of the
+     * launch ever persists anything.
      */
     void noteFenceBefore(std::uint64_t executed);
     void noteFenceAfter(std::uint64_t executed);
@@ -149,10 +179,16 @@ class GpuExecutor
     std::uint64_t fence_count_ = 0;    ///< fences started this launch
     std::uint64_t store_count_ = 0;    ///< PM stores retired this launch
 
-    ExecLane seq_lane_;                ///< sequential-path scratch
-    std::unique_ptr<BlockScheduler> sched_;  ///< lazily created pool
-    std::vector<ExecLane> lanes_;      ///< parallel lanes (0 = caller)
-    std::vector<BlockSlice> slices_;   ///< per-block logs of a launch
+    // Scratch reused across blocks and launches.
+    std::vector<WarpRecorder> warps_;  ///< one per warp of a block
+    WarpFlushScratch flush_;
+    SiteTable sites_;                  ///< the running thread's sites
+    std::vector<LineTxn> txns_;        ///< one warp flush's line txns
+    LaunchStats block_stats_;          ///< the running block's accounting
+
+    // Plain counters bumped on the hot path and folded into the
+    // session registry (or discarded) once per launch.
+    telemetry::HotShard tshard_;
 };
 
 } // namespace gpm

@@ -127,21 +127,6 @@ struct KernelDesc {
      */
     bool no_launch_overhead = false;
 
-    /**
-     * True when the kernel's threadblocks are independent: no block
-     * reads PM written by another block within this launch, and no
-     * phase mutates shared host state non-atomically. Such launches
-     * are eligible for the parallel block-scheduled engine (see
-     * block_scheduler.hpp); execution remains bit-identical to the
-     * sequential order thanks to the block-ordered reduction, so the
-     * flag is purely a performance opt-in for audited kernels.
-     * Crash-armed launches fan out too: the armed ordinal is mapped
-     * onto the block-ordered replay (DESIGN.md decision #8), so
-     * CrashPoint ordinals keep their global block-sequential meaning
-     * at any worker width.
-     */
-    bool block_independent = false;
-
     std::uint64_t
     totalThreads() const
     {

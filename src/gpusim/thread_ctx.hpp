@@ -29,7 +29,6 @@
 namespace gpm {
 
 class GpuExecutor;
-struct ExecLane;
 
 /** Derive a SiteId from a source location (file pointer + line + col). */
 inline SiteId
@@ -134,22 +133,19 @@ class ThreadCtx
   private:
     friend class GpuExecutor;
 
-    ThreadCtx(GpuExecutor &exec, ExecLane &lane, WarpRecorder &warp,
-              std::uint32_t block, std::uint32_t thread,
-              std::uint32_t block_dim, std::uint32_t grid_dim,
-              std::uint32_t warp_size)
-        : exec_(&exec), lane_(&lane), warp_(&warp), block_(block),
+    ThreadCtx(GpuExecutor &exec, WarpRecorder &warp, std::uint32_t block,
+              std::uint32_t thread, std::uint32_t block_dim,
+              std::uint32_t grid_dim, std::uint32_t warp_size)
+        : exec_(&exec), warp_(&warp), block_(block),
           thread_(thread), block_dim_(block_dim), grid_dim_(grid_dim),
           warp_size_(warp_size)
     {
     }
 
+    // The executor owns the running block's stats and the O(1)
+    // site-occurrence table (it begins a fresh thread epoch before each
+    // phase invocation).
     GpuExecutor *exec_;
-    // The executing lane: per-block stats, the O(1) site-occurrence
-    // table (the caller begins a fresh thread epoch before each phase
-    // invocation), and — on parallel launches — the buffered shadow
-    // log this thread's PM traffic records into.
-    ExecLane *lane_;
     WarpRecorder *warp_;
     std::uint32_t block_;
     std::uint32_t thread_;

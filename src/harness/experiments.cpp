@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "common/env.hpp"
 #include "harness/sweep.hpp"
 #include "memsim/media_backend.hpp"
 #include "workloads/iterative.hpp"
@@ -235,7 +234,6 @@ SimConfig
 benchConfig()
 {
     SimConfig cfg;
-    cfg.exec_workers = execWorkersFromEnv(cfg.exec_workers);
     applyMediaConfig(cfg, mediaFromEnv(cfg.media));
     return cfg;
 }

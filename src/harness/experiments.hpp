@@ -124,11 +124,8 @@ std::size_t pmCapacity();
 
 /**
  * Canonical SimConfig for bench drivers: testbed defaults with the
- * executor worker count taken from the GPM_EXEC_WORKERS environment
- * variable (unset or invalid -> 1, the sequential reference; 0 ->
- * one worker per hardware thread). Worker count never changes any
- * modelled result — only host wall-clock — so reading it from the
- * environment is safe for every driver.
+ * media backend taken from the GPM_MEDIA environment variable (unset
+ * or invalid -> the paper's Optane model).
  */
 SimConfig benchConfig();
 

@@ -421,8 +421,10 @@ class HybridDramNvm final : public MediaBackend
 
     MediaKind kind() const override { return MediaKind::Hybrid; }
 
+    // The stream is unused: the DRAM cache routes every write through
+    // its own stream.
     void
-    recordWrite(std::uint64_t stream, std::uint64_t addr,
+    recordWrite(std::uint64_t /*stream*/, std::uint64_t addr,
                 std::uint64_t size) override
     {
         GPM_REQUIRE(size > 0, "zero-size NVM write");
@@ -549,7 +551,7 @@ class HybridDramNvm final : public MediaBackend
     std::uint64_t write_txns_ = 0;
 };
 
-/** Strict bounded decimal (the parseExecWorkers grammar). */
+/** Strict bounded decimal (the parseSweepJobs grammar). */
 std::optional<long>
 parseBounded(std::string_view s, long lo, long hi)
 {

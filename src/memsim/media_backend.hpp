@@ -199,7 +199,7 @@ void applyMediaConfig(SimConfig &cfg, const MediaConfig &m);
 /**
  * Media selection from the GPM_MEDIA environment variable; unset or
  * unparsable input degrades to @p fallback so a stray environment
- * never breaks a bench run (the execWorkersFromEnv convention).
+ * never breaks a bench run (the sweepJobsFromEnv convention).
  */
 MediaConfig mediaFromEnv(const MediaConfig &fallback = MediaConfig{});
 

@@ -106,21 +106,6 @@ struct MediaConfig {
 
 /** Simulated machine parameters (defaults model the paper's testbed). */
 struct SimConfig {
-    // ---- simulator execution (host-side, not modelled time) -----------
-    /**
-     * Host worker threads for the parallel block-scheduled executor
-     * (see gpusim/block_scheduler.hpp). 1 = sequential (default, the
-     * reference order every parallel run must reproduce bit-for-bit);
-     * 0 = one worker per hardware thread; N = exactly N workers, the
-     * calling thread included. Launches whose KernelDesc sets
-     * block_independent run parallel — crash-armed ones included,
-     * with the armed ordinal mapped onto the block-ordered replay
-     * (DESIGN.md decision #8) — and their merged stats, NVM tiers and
-     * durable image are bit-identical to workers=1, so this knob
-     * never changes results — only wall-clock.
-     */
-    int exec_workers = 1;
-
     // ---- GPU (NVIDIA Titan RTX class) ---------------------------------
     int num_sms = 72;              ///< streaming multiprocessors
     int warp_size = 32;            ///< threads per warp

@@ -13,11 +13,9 @@
  * provenance.
  *
  * Determinism contract: stores and fences reach the pool in
- * block-major sequential order — the parallel executor buffers
- * shadow ops and replays them in exactly that order (see
- * block_scheduler.hpp) — so the captured stream is bit-identical at
- * any executor width and any sweep worker count. streamHash() is the
- * cheap fingerprint the determinism tests compare.
+ * block-major sequential order, so the captured stream is
+ * bit-identical at any sweep worker count. streamHash() is the cheap
+ * fingerprint the determinism tests compare.
  *
  * The recorder is also where workloads declare *intent*: which PM
  * ranges hold recoverable data, which hold commit records (log

@@ -4,7 +4,7 @@
  *
  * Every workload used to hand-roll its persistence layout; GpmHeap is
  * the reusable bottom half of the transactional layer (docs/pmheap.md,
- * DESIGN.md decision #10). It carves three PM regions out of the pool:
+ * DESIGN.md decision #9). It carves three PM regions out of the pool:
  *
  *   <name>.slabs    fixed-size object slots, segregated by size class
  *   <name>.bitmap   one bit per slot: durably allocated or free

@@ -190,7 +190,6 @@ GpmMap::runBatch(const std::vector<MapOp> &ops,
         k.name = "gpmmap_stage";
         k.blocks = static_cast<std::uint32_t>(staged.size());
         k.block_threads = GpmMapParams::kWays;
-        k.block_independent = true;
         k.crash = crash_stage;
         k.phases = {[this, &staged](ThreadCtx &ctx) {
             const std::uint64_t b =
@@ -219,7 +218,6 @@ GpmMap::runBatch(const std::vector<MapOp> &ops,
         k.name = "gpmmap_publish";
         k.blocks = static_cast<std::uint32_t>(plan.size());
         k.block_threads = GpmMapParams::kWays;
-        k.block_independent = true;
         k.crash = crash_publish;
         k.phases = {[this, &plan](ThreadCtx &ctx) {
             const std::uint64_t b =

@@ -84,8 +84,11 @@ ServiceEngine::ServiceEngine(const ServeConfig &cfg)
                 "the serving engine requires in-kernel persistence (",
                 platformName(cfg_.platform), " given)");
 
+    GPM_REQUIRE(cfg_.exec_workers == 1,
+                "ServeConfig::exec_workers is retired and must stay 1 (",
+                cfg_.exec_workers, " given)");
+
     SimConfig sim;
-    sim.exec_workers = cfg_.exec_workers;
     applyMediaConfig(sim, cfg_.media);
 
     GpKvsParams kp;
@@ -348,8 +351,7 @@ ServiceEngine::flushLaunches()
 
     if (doom != kNoDoom) {
         // The doomed launch runs on the caller with the crash point
-        // armed (launchParallelArmed keeps it exec-width invariant);
-        // later launches in the wave never started — their ops are
+        // armed; later launches in the wave never started — their ops are
         // unacknowledged and may be lost.
         Shard &sh = shards_[launch_buf_[doom]];
         bool fired = false;

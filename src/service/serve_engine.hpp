@@ -27,9 +27,8 @@
  * Determinism contract (the repo-wide rule): all randomness flows
  * from ServeConfig::seed through sequential draws on the event loop;
  * host execution of closed batches is farmed to the sweep worker pool
- * (`jobs`) with canonical-order result slots, and the serve kernel is
- * block-independent (`exec_workers`). Same seed => bit-identical ack
- * stream and report signature at any jobs x exec-workers width.
+ * (`jobs`) with canonical-order result slots. Same seed =>
+ * bit-identical ack stream and report signature at any `jobs` width.
  *
  * Crash injection: `crash_at_launch` dooms the Nth batch launch
  * (globally, in launch order) with an armed CrashPoint; the engine
@@ -70,7 +69,10 @@ struct ServeConfig {
     std::uint64_t key_space = 1u << 16;  ///< distinct popularity ranks
     double theta = KeyDist::kDefaultTheta;
     std::uint64_t seed = 42;
-    int exec_workers = 1;            ///< per-shard parallel executor
+    /** Retired: kernels always run on the one sequential executor
+     *  path, and the constructor rejects any value but 1. Kept only
+     *  until the repository benchmark stops assigning it. */
+    int exec_workers = 1;
     int jobs = 1;                    ///< sweep width for batch flushes
     /** Media backend behind every shard's Machine (timing-only: the
      *  ack stream and its pinned signature are media-invariant). */

@@ -207,7 +207,6 @@ hotCounterName(HotCounter c)
 {
     switch (c) {
       case HotCounter::BlocksExecuted: return "exec.blocks_executed";
-      case HotCounter::BlocksReplayed: return "exec.blocks_replayed";
       case HotCounter::WarpFlushes: return "exec.warp_flushes";
       case HotCounter::FlushedAccesses: return "exec.flushed_accesses";
       case HotCounter::CoalescedLineTxns:

@@ -153,13 +153,12 @@ class Registry
 };
 
 /**
- * The fixed set of hot-path counters the executor shards per worker.
+ * The fixed set of hot-path counters the executor keeps in its shard.
  * An enum rather than interned names so a shard is a plain array add
  * with no lookup at all on the block-execution path.
  */
 enum class HotCounter : unsigned {
-    BlocksExecuted,    ///< blocks run (direct or buffered)
-    BlocksReplayed,    ///< shadow logs replayed in block order
+    BlocksExecuted,    ///< blocks run
     WarpFlushes,       ///< phase-boundary warp flushes with accesses
     FlushedAccesses,   ///< raw PM stores retired through coalescing
     CoalescedLineTxns, ///< 128 B line transactions produced
@@ -170,18 +169,14 @@ enum class HotCounter : unsigned {
 const char *hotCounterName(HotCounter c);
 
 /**
- * Per-worker shard of the hot counters: a plain uint64 array owned by
- * one ExecLane, merged into the registry at launch boundaries. Adds
- * are completely lock-free (not even an atomic — the lane is owned by
- * exactly one worker during a launch).
+ * Shard of the hot counters: a plain uint64 array owned by one
+ * GpuExecutor, merged into the registry at launch boundaries. Adds are
+ * completely lock-free (not even an atomic — an executor runs on one
+ * thread at a time).
  */
 class HotShard
 {
   public:
-    /** A point-in-time copy of every hot counter. */
-    using Counts =
-        std::array<std::uint64_t, static_cast<unsigned>(HotCounter::kCount)>;
-
     void
     add(HotCounter c, std::uint64_t n)
     {
@@ -205,33 +200,8 @@ class HotShard
         return v_[static_cast<unsigned>(c)];
     }
 
-    /** Snapshot the counters (pairs with diff() for per-block deltas). */
-    Counts values() const { return v_; }
-
-    /** Fold a delta produced by diff() back into this shard. */
-    void
-    addValues(const Counts &c)
-    {
-        for (std::size_t i = 0; i < c.size(); ++i)
-            v_[i] += c[i];
-    }
-
-    /**
-     * Element-wise @p after - @p before. The crash-armed parallel
-     * executor snapshots a lane around each shadow block so blocks
-     * discarded past the crash point can be subtracted back out.
-     */
-    static Counts
-    diff(const Counts &after, const Counts &before)
-    {
-        Counts d{};
-        for (std::size_t i = 0; i < d.size(); ++i)
-            d[i] = after[i] - before[i];
-        return d;
-    }
-
   private:
-    Counts v_{};
+    std::array<std::uint64_t, static_cast<unsigned>(HotCounter::kCount)> v_{};
 };
 
 } // namespace gpm::telemetry

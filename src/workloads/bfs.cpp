@@ -182,9 +182,6 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
     if (in_kernel) {
         KernelDesc q;
         q.name = "bfs_persist_frontier";
-        // Disjoint queue slots + thread-0 sentinel at a distinct
-        // offset; next is read-only.
-        q.block_independent = true;
         q.blocks = static_cast<std::uint32_t>(
             std::max<std::uint64_t>(1, ceilDiv(next.size(), tpb)));
         q.block_threads = tpb;

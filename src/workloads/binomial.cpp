@@ -102,8 +102,6 @@ GpBinomial::run()
     const std::uint32_t tpb = 128;
     KernelDesc k;
     k.name = "binomial";
-    // One disjoint price store per block; prices is read-only here.
-    k.block_independent = true;
     k.blocks = p_.options;
     k.block_threads = tpb;
     // Phase 0: the block's threads share the tree levels.

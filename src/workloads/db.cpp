@@ -183,9 +183,6 @@ GpDb::runInsertGpm(std::uint32_t batch, bool ndp)
     const std::uint32_t tpb = 256;
     KernelDesc k;
     k.name = "gpdb_insert";
-    // Each thread writes its own fresh row (makeRow is pure): blocks
-    // never share PM or host state within the launch.
-    k.block_independent = true;
     k.blocks = static_cast<std::uint32_t>(ceilDiv(p_.insert_rows, tpb));
     k.block_threads = tpb;
     k.phases.push_back([this, old_count, batch, ndp](ThreadCtx &ctx) {
@@ -284,7 +281,6 @@ GpDb::runInsertCap(std::uint32_t batch)
     const std::uint32_t tpb = 256;
     KernelDesc k;
     k.name = "gpdb_insert_volatile";
-    k.block_independent = true;
     k.blocks = static_cast<std::uint32_t>(ceilDiv(p_.insert_rows, tpb));
     k.block_threads = tpb;
     std::vector<DbRow> rows(p_.insert_rows);
@@ -582,12 +578,6 @@ GpDb::runCrashPoint(TxnKind kind, std::uint32_t crash_batch,
     k.blocks = static_cast<std::uint32_t>(ceilDiv(n, tpb));
     k.block_threads = tpb;
     k.crash = point;
-    // Block-independent in both variants: inserts write disjoint
-    // per-thread rows; updates hit unique targets (makeUpdateTargets)
-    // and read only pre-launch row values, and the HCL log insert is
-    // ctx-mediated per thread. Crash-armed launches may therefore fan
-    // out (DESIGN.md decision #8).
-    k.block_independent = true;
     if (kind == TxnKind::Insert) {
         k.phases.push_back([this, ref_count, batch](ThreadCtx &ctx) {
             const std::uint64_t i = ctx.globalId();

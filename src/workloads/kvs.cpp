@@ -704,7 +704,6 @@ GpKvs::serveBatch(const std::vector<KvRequest> &reqs,
     k.name = "gpkvs_serve";
     k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
     k.block_threads = tpb;
-    k.block_independent = true;
     if (crash)
         k.crash = *crash;
     k.phases.push_back([this, &reqs, &results, batch_id](ThreadCtx &ctx) {
@@ -840,7 +839,6 @@ GpKvs::serveBatchVar(const std::vector<KvRequest> &reqs,
         k.name = "gpkvs_serve_stage";
         k.blocks = static_cast<std::uint32_t>(staged.size());
         k.block_threads = GpKvsParams::kGroup;
-        k.block_independent = true;
         k.phases.push_back([this, &staged](ThreadCtx &ctx) {
             const std::uint64_t b =
                 ctx.globalId() / GpKvsParams::kGroup;
@@ -873,7 +871,6 @@ GpKvs::serveBatchVar(const std::vector<KvRequest> &reqs,
     k.name = "gpkvs_serve";
     k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
     k.block_threads = tpb;
-    k.block_independent = true;
     if (crash)
         k.crash = *crash;
     k.phases.push_back([this, &reqs, &results, batch_id](ThreadCtx &ctx) {

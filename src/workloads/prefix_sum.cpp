@@ -70,9 +70,6 @@ GpPrefixSum::partialSumsKernel(const std::optional<CrashPoint> &crash)
 
     KernelDesc k;
     k.name = "ps_partial_sums";
-    // sums/skip slots are block-disjoint and blocks_skipped_ is
-    // atomic; the sentinel pmLoad reads the block's own region.
-    k.block_independent = true;
     k.blocks = p_.blocks;
     k.block_threads = p_.block_threads;
     k.crash = crash;
@@ -186,7 +183,6 @@ GpPrefixSum::finalKernel()
         static_cast<std::uint32_t>(m_->config().warp_size);
     KernelDesc k;
     k.name = "ps_final";
-    k.block_independent = true;
     k.blocks = static_cast<std::uint32_t>(
         std::max<std::uint64_t>(1,
             ceilDiv(n, std::uint64_t(tpb) * words_per_thread)));

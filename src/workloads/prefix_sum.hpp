@@ -19,7 +19,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -99,10 +98,7 @@ class GpPrefixSum
     PmRegion psums_;  ///< u64 per thread (partial sums)
     PmRegion out_;    ///< u64 per element (final prefix)
     std::vector<std::uint32_t> input_;  ///< HBM-resident input
-    // Atomic: thread 0 of every block bumps it, and the partial-sums
-    // kernel is block_independent, so blocks may run on different
-    // host workers.
-    std::atomic<std::uint64_t> blocks_skipped_{0};
+    std::uint64_t blocks_skipped_ = 0;  ///< bumped by thread 0 per block
 };
 
 } // namespace gpm

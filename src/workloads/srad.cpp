@@ -161,10 +161,6 @@ GpSrad::runIteration(std::uint32_t iter,
         static_cast<std::uint32_t>(m_->config().warp_size);
     KernelDesc k;
     k.name = "srad_iteration";
-    // Blocks write disjoint coef/img strips and read only host-side
-    // buffers: safe to fan out (crash-armed launches still run
-    // sequentially).
-    k.block_independent = true;
     k.blocks = static_cast<std::uint32_t>(
         std::max<std::uint64_t>(1,
             ceilDiv(n, std::uint64_t(tpb) * words_per_thread)));

@@ -192,54 +192,5 @@ TEST(PersistencyBugs, EveryBrokenVariantFlagsAndEveryTwinPasses)
     }
 }
 
-TEST(PersistencyBugs, CorpusIsUnchangedUnderParallelExecution)
-{
-    // Cross-check for the parallel crash-armed engine (DESIGN.md
-    // decision #8): the full corpus sweep — trace capture via the
-    // event recorder plus dynamic witness confirmation through the
-    // crash-armed torture machinery — must produce identical findings,
-    // witness statuses and the exact corpus signature at in-scenario
-    // width 4 as at width 1 (the CI-pinned configuration).
-    auto sweep = [](int exec_workers) {
-        CheckConfig cfg;
-        cfg.domains = {PersistDomain::McDurable};
-        cfg.factory = makeBugInvariant;
-        cfg.workloads = registeredBugs();
-        cfg.confirm_witnesses = true;
-        cfg.jobs = 4;
-        cfg.exec_workers = exec_workers;
-        return runCheck(cfg);
-    };
-    const CheckReport seq = sweep(1);
-    const CheckReport par = sweep(4);
-
-    EXPECT_EQ(seq.signature(), par.signature());
-    EXPECT_EQ(seq.signature(), 0x4ccbff74f931bb0cull)
-        << "corpus signature drifted from the CI-pinned value";
-    EXPECT_EQ(seq.findingsAtLeast(Severity::Warn), 6u);
-    EXPECT_EQ(par.findingsAtLeast(Severity::Warn), 6u);
-    EXPECT_EQ(seq.confirmed(), 5u);
-    EXPECT_EQ(par.confirmed(), 5u);
-
-    ASSERT_EQ(seq.cells.size(), par.cells.size());
-    for (std::size_t i = 0; i < seq.cells.size(); ++i) {
-        const CheckCell &a = seq.cells[i];
-        const CheckCell &b = par.cells[i];
-        EXPECT_EQ(a.scenario.key(), b.scenario.key());
-        EXPECT_EQ(a.error, b.error) << a.scenario.key();
-        EXPECT_EQ(a.report.stream_hash, b.report.stream_hash)
-            << a.scenario.key();
-        EXPECT_EQ(a.report.findingsHash(), b.report.findingsHash())
-            << a.scenario.key();
-        ASSERT_EQ(a.report.findings.size(), b.report.findings.size())
-            << a.scenario.key();
-        for (std::size_t j = 0; j < a.report.findings.size(); ++j) {
-            EXPECT_EQ(a.report.findings[j].witness,
-                      b.report.findings[j].witness)
-                << a.scenario.key() << " finding " << j;
-        }
-    }
-}
-
 } // namespace
 } // namespace gpm

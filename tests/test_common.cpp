@@ -149,49 +149,51 @@ TEST(Table, NumFormatting)
     EXPECT_EQ(Table::num(2.0, 0), "2");
 }
 
+// The suite keeps the name of the GPM_EXEC_WORKERS variable whose
+// grammar parseSweepJobs defines.
 TEST(ExecWorkers, AcceptsPlainDecimalInRange)
 {
-    EXPECT_EQ(parseExecWorkers("0"), 0);
-    EXPECT_EQ(parseExecWorkers("1"), 1);
-    EXPECT_EQ(parseExecWorkers("8"), 8);
-    EXPECT_EQ(parseExecWorkers("1024"), 1024);
-    EXPECT_EQ(parseExecWorkers("007"), 7);  // leading zeros are digits
+    EXPECT_EQ(parseSweepJobs("0"), 0);
+    EXPECT_EQ(parseSweepJobs("1"), 1);
+    EXPECT_EQ(parseSweepJobs("8"), 8);
+    EXPECT_EQ(parseSweepJobs("1024"), 1024);
+    EXPECT_EQ(parseSweepJobs("007"), 7);  // leading zeros are digits
 }
 
 TEST(ExecWorkers, RejectsMalformedInput)
 {
-    EXPECT_EQ(parseExecWorkers(nullptr), std::nullopt);
-    EXPECT_EQ(parseExecWorkers(""), std::nullopt);
-    EXPECT_EQ(parseExecWorkers(" 4"), std::nullopt);
-    EXPECT_EQ(parseExecWorkers("4 "), std::nullopt);
-    EXPECT_EQ(parseExecWorkers("+4"), std::nullopt);
-    EXPECT_EQ(parseExecWorkers("-1"), std::nullopt);
-    EXPECT_EQ(parseExecWorkers("4x"), std::nullopt);
-    EXPECT_EQ(parseExecWorkers("x4"), std::nullopt);
-    EXPECT_EQ(parseExecWorkers("4.0"), std::nullopt);
-    EXPECT_EQ(parseExecWorkers("0x10"), std::nullopt);
+    EXPECT_EQ(parseSweepJobs(nullptr), std::nullopt);
+    EXPECT_EQ(parseSweepJobs(""), std::nullopt);
+    EXPECT_EQ(parseSweepJobs(" 4"), std::nullopt);
+    EXPECT_EQ(parseSweepJobs("4 "), std::nullopt);
+    EXPECT_EQ(parseSweepJobs("+4"), std::nullopt);
+    EXPECT_EQ(parseSweepJobs("-1"), std::nullopt);
+    EXPECT_EQ(parseSweepJobs("4x"), std::nullopt);
+    EXPECT_EQ(parseSweepJobs("x4"), std::nullopt);
+    EXPECT_EQ(parseSweepJobs("4.0"), std::nullopt);
+    EXPECT_EQ(parseSweepJobs("0x10"), std::nullopt);
 }
 
 TEST(ExecWorkers, RejectsOutOfRange)
 {
-    EXPECT_EQ(parseExecWorkers("1025"), std::nullopt);
-    EXPECT_EQ(parseExecWorkers("99999"), std::nullopt);
-    EXPECT_EQ(parseExecWorkers("123456"), std::nullopt);  // > 5 digits
+    EXPECT_EQ(parseSweepJobs("1025"), std::nullopt);
+    EXPECT_EQ(parseSweepJobs("99999"), std::nullopt);
+    EXPECT_EQ(parseSweepJobs("123456"), std::nullopt);  // > 5 digits
 }
 
 TEST(ExecWorkers, EnvFallsBackOnUnsetOrInvalid)
 {
     ::unsetenv("GPM_EXEC_WORKERS");
-    EXPECT_EQ(execWorkersFromEnv(3), 3);
+    EXPECT_EQ(sweepJobsFromEnv(3), 3);
 
     ::setenv("GPM_EXEC_WORKERS", "6", 1);
-    EXPECT_EQ(execWorkersFromEnv(3), 6);
+    EXPECT_EQ(sweepJobsFromEnv(3), 6);
 
     ::setenv("GPM_EXEC_WORKERS", "bogus", 1);
-    EXPECT_EQ(execWorkersFromEnv(3), 3);
+    EXPECT_EQ(sweepJobsFromEnv(3), 3);
 
     ::setenv("GPM_EXEC_WORKERS", "-2", 1);
-    EXPECT_EQ(execWorkersFromEnv(), 1);
+    EXPECT_EQ(sweepJobsFromEnv(), 1);
 
     ::unsetenv("GPM_EXEC_WORKERS");
 }

@@ -234,7 +234,6 @@ TEST(ServiceEngine, BitIdenticalAcrossWorkerWidths)
     ServeReport base;
     for (const int w : {1, 2, 4, 8}) {
         sc.jobs = w;
-        sc.exec_workers = w;
         const ServeReport r = ServiceEngine(sc).run();
         if (w == 1) {
             base = r;
@@ -245,7 +244,6 @@ TEST(ServiceEngine, BitIdenticalAcrossWorkerWidths)
     }
     // And the seed must actually matter.
     sc.jobs = 1;
-    sc.exec_workers = 1;
     sc.seed = 8;
     EXPECT_NE(ServiceEngine(sc).run().ack_signature,
               base.ack_signature);

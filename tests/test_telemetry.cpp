@@ -19,11 +19,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "gpusim/kernel.hpp"
@@ -336,8 +334,8 @@ TEST(TelemetryTrace, RecordsSpansAndInstantsAcrossThreads)
 
 // ---- the observer contract against the simulator ------------------------
 
-/** A small block-independent kernel: every thread stores 16 B to its
- *  own slot and fences; one warp's worth of threads per block. */
+/** A small kernel: every thread stores 16 B to its own slot and
+ *  fences; one warp's worth of threads per block. */
 KernelDesc
 storeKernel(std::uint32_t blocks, std::uint32_t threads)
 {
@@ -345,7 +343,6 @@ storeKernel(std::uint32_t blocks, std::uint32_t threads)
     k.name = "telemetry_store";
     k.blocks = blocks;
     k.block_threads = threads;
-    k.block_independent = true;
     k.phases.push_back([](ThreadCtx &ctx) {
         const std::uint64_t slot = ctx.globalId() * 64;
         std::uint8_t payload[16];
@@ -392,37 +389,6 @@ TEST(TelemetryObserver, LaunchCountersMatchStatsAndModelTotals)
               s.counter("nvm.observed_seq_aligned_bytes") +
                   s.counter("nvm.observed_seq_unaligned_bytes") +
                   s.counter("nvm.observed_random_bytes"));
-}
-
-/** Counters+gauges snapshot of one canonical bench cell at @p workers
- *  lanes, with host-dependent entries (wall-time histograms, replay
- *  bookkeeping) removed so widths can be compared exactly. */
-std::pair<std::map<std::string, std::uint64_t>,
-          std::map<std::string, double>>
-modelledMetricsAt(int workers)
-{
-    tm::ScopedSession session;
-    SimConfig cfg;
-    cfg.exec_workers = workers;
-    const WorkloadResult r =
-        bench::runBench(bench::Bench::PrefixSum, PlatformKind::Gpm, cfg);
-    EXPECT_TRUE(r.supported);
-    EXPECT_TRUE(r.verified);
-    tm::MetricsSnapshot s = session->metrics.snapshot();
-    // Replay happens only on the parallel path; it duplicates block
-    // bookkeeping, not modelled state.
-    s.counters.erase("exec.blocks_replayed");
-    return {s.counters, s.gauges};
-}
-
-TEST(TelemetryObserver, ModelledMetricsEqualAcrossWorkerWidths)
-{
-    const auto seq = modelledMetricsAt(1);
-    for (const int workers : {4, 8}) {
-        const auto par = modelledMetricsAt(workers);
-        EXPECT_EQ(par.first, seq.first) << workers << " workers";
-        EXPECT_EQ(par.second, seq.second) << workers << " workers";
-    }
 }
 
 TEST(TelemetryObserver, CrashRecoveryLandsOnTimeline)

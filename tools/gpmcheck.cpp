@@ -19,8 +19,6 @@
  *                                     instead of the real workloads
  *     --jobs      N                   sweep workers (0 = hw threads;
  *                                     default GPM_EXEC_WORKERS, else 1)
- *     --exec-workers N                in-scenario executor width
- *                                     (default 1; 0 = hw threads)
  *     --seed      N                   trace-capture seed (default 1)
  *     --tsv                           tab-separated findings table
  *     --summary-only                  omit the findings table
@@ -81,8 +79,8 @@ usage()
     std::printf(
         "usage: gpmcheck [--workloads w,...] [--domains d,...]\n"
         "                [--severity info|warn|error] [--witness]\n"
-        "                [--corpus] [--jobs n] [--exec-workers n]\n"
-        "                [--seed n] [--tsv] [--summary-only] [--list]\n");
+        "                [--corpus] [--jobs n] [--seed n] [--tsv]\n"
+        "                [--summary-only] [--list]\n");
 }
 
 void
@@ -117,7 +115,7 @@ int
 main(int argc, char **argv)
 {
     CheckConfig cfg;
-    cfg.jobs = execWorkersFromEnv(cfg.jobs);
+    cfg.jobs = sweepJobsFromEnv(cfg.jobs);
     Severity floor = Severity::Warn;
     bool corpus = false;
     bool tsv = false;
@@ -147,18 +145,11 @@ main(int argc, char **argv)
                 corpus = true;
             } else if (arg == "--jobs") {
                 const std::string v = value();
-                const std::optional<int> jobs = parseExecWorkers(v);
+                const std::optional<int> jobs = parseSweepJobs(v);
                 GPM_REQUIRE(jobs.has_value(),
                             "--jobs: want an integer in [0, ",
-                            kMaxExecWorkers, "], got '", v, "'");
+                            kMaxSweepJobs, "], got '", v, "'");
                 cfg.jobs = *jobs;
-            } else if (arg == "--exec-workers") {
-                const std::string v = value();
-                const std::optional<int> w = parseExecWorkers(v);
-                GPM_REQUIRE(w.has_value(),
-                            "--exec-workers: want an integer in [0, ",
-                            kMaxExecWorkers, "], got '", v, "'");
-                cfg.exec_workers = *w;
             } else if (arg == "--seed") {
                 cfg.seed = std::strtoull(value().c_str(), nullptr, 10);
             } else if (arg == "--tsv") {

@@ -3,7 +3,7 @@
  * gpmserve — drive the deterministic KVS serving engine (src/service)
  * and write BENCH_serve.json.
  *
- *     gpmserve [--seed N] [--jobs N] [--exec-workers N]
+ *     gpmserve [--seed N] [--jobs N] [--media M]
  *              [--out BENCH_serve.json]
  *
  * Four stages, all on virtual time:
@@ -17,10 +17,9 @@
  *     shard counts; each cell reports virtual-time p50/p99/p999
  *     request-to-ack latency and throughput, the data behind a
  *     classic throughput-vs-tail-latency serving curve.
- *  3. determinism — run one fixed config at widths 1/2/4/8 for both
- *     --jobs (batch-flush sweep lanes) and --exec-workers (in-kernel
- *     executor) and assert the full report signature and the ack-
- *     stream signature are bit-identical across all widths.
+ *  3. determinism — run one fixed config at --jobs (batch-flush sweep
+ *     lanes) widths 1/2/4/8 and assert the full report signature and
+ *     the ack-stream signature are bit-identical across all widths.
  *  4. crash — arm a mid-traffic power failure, then assert the crash
  *     fired, recovery ran on every shard, and zero acknowledged
  *     writes were lost.
@@ -28,8 +27,8 @@
  * The JSON artifact is the uniform gpm-metrics-v1 envelope with the
  * stage tables spliced in, and is schema-validated after writing.
  * Every stage result folds into one bench signature (printed and in
- * the JSON) that is invariant under --jobs / --exec-workers, so CI
- * pins it once and compares across widths.
+ * the JSON) that is invariant under --jobs, so CI pins it once and
+ * compares across widths.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -54,7 +53,6 @@ namespace {
 struct Options {
     std::uint64_t seed = 42;
     int jobs = 4;
-    int exec_workers = 2;
     MediaConfig media{};
     std::string out_path = "BENCH_serve.json";
 };
@@ -64,11 +62,9 @@ usage()
 {
     std::printf(
         "gpmserve — KVS serving engine benchmark (BENCH_serve.json)\n\n"
-        "  gpmserve [--seed N] [--jobs N] [--exec-workers N]\n"
-        "           [--media M] [--out FILE]\n\n"
-        "--jobs N:         sweep lanes for parallel batch flushes\n"
-        "--exec-workers N: in-kernel parallel executor width\n"
-        "--media M:        PM media backend (%s)\n"
+        "  gpmserve [--seed N] [--jobs N] [--media M] [--out FILE]\n\n"
+        "--jobs N:   sweep lanes for parallel batch flushes\n"
+        "--media M:  PM media backend (%s)\n"
         "stages: amortization (batch_max sweep, >=5x asserted),\n"
         "        load-latency (think x shards grid, p50/p99/p999),\n"
         "        determinism (widths 1/2/4/8 bit-identical),\n"
@@ -150,7 +146,6 @@ runAmortization(const Options &opt)
         sc.key_space = 1u << 20;
         sc.seed = opt.seed;
         sc.jobs = opt.jobs;
-        sc.exec_workers = opt.exec_workers;
         sc.media = opt.media;
         rows.push_back({bmax, ServiceEngine(sc).run()});
         const ServeReport &r = rows.back().rep;
@@ -209,7 +204,6 @@ runLoadLatency(const Options &opt)
             sc.key_space = 1u << 18;
             sc.seed = opt.seed;
             sc.jobs = opt.jobs;
-            sc.exec_workers = opt.exec_workers;
             sc.media = opt.media;
             rows.push_back({shards, think, ServiceEngine(sc).run()});
             GPM_REQUIRE(rows.back().rep.oracle_failures == 0,
@@ -242,7 +236,6 @@ runDeterminism(const Options &opt, bool *ok)
         sc.key_space = 1u << 16;
         sc.seed = opt.seed;
         sc.jobs = widths[i];
-        sc.exec_workers = widths[i];
         sc.media = opt.media;
         const ServeReport r = ServiceEngine(sc).run();
         if (i == 0) {
@@ -270,8 +263,7 @@ runDeterminism(const Options &opt, bool *ok)
  * payload bytes: a 256x payload growth must not cost anywhere near
  * 256x in op throughput (staging rides the same batched launches), so
  * the end-to-end slowdown is asserted under 32x. The 256 B row is
- * re-run at widths 1 and 8 to pin the ack stream across jobs x
- * exec-workers, and a mid-traffic power failure with mixed sizes must
+ * re-run at --jobs widths 1 and 8 to pin the ack stream, and a mid-traffic power failure with mixed sizes must
  * lose no acknowledged write through GpmHeap::recover().
  */
 std::vector<VarRow>
@@ -295,7 +287,6 @@ runVariableSize(const Options &opt, ServeReport *crash_out)
         sc.key_space = 1u << 16;
         sc.seed = opt.seed;
         sc.jobs = opt.jobs;
-        sc.exec_workers = opt.exec_workers;
         sc.media = opt.media;
         sc.value_bytes_min = vb;
         sc.value_bytes_max = vb;
@@ -313,7 +304,6 @@ runVariableSize(const Options &opt, ServeReport *crash_out)
             for (const int w : {1, 8}) {
                 ServeConfig wc = sc;
                 wc.jobs = w;
-                wc.exec_workers = w;
                 const ServeReport wr = ServiceEngine(wc).run();
                 GPM_REQUIRE(wr.ack_signature == r.ack_signature &&
                                 wr.signature() == r.signature(),
@@ -345,7 +335,6 @@ runVariableSize(const Options &opt, ServeReport *crash_out)
     cc.key_space = 1u << 12;
     cc.seed = opt.seed;
     cc.jobs = opt.jobs;
-    cc.exec_workers = opt.exec_workers;
     cc.media = opt.media;
     cc.value_bytes_min = 16;
     cc.value_bytes_max = 4096;
@@ -387,7 +376,6 @@ runCrashSmoke(const Options &opt)
     sc.key_space = 1u << 12;
     sc.seed = opt.seed;
     sc.jobs = opt.jobs;
-    sc.exec_workers = opt.exec_workers;
     sc.media = opt.media;
     sc.crash_at_launch = 6;
     CrashSpec spec;
@@ -448,7 +436,6 @@ writeBench(const Options &opt, const std::vector<AmortRow> &amort,
         w.field("tool", "gpmserve");
         w.field("seed", opt.seed);
         w.field("jobs", opt.jobs);
-        w.field("exec_workers", opt.exec_workers);
         w.field("media", mediaKey(opt.media));
         w.field("bench_signature", hex64(bench_sig));
 
@@ -553,18 +540,14 @@ main(int argc, char **argv)
         if (a == "--seed") {
             opt.seed = std::strtoull(next("--seed"), nullptr, 10);
         } else if (a == "--jobs") {
-            opt.jobs =
-                static_cast<int>(std::strtol(next("--jobs"), nullptr, 10));
-        } else if (a == "--exec-workers") {
-            const char *v = next("--exec-workers");
-            const auto ew = parseExecWorkers(v);
-            if (!ew) {
-                std::fprintf(stderr,
-                             "gpmserve: invalid --exec-workers '%s'\n",
+            const char *v = next("--jobs");
+            const std::optional<int> jobs = parseSweepJobs(v);
+            if (!jobs) {
+                std::fprintf(stderr, "gpmserve: invalid --jobs '%s'\n",
                              v);
                 return 2;
             }
-            opt.exec_workers = *ew;
+            opt.jobs = *jobs;
         } else if (a == "--media") {
             const char *v = next("--media");
             const std::optional<MediaConfig> m = parseMediaConfig(v);
@@ -586,8 +569,6 @@ main(int argc, char **argv)
     }
     if (opt.jobs < 1)
         opt.jobs = 1;
-    if (opt.exec_workers < 1)
-        opt.exec_workers = 1;
 
     try {
         telemetry::ScopedSession session;
@@ -633,7 +614,7 @@ main(int argc, char **argv)
                     var_crash.durable_ok);
 
         // One order-stable fingerprint over every stage: identical at
-        // any --jobs x --exec-workers width, so CI pins it once.
+        // any --jobs width, so CI pins it once.
         std::uint64_t sig = kFnvOffset;
         for (const AmortRow &row : amort) {
             sig = fnv1aU64(row.batch_max, sig);

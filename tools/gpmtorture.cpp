@@ -16,8 +16,6 @@
  *     --survive   0.0,0.5             line-survival probabilities
  *     --jobs      N                   sweep workers (0 = hw threads;
  *                                     default GPM_EXEC_WORKERS, else 1)
- *     --exec-workers N                in-scenario executor width
- *                                     (default 1; 0 = hw threads)
  *     --scale                         CrashGrid::fine() + 12 seeds:
  *                                     the 10k+ scenario grid
  *     --tsv                           tab-separated full table
@@ -27,10 +25,7 @@
  * Every scenario is a private Machine + PmPool world and the sweep
  * engine lands results in canonical slots, so the report — table
  * order, counts, signature — is bit-identical at any --jobs; only the
- * printed sweep wall-clock changes. --exec-workers parallelizes block
- * execution *inside* each scenario (crash-armed launches included,
- * DESIGN.md decision #8) and is equally signature-invariant, so the
- * two knobs compose into a pure wall-clock trade.
+ * printed sweep wall-clock changes.
  *
  * Crash-point grammar: frac:<f in [0,1]> | before-fence:<n> |
  * after-fence:<n> | after-store:<n> (event ordinals are 1-based and
@@ -91,8 +86,8 @@ usage()
     std::printf(
         "usage: gpmtorture [--workloads w,...] [--domains d,...]\n"
         "                  [--points p,...] [--seeds s,...]\n"
-        "                  [--survive f,...] [--jobs n]\n"
-        "                  [--exec-workers n] [--media m] [--scale]\n"
+        "                  [--survive f,...] [--jobs n] [--media m]\n"
+        "                  [--scale]\n"
         "                  [--tsv] [--summary-only] [--list]\n");
 }
 
@@ -123,7 +118,7 @@ int
 main(int argc, char **argv)
 {
     TortureConfig cfg;
-    cfg.jobs = execWorkersFromEnv(cfg.jobs);
+    cfg.jobs = sweepJobsFromEnv(cfg.jobs);
     bool tsv = false;
     bool summary_only = false;
     bool scale = false;
@@ -160,18 +155,11 @@ main(int argc, char **argv)
                         std::strtod(s.c_str(), nullptr));
             } else if (arg == "--jobs") {
                 const std::string v = value();
-                const std::optional<int> jobs = parseExecWorkers(v);
+                const std::optional<int> jobs = parseSweepJobs(v);
                 GPM_REQUIRE(jobs.has_value(),
                             "--jobs: want an integer in [0, ",
-                            kMaxExecWorkers, "], got '", v, "'");
+                            kMaxSweepJobs, "], got '", v, "'");
                 cfg.jobs = *jobs;
-            } else if (arg == "--exec-workers") {
-                const std::string v = value();
-                const std::optional<int> w = parseExecWorkers(v);
-                GPM_REQUIRE(w.has_value(),
-                            "--exec-workers: want an integer in [0, ",
-                            kMaxExecWorkers, "], got '", v, "'");
-                cfg.exec_workers = *w;
             } else if (arg == "--media") {
                 const std::string v = value();
                 const std::optional<MediaConfig> m =
@@ -213,9 +201,9 @@ main(int argc, char **argv)
         TortureConfig counted = cfg;
         counted.applyDefaults();
         std::printf("sweeping %zu crash scenarios (--jobs %d, "
-                    "--exec-workers %d, --media %s)...\n",
+                    "--media %s)...\n",
                     counted.scenarioCount(), cfg.jobs,
-                    cfg.exec_workers, mediaKey(cfg.media).c_str());
+                    mediaKey(cfg.media).c_str());
 
         const auto t0 = std::chrono::steady_clock::now();
         const TortureReport report = TortureRunner::run(cfg);

@@ -3,7 +3,7 @@
  * gpmtrace — run any GPMbench workload under a telemetry session and
  * write a Chrome-trace timeline plus a metrics snapshot.
  *
- *     gpmtrace --workload kvs [--platform gpm] [--seed N] [--jobs N]
+ *     gpmtrace --workload kvs [--platform gpm] [--seed N] [--media M]
  *              [--trace trace.json] [--metrics metrics.json]
  *              [--summary [N]] [--no-crash]
  *     gpmtrace list
@@ -22,8 +22,9 @@
  * malformed or inconsistent artifact fails the run that produced it.
  *
  * --summary prints the top-N hottest kernels by traced wall time, the
- * observed NVM tier-byte breakdown, coalescing efficiency, and
- * per-worker busy time.
+ * observed NVM tier-byte breakdown, coalescing efficiency and
+ * histogram percentiles. Blocks run on one sequential executor, so
+ * there is no per-worker utilization to report.
  */
 #include <algorithm>
 #include <cstdio>
@@ -35,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "harness/experiments.hpp"
 #include "memsim/media_backend.hpp"
 #include "telemetry/json.hpp"
@@ -62,17 +62,16 @@ usage()
 {
     std::printf(
         "gpmtrace — timeline + metrics for one workload run\n\n"
-        "  gpmtrace --workload W [--platform P] [--seed N] [--jobs N]\n"
-        "           [--media M] [--trace FILE] [--metrics FILE]\n"
+        "  gpmtrace --workload W [--platform P] [--seed N] [--media M]\n"
+        "           [--trace FILE] [--metrics FILE]\n"
         "           [--summary [N]] [--no-crash]\n"
         "  gpmtrace list\n\n"
         "workloads: kvs kvs95 dbi dbu dnn cfd blk hs bfs srad ps\n"
         "platforms: gpm ndp eadr capfs capmm capeadr gpufs\n"
         "media:     %s\n"
-        "--jobs N:   parallel-executor lanes (0 = hardware threads)\n"
         "--no-crash: skip the crash + recovery pass\n"
         "--summary:  print top-N hottest kernels, NVM tier bytes,\n"
-        "            coalescing efficiency and worker utilization\n",
+        "            coalescing efficiency and histogram percentiles\n",
         mediaUsage());
     return 2;
 }
@@ -93,16 +92,11 @@ printSummary(const Options &opt, const telemetry::Session &session,
 
     // Hottest kernels by traced wall time.
     std::map<std::string, KernelAgg> kernels;
-    std::map<std::uint32_t, double> busy_us;  // tid -> block-span time
-    double wall_end_us = 0.0;
     for (const telemetry::TraceEvent &ev : events) {
-        wall_end_us = std::max(wall_end_us, ev.ts_us + ev.dur_us);
         if (std::strcmp(ev.cat, "launch") == 0) {
             KernelAgg &k = kernels[ev.name];
             ++k.launches;
             k.wall_us += ev.dur_us;
-        } else if (std::strcmp(ev.cat, "block") == 0) {
-            busy_us[ev.tid] += ev.dur_us;
         }
     }
     std::vector<std::pair<std::string, KernelAgg>> hot(kernels.begin(),
@@ -111,11 +105,10 @@ printSummary(const Options &opt, const telemetry::Session &session,
         return a.second.wall_us > b.second.wall_us;
     });
 
-    std::printf("== gpmtrace summary: %s on %s (seed %llu, jobs %d) ==\n",
+    std::printf("== gpmtrace summary: %s on %s (seed %llu) ==\n",
                 benchName(*opt.workload).c_str(),
                 platformName(opt.platform).c_str(),
-                static_cast<unsigned long long>(opt.seed),
-                cfg.exec_workers);
+                static_cast<unsigned long long>(opt.seed));
 
     std::printf("\nhottest kernels (traced host wall time):\n");
     const int top = std::min<int>(opt.summary_top,
@@ -172,13 +165,8 @@ printSummary(const Options &opt, const telemetry::Session &session,
                 static_cast<unsigned long long>(line_bytes),
                 line_bytes ? 100.0 * payload / line_bytes : 0.0);
 
-    std::printf("\nworker utilization (block-span busy time over %.1f us "
-                "traced):\n",
-                wall_end_us);
-    for (const auto &[tid, us] : busy_us) {
-        std::printf("  worker %-3u %10.1f us busy (%5.1f%%)\n", tid, us,
-                    wall_end_us > 0 ? 100.0 * us / wall_end_us : 0.0);
-    }
+    std::printf("\nworker utilization: not reported (blocks run on one "
+                "sequential executor)\n");
 
     // Tail percentiles of every recorded distribution — the same
     // log2-bin estimator gpmserve's latency accounting uses.
@@ -230,7 +218,6 @@ writeMetrics(const std::string &path, const Options &opt,
         w.field("workload", benchKey(*opt.workload));
         w.field("platform", platformKey(opt.platform));
         w.field("seed", opt.seed);
-        w.field("jobs", cfg.exec_workers);
         w.field("media", mediaKey(cfg.media));
         w.field("identities_ok", identities_ok);
         snap.writeFields(w);
@@ -285,17 +272,6 @@ main(int argc, char **argv)
             opt.platform = *kind;
         } else if (a == "--seed") {
             opt.seed = std::strtoull(next("--seed"), nullptr, 10);
-        } else if (a == "--jobs") {
-            const char *v = next("--jobs");
-            const std::optional<int> jobs = parseExecWorkers(v);
-            if (!jobs) {
-                std::fprintf(stderr,
-                             "gpmtrace: invalid --jobs value '%s' "
-                             "(want an integer in [0, %d])\n",
-                             v, kMaxExecWorkers);
-                return 2;
-            }
-            cfg.exec_workers = *jobs;
         } else if (a == "--media") {
             const char *v = next("--media");
             const std::optional<MediaConfig> m = parseMediaConfig(v);
