@@ -4,10 +4,28 @@
 #include <cstring>
 #include <fstream>
 
+#include <sys/mman.h>
+
 #include "pmem/pm_events.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace gpm {
+
+PmImage::PmImage(std::size_t n)
+    : data_(static_cast<std::uint8_t *>(
+          ::mmap(nullptr, n ? n : 1, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0))),
+      size_(n)
+{
+    GPM_REQUIRE(data_ != MAP_FAILED, "PM image allocation of ", n,
+                " bytes failed");
+}
+
+PmImage::~PmImage()
+{
+    if (data_)
+        ::munmap(data_, size_ ? size_ : 1);
+}
 
 void
 PmPool::setDomain(PersistDomain d)
@@ -228,9 +246,11 @@ PmPool::crash(double survive_prob)
         span.arg("survive_prob", survive_prob);
     }
     const std::uint64_t survivors_before = stats_.crash_survivors;
+    std::uint64_t restored_bytes = 0;
     ++stats_.crashes;
     if (domain_ == PersistDomain::LlcDurable) {
-        // eADR drains caches on power failure.
+        // eADR drains caches on power failure; with nothing left
+        // pending the two images are already equal.
         persistAll();
     } else {
         // Survival is decided per 128 B cache line, not per pending
@@ -256,16 +276,28 @@ PmPool::crash(double survive_prob)
                 }
             }
         }
+        // Post-reboot: only durable contents remain visible. By the
+        // class invariant the images differ only inside pending
+        // extents, so restoring those is the whole reset. It is a
+        // second pass: restoring one extent before an overlapping
+        // extent's surviving line was drained would lose that line.
+        for (const auto &[owner, extents] : pending_) {
+            for (const Extent &e : extents) {
+                std::memcpy(visible_.data() + e.addr,
+                            durable_.data() + e.addr, e.size);
+                restored_bytes += e.size;
+            }
+        }
         pending_.clear();
     }
-    // Post-reboot: only durable contents remain visible.
-    visible_ = durable_;
     if (recorder_)
         recorder_->crash(domain_, survive_prob,
                          stats_.crash_survivors - survivors_before);
-    if (span.armed())
+    if (span.armed()) {
         span.arg("surviving_lines",
                  stats_.crash_survivors - survivors_before);
+        span.arg("restored_bytes", restored_bytes);
+    }
     telemetry::count("pool.crash_events");
 }
 
@@ -338,7 +370,7 @@ PmPool::loadDurable(const std::string &path, PersistDomain domain,
     is.read(reinterpret_cast<char *>(pool.durable_.data()),
             static_cast<std::streamsize>(cap));
     GPM_REQUIRE(is.good(), "short read loading pool from '", path, "'");
-    pool.visible_ = pool.durable_;
+    std::memcpy(pool.visible_.data(), pool.durable_.data(), cap);
     return pool;
 }
 

@@ -31,10 +31,10 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -47,49 +47,30 @@ namespace gpm {
 class PmEventRecorder;
 
 /**
- * Zero-initialized byte image backed by calloc.
+ * Zero-initialized byte image backed by an anonymous private mapping.
  *
- * Pools are allocated at full testbed capacity (hundreds of MB) per
- * Machine but most workloads touch a fraction of it; calloc leaves
- * untouched pages mapped to the kernel zero page, so construction is
- * O(1) in faulted memory where the previous std::vector(capacity, 0)
- * paid a memset over every page. Copy assignment (the crash-time
- * visible = durable reset) still touches everything, as it must.
+ * Pools are allocated at full capacity per Machine but most workloads
+ * touch a fraction of it. A fresh anonymous mapping reads as zero and
+ * faults a page in only when it is first written, so construction is
+ * O(1) and resident memory tracks the bytes a run actually dirtied.
+ * calloc cannot promise that: once glibc has raised its mmap threshold
+ * (up to 32 MiB) after a large free, a pool below it comes from the
+ * heap and is memset in full.
+ *
+ * Move-only: nothing needs a whole-image copy. crash() restores only
+ * the pending extents and loadDurable() copies the file image in.
  */
 class PmImage
 {
   public:
-    explicit PmImage(std::size_t n)
-        : data_(static_cast<std::uint8_t *>(std::calloc(n ? n : 1, 1))),
-          size_(n)
-    {
-        GPM_REQUIRE(data_ != nullptr, "PM image allocation of ", n,
-                    " bytes failed");
-    }
-
-    PmImage(const PmImage &o) : PmImage(o.size_)
-    {
-        std::memcpy(data_, o.data_, size_);
-    }
+    explicit PmImage(std::size_t n);
+    PmImage(const PmImage &) = delete;
+    PmImage &operator=(const PmImage &) = delete;
 
     PmImage(PmImage &&o) noexcept : data_(o.data_), size_(o.size_)
     {
         o.data_ = nullptr;
         o.size_ = 0;
-    }
-
-    PmImage &
-    operator=(const PmImage &o)
-    {
-        if (this != &o) {
-            if (size_ != o.size_) {
-                PmImage fresh(o.size_);
-                std::swap(data_, fresh.data_);
-                std::swap(size_, fresh.size_);
-            }
-            std::memcpy(data_, o.data_, size_);
-        }
-        return *this;
     }
 
     PmImage &
@@ -100,7 +81,7 @@ class PmImage
         return *this;
     }
 
-    ~PmImage() { std::free(data_); }
+    ~PmImage();
 
     std::uint8_t *data() { return data_; }
     const std::uint8_t *data() const { return data_; }
@@ -202,16 +183,6 @@ class PmPool
     /** Load from the visible image. */
     void read(std::uint64_t addr, void *dst, std::uint64_t size) const;
 
-    /** Validate [addr, addr+size) against the pool bounds (fatal on
-     *  violation) without touching data. The parallel executor's
-     *  buffered stores check bounds at execution time so errors
-     *  surface at the faulting phase, not at replay. */
-    void
-    requireRange(std::uint64_t addr, std::uint64_t size) const
-    {
-        checkRange(addr, size);
-    }
-
     /** Typed convenience load from the visible image. */
     template <typename T>
     T
@@ -258,7 +229,9 @@ class PmPool
      * cache-line boundaries and each sub-extent independently survives
      * with probability @p survive_prob (natural eviction before the
      * crash); everything else is lost and the visible image is reset
-     * to the durable image, i.e. the post-reboot state.
+     * to the durable image, i.e. the post-reboot state. The reset copies
+     * only the pending extents, after every line has been rolled, so
+     * its cost is the bytes the run dirtied, not the pool's capacity.
      *
      * Line granularity matters: a multi-chunk HCL entry or a 60 B row
      * straddling a line can be *torn* — partially durable — which is
@@ -324,6 +297,12 @@ class PmPool
                      std::uint64_t size);
     void drain(const Extent &e);
 
+    // Invariant: visible_ and durable_ differ only inside pending
+    // extents. writeCommon records an extent covering every
+    // visible-only store (eADR stores write both images), drain makes
+    // an extent's bytes equal before it leaves pending_, and
+    // loadDurable starts from equal images. crash() relies on it to
+    // restore just the pending extents instead of the whole image.
     PmImage visible_;
     PmImage durable_;
     PmEventRecorder *recorder_ = nullptr;

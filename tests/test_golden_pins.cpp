@@ -5,19 +5,23 @@
  * manifest, at sweep widths 1 and 4. The rows are the same pins the
  * CLIs print (gpmtorture default/serve/pmheap sweeps, gpmcheck clean
  * grid and seeded-bug corpus with witness replay), so tier-1 ctest
- * guards the simulator's observable behaviour end to end.
+ * guards the simulator's observable behaviour end to end. Scale
+ * sweeps (gpmtorture --scale) are checked at width 4 only, by their
+ * own test under the ctest label golden-scale.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/check_runner.hpp"
+#include "crashtest/crash_scheduler.hpp"
 #include "crashtest/torture_runner.hpp"
 #include "persistency_bugs/corpus.hpp"
 
@@ -40,12 +44,19 @@ hex16(std::uint64_t v)
     return buf;
 }
 
+/** @p scale selects gpmtorture --scale: the fine crash grid over seeds
+ *  1..12. */
 PinRow
-tortureRow(std::vector<std::string> workloads, int jobs)
+tortureRow(std::vector<std::string> workloads, int jobs, bool scale = false)
 {
     TortureConfig cfg;
     cfg.workloads = std::move(workloads);
     cfg.jobs = jobs;
+    if (scale) {
+        cfg.specs = CrashScheduler::enumerate(CrashGrid::fine());
+        for (std::uint64_t s = 1; s <= 12; ++s)
+            cfg.seeds.push_back(s);
+    }
     const TortureReport r = TortureRunner::run(cfg);
     const auto counts = r.classCounts();
     std::ostringstream classes;
@@ -70,30 +81,40 @@ checkRow(CheckConfig cfg, int jobs)
     return {r.cells.size(), classes.str(), hex16(r.signature())};
 }
 
+struct Sweep {
+    std::function<PinRow(int)> run;
+    bool scale = false;  ///< checked at jobs 4 only (label golden-scale)
+};
+
 /** Every pinned sweep, configured exactly as its CLI runs it. */
-const std::map<std::string, std::function<PinRow(int)>> &
+const std::map<std::string, Sweep> &
 sweeps()
 {
-    static const std::map<std::string, std::function<PinRow(int)>> m = {
-        {"torture-default", [](int j) { return tortureRow({}, j); }},
-        {"torture-serve", [](int j) { return tortureRow({"serve"}, j); }},
+    static const std::map<std::string, Sweep> m = {
+        {"torture-default", {[](int j) { return tortureRow({}, j); }}},
+        {"torture-serve", {[](int j) { return tortureRow({"serve"}, j); }}},
         {"torture-pmheap",
-         [](int j) { return tortureRow({"pmheap"}, j); }},
-        {"check-clean", [](int j) { return checkRow({}, j); }},
+         {[](int j) { return tortureRow({"pmheap"}, j); }}},
+        {"torture-scale",
+         {[](int j) { return tortureRow({}, j, true); }, true}},
+        {"check-clean", {[](int j) { return checkRow({}, j); }}},
         {"check-corpus",
-         [](int j) {
+         {[](int j) {
              CheckConfig cfg;
              cfg.factory = makeBugInvariant;
              cfg.workloads = registeredBugs();
              cfg.domains = {PersistDomain::McDurable};
              cfg.confirm_witnesses = true;
              return checkRow(cfg, j);
-         }},
+         }}},
     };
     return m;
 }
 
-TEST(GoldenPins, ManifestSweepsMatchAtJobs1And4)
+/** Check the manifest rows whose sweep is (or is not) a scale sweep at
+ *  each of @p widths. */
+void
+checkManifest(bool scale, std::initializer_list<int> widths)
 {
     std::ifstream in(GPM_GOLDEN_MANIFEST);
     ASSERT_TRUE(in) << "cannot open " << GPM_GOLDEN_MANIFEST;
@@ -119,15 +140,27 @@ TEST(GoldenPins, ManifestSweepsMatchAtJobs1And4)
     for (const auto &[name, want] : manifest) {
         const auto it = sweeps().find(name);
         ASSERT_NE(it, sweeps().end()) << "unknown sweep " << name;
-        for (const int jobs : {1, 4}) {
+        if (it->second.scale != scale)
+            continue;
+        for (const int jobs : widths) {
             SCOPED_TRACE(::testing::Message()
                          << name << " at jobs " << jobs);
-            const PinRow got = it->second(jobs);
+            const PinRow got = it->second.run(jobs);
             EXPECT_EQ(got.units, want.units);
             EXPECT_EQ(got.classes, want.classes);
             EXPECT_EQ(got.signature, want.signature);
         }
     }
+}
+
+TEST(GoldenPins, ManifestSweepsMatchAtJobs1And4)
+{
+    checkManifest(false, {1, 4});
+}
+
+TEST(GoldenPins, ScaleSweepsMatchAtJobs4)
+{
+    checkManifest(true, {4});
 }
 
 } // namespace

@@ -2,13 +2,22 @@
  * @file
  * Unit + property tests for the crash-consistent PM device: region
  * mapping, the visible/durable split per persistence domain, fences,
- * range flushes, partial-eviction crashes, and file backing.
+ * range flushes, partial-eviction crashes, and file backing. A
+ * randomized equivalence test holds the extent-only crash restore to a
+ * reference pool that resets the whole visible image.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <vector>
 
+#include <unistd.h>
+
+#include "common/rng.hpp"
 #include "pmem/pm_pool.hpp"
 
 namespace gpm {
@@ -338,6 +347,256 @@ TEST(PmPool, DomainSwitchMidstream)
     // The pre-switch write was drained by the same fence (it was
     // still pending under this owner).
     EXPECT_EQ(pool.loadDurable<std::uint64_t>(0), 3u);
+}
+
+/**
+ * PmPool's durability semantics written out plainly: the same pending
+ * extents, append coalescing and per-line crash roll, but a crash ends
+ * with a whole-image visible = durable reset. The randomized test below
+ * holds the real pool's extent-only restore to it.
+ */
+class ReferencePool
+{
+  public:
+    ReferencePool(std::size_t cap, PersistDomain d, std::uint64_t seed)
+        : visible(cap, 0), durable(cap, 0), domain(d), rng(seed)
+    {
+    }
+
+    void
+    write(OwnerId owner, std::uint64_t addr, const std::uint8_t *src,
+          std::uint64_t size)
+    {
+        std::memcpy(visible.data() + addr, src, size);
+        if (domain == PersistDomain::LlcDurable) {
+            std::memcpy(durable.data() + addr, src, size);
+            return;
+        }
+        std::vector<Extent> &pend = pending[owner];
+        if (!pend.empty() && addr <= pend.back().addr + pend.back().size &&
+            addr + size >= pend.back().addr) {
+            Extent &last = pend.back();
+            const std::uint64_t hi =
+                std::max(last.addr + last.size, addr + size);
+            last.addr = std::min(last.addr, addr);
+            last.size = hi - last.addr;
+            ++stats.extents_merged;
+            return;
+        }
+        pend.push_back({addr, size});
+    }
+
+    void
+    persistOwner(OwnerId owner)
+    {
+        if (domain != PersistDomain::McDurable || !pending.count(owner))
+            return;
+        for (const Extent &e : pending[owner])
+            drain(e);
+        pending.erase(owner);
+    }
+
+    void
+    persistRange(std::uint64_t lo, std::uint64_t hi)
+    {
+        for (auto &[owner, extents] : pending) {
+            std::vector<Extent> kept;
+            for (const Extent &e : extents) {
+                if (e.addr < hi && e.addr + e.size > lo)
+                    drain(e);
+                else
+                    kept.push_back(e);
+            }
+            extents = kept;
+        }
+        std::erase_if(pending,
+                      [](const auto &kv) { return kv.second.empty(); });
+    }
+
+    void
+    persistAll()
+    {
+        for (const auto &[owner, extents] : pending)
+            for (const Extent &e : extents)
+                drain(e);
+        pending.clear();
+    }
+
+    void
+    crash(double survive_prob)
+    {
+        ++stats.crashes;
+        if (domain == PersistDomain::LlcDurable)
+            persistAll();
+        const std::uint64_t line = PmPool::kCrashLineBytes;
+        for (const auto &[owner, extents] : pending) {
+            for (const Extent &e : extents) {
+                const std::uint64_t end = e.addr + e.size;
+                for (std::uint64_t lo = alignDown(e.addr, line); lo < end;
+                     lo += line) {
+                    const std::uint64_t a = std::max(lo, e.addr);
+                    ++stats.crash_sub_extents;
+                    if (survive_prob > 0.0 && rng.chance(survive_prob)) {
+                        drain({a, std::min(lo + line, end) - a});
+                        ++stats.crash_survivors;
+                    }
+                }
+            }
+        }
+        pending.clear();
+        visible = durable;
+    }
+
+    struct Extent {
+        std::uint64_t addr;
+        std::uint64_t size;
+    };
+
+    void
+    drain(const Extent &e)
+    {
+        std::memcpy(durable.data() + e.addr, visible.data() + e.addr,
+                    e.size);
+        ++stats.extents_drained;
+    }
+
+    std::vector<std::uint8_t> visible, durable;
+    std::map<OwnerId, std::vector<Extent>> pending;
+    PersistDomain domain;
+    Rng rng;
+    PmPoolStats stats;
+};
+
+void
+expectSameStats(const PmPoolStats &a, const PmPoolStats &b)
+{
+    EXPECT_EQ(a.crashes, b.crashes);
+    EXPECT_EQ(a.extents_drained, b.extents_drained);
+    EXPECT_EQ(a.crash_sub_extents, b.crash_sub_extents);
+    EXPECT_EQ(a.crash_survivors, b.crash_survivors);
+    EXPECT_EQ(a.extents_merged, b.extents_merged);
+}
+
+TEST(PmPool, ExtentRestoreMatchesWholeImageResetOnRandomStreams)
+{
+    constexpr std::size_t kCap = 16_KiB;
+    constexpr PersistDomain kDomains[] = {PersistDomain::McDurable,
+                                          PersistDomain::LlcVolatile,
+                                          PersistDomain::LlcDurable};
+    constexpr double kSurvive[] = {0.0, 0.5, 1.0};
+    std::uint64_t crashes = 0;
+    for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng ops(seed * 7919);
+        const PersistDomain start = kDomains[seed % 3];
+        PmPool pool(kCap, start, seed);
+        ReferencePool ref(kCap, start, seed);
+        // Past writes, so later ones can abut, overlap or re-touch them.
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> history{{0, 1}};
+        std::uint8_t buf[640];
+
+        for (int step = 0; step < 600; ++step) {
+            const std::uint64_t op = ops.below(100);
+            if (op < 60) {
+                const auto [pa, ps] = history.back();
+                const auto [oa, os] = history[ops.below(history.size())];
+                std::uint64_t addr;
+                switch (ops.below(4)) {
+                  case 0:  // abut the previous write
+                    addr = pa + ps;
+                    break;
+                  case 1:  // overlap it
+                    addr = pa + ops.below(ps);
+                    break;
+                  case 2:  // re-touch any earlier write
+                    addr = oa + ops.below(os);
+                    break;
+                  default:
+                    addr = ops.below(kCap);
+                    break;
+                }
+                addr = std::min<std::uint64_t>(addr, kCap - 1);
+                const std::uint64_t size =
+                    std::min<std::uint64_t>(ops.between(1, sizeof buf),
+                                            kCap - addr);
+                for (std::uint64_t i = 0; i < size; ++i)
+                    buf[i] = static_cast<std::uint8_t>(ops.next());
+                const OwnerId who = ops.below(4);
+                if (ops.chance(0.3)) {
+                    pool.cpuWrite(who, addr, buf, size);
+                    ref.write(kCpuOwnerBase | who, addr, buf, size);
+                } else {
+                    pool.deviceWrite(who, addr, buf, size);
+                    ref.write(who, addr, buf, size);
+                }
+                history.emplace_back(addr, size);
+            } else if (op < 72) {
+                const OwnerId who =
+                    ops.below(4) | (ops.chance(0.3) ? kCpuOwnerBase : 0);
+                pool.persistOwner(who);
+                ref.persistOwner(who);
+            } else if (op < 82) {
+                const std::uint64_t lo = ops.below(kCap);
+                const std::uint64_t size = ops.between(1, kCap - lo);
+                pool.persistRange(lo, size);
+                ref.persistRange(lo, lo + size);
+            } else if (op < 85) {
+                pool.persistAll();
+                ref.persistAll();
+            } else if (op < 92) {
+                const PersistDomain d = kDomains[ops.below(3)];
+                pool.setDomain(d);
+                ref.domain = d;
+            } else {
+                const double p = kSurvive[ops.below(3)];
+                pool.crash(p);
+                ref.crash(p);
+                ++crashes;
+                ASSERT_EQ(std::memcmp(pool.visible(), ref.visible.data(),
+                                      kCap),
+                          0)
+                    << "visible image diverged at step " << step;
+                ASSERT_EQ(std::memcmp(pool.durable(), ref.durable.data(),
+                                      kCap),
+                          0)
+                    << "durable image diverged at step " << step;
+                ASSERT_EQ(std::memcmp(pool.visible(), pool.durable(), kCap),
+                          0)
+                    << "visible != durable after crash at step " << step;
+                expectSameStats(pool.stats(), ref.stats);
+                EXPECT_EQ(pool.pendingExtents(), 0u);
+            }
+        }
+    }
+    EXPECT_GT(crashes, 1000u);
+}
+
+std::uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t size = 0, resident = 0;
+    statm >> size >> resident;
+    EXPECT_TRUE(statm.good()) << "cannot read /proc/self/statm";
+    return resident * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(PmPool, CrashFootprintTracksDirtyBytesNotCapacity)
+{
+    // A pool costs the pages it dirtied: construction maps nothing in,
+    // and a crash restores only the pending extents rather than
+    // rewriting every page of the visible image.
+    const std::uint64_t before = residentBytes();
+    PmPool pool(1_GiB, PersistDomain::McDurable, 3);
+    std::uint8_t buf[1024];
+    std::memset(buf, 0x5a, sizeof buf);
+    const std::uint64_t spots[] = {0, 256_MiB + 100, 700_MiB, 1_GiB - 1024};
+    for (int i = 0; i < 100; ++i) {
+        for (const std::uint64_t addr : spots)
+            pool.deviceWrite(i % 3, addr, buf, sizeof buf);
+        pool.crash(i % 2 ? 0.5 : 0.0);
+    }
+    EXPECT_LT(residentBytes(), before + 32_MiB);
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 #include "gpusim/kernel.hpp"
 #include "harness/experiments.hpp"
 #include "platform/machine.hpp"
+#include "pmem/pm_pool.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -423,6 +424,29 @@ TEST(TelemetryObserver, CrashRecoveryLandsOnTimeline)
     // the line identity survives the crash pass.
     EXPECT_EQ(s.counter("sim.pm_line_bytes"),
               s.counter("sim.pm_line_txns") * cfg.coalesce_bytes);
+}
+
+TEST(TelemetryObserver, CrashSpanReportsRestoredBytes)
+{
+    tm::ScopedSession session;
+    const std::uint8_t buf[300] = {7};
+    PmPool pool(64_KiB, PersistDomain::McDurable);
+    pool.deviceWrite(0, 0, buf, 300);
+    pool.deviceWrite(1, 4096, buf, 100);
+    pool.crash(0.5);  // survivors are restored too: the reset is per extent
+    PmPool eadr(64_KiB, PersistDomain::LlcDurable);
+    eadr.deviceWrite(0, 0, buf, 300);
+    eadr.crash();
+
+    std::vector<std::string> args;
+    for (const auto &ev : session->trace.collect())
+        if (std::strcmp(ev.cat, "crash") == 0)
+            args.push_back(ev.args);
+    ASSERT_EQ(args.size(), 2u);
+    EXPECT_NE(args[0].find("\"restored_bytes\": 400"), std::string::npos)
+        << args[0];
+    EXPECT_NE(args[1].find("\"restored_bytes\": 0"), std::string::npos)
+        << args[1];
 }
 
 } // namespace
