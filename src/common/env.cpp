@@ -1,6 +1,8 @@
 #include "common/env.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 namespace gpm {
@@ -27,6 +29,19 @@ parseSweepJobs(const char *s)
     if (s == nullptr)
         return std::nullopt;
     return parseSweepJobs(std::string_view(s));
+}
+
+std::optional<std::uint64_t>
+parseSeed(const char *s)
+{
+    if (s == nullptr)
+        return std::nullopt;
+    const char *end = s + std::strlen(s);
+    std::uint64_t v = 0;
+    const auto [p, ec] = std::from_chars(s, end, v);
+    if (s == end || ec != std::errc{} || p != end)
+        return std::nullopt;
+    return v;
 }
 
 int

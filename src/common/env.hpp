@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared parsing of the sweep-width knob.
+ * Shared parsing of the CLI knobs: the sweep width and the seed.
  *
  * The scenario-sweep engine's default width (harness/sweep.hpp) is
  * settable from two places — the GPM_EXEC_WORKERS environment variable
@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -31,6 +32,15 @@ std::optional<int> parseSweepJobs(const char *s);
 
 /** string_view convenience overload. */
 std::optional<int> parseSweepJobs(std::string_view s);
+
+/**
+ * Strictly parse a `--seed` / seed argument: a whole decimal number
+ * that fits 64 bits.
+ *
+ * @return std::nullopt for null/empty input, a sign, any non-digit
+ *         character (including trailing junk) or an overflow.
+ */
+std::optional<std::uint64_t> parseSeed(const char *s);
 
 /**
  * Default sweep width from the GPM_EXEC_WORKERS environment variable.

@@ -1,6 +1,7 @@
 #include "pmheap/gpm_heap.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/hash.hpp"
@@ -82,6 +83,7 @@ GpmHeap::GpmHeap(Machine &m, const GpmHeapParams &p) : m_(&m), p_(p)
         bm += (p_.slots_per_class + 63) / 64 * 8;
     }
     free_.resize(p_.class_sizes.size());
+    scratch_.resize(p_.class_sizes.back());
 }
 
 void
@@ -363,24 +365,41 @@ GpmHeap::slotAddr(std::uint64_t handle) const
     return slabs_.offset + off;
 }
 
-std::uint64_t
-GpmHeap::payloadWord(std::uint64_t seed, std::uint64_t w)
-{
-    return fnv1aU64(w, fnv1aU64(seed));
-}
-
 namespace {
 
-std::vector<std::uint8_t>
-payloadBytes(std::uint64_t seed, std::uint32_t len)
+/** kFnvPrime^7: an FNV-1a step over byte b followed by six steps over
+ *  zero bytes is (h ^ b) * kFnvPrime^7. */
+constexpr std::uint64_t kFnvPrime7 = kFnvPrime * kFnvPrime * kFnvPrime *
+                                     kFnvPrime * kFnvPrime * kFnvPrime *
+                                     kFnvPrime;
+
+/** Word @p w of the payload stream whose seed hashes to @p seed_hash:
+ *  fnv1aU64(w, seed_hash). A word index below 2^16 ends in six zero
+ *  bytes (little-endian), and an FNV-1a step over a zero byte is a bare
+ *  multiply, so the last seven steps fold into one multiply. */
+std::uint64_t
+streamWord(std::uint64_t seed_hash, std::uint64_t w)
 {
-    std::vector<std::uint8_t> buf(len);
-    for (std::uint32_t at = 0; at < len; at += 8) {
-        std::uint64_t word = GpmHeap::payloadWord(seed, at / 8);
-        std::memcpy(buf.data() + at,  &word,
-                    std::min<std::uint32_t>(8, len - at));
+    if (std::endian::native != std::endian::little || (w >> 16))
+        return fnv1aU64(w, seed_hash);
+    const std::uint64_t h = (seed_hash ^ (w & 0xff)) * kFnvPrime;
+    return (h ^ (w >> 8)) * kFnvPrime7;
+}
+
+/** The first @p len bytes of the @p seed stream, into @p dst. */
+void
+fillPayload(std::uint8_t *dst, std::uint64_t seed, std::uint32_t len)
+{
+    const std::uint64_t seed_hash = fnv1aU64(seed);
+    std::uint32_t at = 0;
+    for (; at + 8 <= len; at += 8) {
+        const std::uint64_t word = streamWord(seed_hash, at / 8);
+        std::memcpy(dst + at, &word, 8);
     }
-    return buf;
+    if (at < len) {
+        const std::uint64_t word = streamWord(seed_hash, at / 8);
+        std::memcpy(dst + at, &word, len - at);
+    }
 }
 
 } // namespace
@@ -388,26 +407,35 @@ payloadBytes(std::uint64_t seed, std::uint32_t len)
 std::uint64_t
 GpmHeap::payloadHash(std::uint64_t seed, std::uint32_t len)
 {
-    std::vector<std::uint8_t> buf = payloadBytes(seed, len);
-    return fnv1a(buf.data(), buf.size());
+    const std::uint64_t seed_hash = fnv1aU64(seed);
+    std::uint64_t h = kFnvOffset;
+    std::uint32_t at = 0;
+    for (; at + 8 <= len; at += 8)
+        h = fnv1aU64(streamWord(seed_hash, at / 8), h);
+    if (at < len) {
+        const std::uint64_t word = streamWord(seed_hash, at / 8);
+        h = fnv1a(&word, len - at, h);
+    }
+    return h;
 }
 
 void
 GpmHeap::stagePayload(ThreadCtx &ctx, std::uint64_t handle,
                       std::uint64_t seed)
 {
-    std::uint32_t len = lenOf(handle);
-    std::vector<std::uint8_t> buf = payloadBytes(seed, len);
-    ctx.pmWrite(slotAddr(handle), buf.data(), len);
+    const std::uint64_t addr = slotAddr(handle);  // len fits the class
+    const std::uint32_t len = lenOf(handle);
+    fillPayload(scratch_.data(), seed, len);
+    ctx.pmWrite(addr, scratch_.data(), len);
 }
 
 std::uint64_t
 GpmHeap::readPayloadHash(ThreadCtx &ctx, std::uint64_t handle) const
 {
-    std::uint32_t len = lenOf(handle);
-    std::vector<std::uint8_t> buf(len);
-    ctx.pmRead(slotAddr(handle), buf.data(), len);
-    return fnv1a(buf.data(), buf.size());
+    const std::uint64_t addr = slotAddr(handle);
+    const std::uint32_t len = lenOf(handle);
+    ctx.pmRead(addr, scratch_.data(), len);
+    return fnv1a(scratch_.data(), len);
 }
 
 std::uint64_t

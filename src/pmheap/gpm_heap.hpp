@@ -152,21 +152,23 @@ class GpmHeap
     /** Absolute PM address of @p handle's slot. */
     std::uint64_t slotAddr(std::uint64_t handle) const;
 
-    /** Deterministic payload stream: word @p w of an object seeded
-     *  with @p seed. Clients and host oracles share it. */
-    static std::uint64_t payloadWord(std::uint64_t seed, std::uint64_t w);
-
-    /** FNV-1a over the first @p len bytes of the @p seed stream — the
-     *  expected readPayloadHash() of a correctly stored object. */
+    /**
+     * FNV-1a over the first @p len bytes of the deterministic payload
+     * stream seeded with @p seed — the expected readPayloadHash() of a
+     * correctly stored object. Word w of the stream (bytes
+     * [8w, 8w + 8)) is fnv1aU64(w, fnv1aU64(seed)); clients and
+     * host oracles share it. Folds the words directly: no buffer.
+     */
     static std::uint64_t payloadHash(std::uint64_t seed,
                                      std::uint32_t len);
 
     /** Device write of the seeded payload into the slot (one store;
-     *  the caller fences). */
+     *  the caller fences). Built in the heap's scratch buffer. */
     void stagePayload(ThreadCtx &ctx, std::uint64_t handle,
                       std::uint64_t seed);
 
-    /** Device read of the slot, hashed (GET-style verification). */
+    /** Device read of the slot, hashed (GET-style verification). Reads
+     *  into the heap's scratch buffer. */
     std::uint64_t readPayloadHash(ThreadCtx &ctx,
                                   std::uint64_t handle) const;
 
@@ -200,6 +202,10 @@ class GpmHeap
     std::vector<std::uint64_t> class_off_;     ///< slab base per class
     std::vector<std::uint64_t> class_bm_off_;  ///< bitmap byte base
     std::vector<std::vector<std::uint32_t>> free_;  ///< slot idx, desc
+    /** One largest-class payload, reused by stagePayload() and
+     *  readPayloadHash(). Per heap, not static: shards of a serving
+     *  engine run their batches on different sweep lanes. */
+    mutable std::vector<std::uint8_t> scratch_;
     bool tx_open_ = false;
 };
 

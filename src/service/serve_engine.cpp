@@ -159,7 +159,7 @@ ServiceEngine::applyReference(Shard &sh, const KvRequest &rq,
                               std::uint32_t set) const
 {
     KvPair *base = &sh.mirror[std::uint64_t(set) * GpKvsParams::kWays];
-    return varMode() ? GpKvs::serveReferenceVar(base, rq)
+    return varMode() ? GpKvs::serveReferenceVar(base, rq, sh.values)
                      : GpKvs::serveReference(base, rq);
 }
 
@@ -253,30 +253,28 @@ ServiceEngine::closeBatch(std::uint32_t s, SimNs now, bool by_size)
     // FIFO collection with one-op-per-set dedup: a second op on a set
     // already in this batch defers to the next batch, which keeps the
     // kernel block-independent and the batch order-free (see
-    // GpKvs::serveBatch). `taken` is a sorted set-index scratch.
-    std::vector<std::uint32_t> taken;
-    std::deque<AdmittedOp> keep;
-    while (!sh.pending.empty()) {
-        if (sh.batch_meta.size() >= cfg_.batch_max)
-            break;
-        AdmittedOp op = std::move(sh.pending.front());
-        sh.pending.pop_front();
+    // GpKvs::serveBatch). Deferred ops are compacted in place toward
+    // the queue's front, so the queue keeps its FIFO order.
+    taken_.clear();
+    auto kept = sh.pending.begin();
+    auto next = sh.pending.begin();
+    for (; next != sh.pending.end() &&
+           sh.batch_meta.size() < cfg_.batch_max;
+         ++next) {
         const auto it =
-            std::lower_bound(taken.begin(), taken.end(), op.set);
-        if (it != taken.end() && *it == op.set) {
+            std::lower_bound(taken_.begin(), taken_.end(), next->set);
+        if (it != taken_.end() && *it == next->set) {
             ++rep_.deferred_conflicts;
-            keep.push_back(std::move(op));
+            if (kept != next)
+                *kept = std::move(*next);
+            ++kept;
             continue;
         }
-        taken.insert(it, op.set);
-        sh.batch_reqs.push_back(op.rq);
-        sh.batch_meta.push_back(std::move(op));
+        taken_.insert(it, next->set);
+        sh.batch_reqs.push_back(next->rq);
+        sh.batch_meta.push_back(std::move(*next));
     }
-    while (!sh.pending.empty()) {
-        keep.push_back(std::move(sh.pending.front()));
-        sh.pending.pop_front();
-    }
-    sh.pending = std::move(keep);
+    sh.pending.erase(kept, next);
 
     GPM_ASSERT(!sh.batch_meta.empty(), "closed an empty batch");
     ++rep_.batches;
@@ -425,10 +423,10 @@ ServiceEngine::crashAndRecover()
     // batch was rolled back whole.
     std::uint64_t h = kFnvOffset;
     for (Shard &sh : shards_) {
-        rep_.durable_ok = (varMode()
-                               ? sh.kvs->durableEqualsVar(sh.mirror)
-                               : sh.kvs->durableEquals(sh.mirror)) &&
-                          rep_.durable_ok;
+        rep_.durable_ok =
+            (varMode() ? sh.kvs->durableEqualsVar(sh.mirror, sh.values)
+                       : sh.kvs->durableEquals(sh.mirror)) &&
+            rep_.durable_ok;
         h = fnv1aU64(sh.kvs->durableStoreHash(), h);
         const PmPoolStats &ps = sh.machine->pool().stats();
         rep_.pool_crashes += ps.crashes;

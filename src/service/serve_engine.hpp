@@ -164,6 +164,7 @@ class ServiceEngine
         std::unique_ptr<Machine> machine;
         std::unique_ptr<GpKvs> kvs;
         std::vector<KvPair> mirror;      ///< oracle state
+        ServeVarValues values;           ///< var-mode mirror payloads
         std::deque<AdmittedOp> pending;  ///< admission queue
         std::deque<AdmittedOp> blocked;  ///< clients stalled on depth
         bool busy = false;               ///< a batch is in flight
@@ -209,6 +210,8 @@ class ServiceEngine
     ServeReport rep_;
     std::vector<std::uint32_t> launch_buf_;  ///< shards with closed,
                                              ///< unexecuted batches
+    std::vector<std::uint32_t> taken_;  ///< closeBatch's sorted set-
+                                        ///< index scratch
     std::uint64_t launches_flushed_ = 0;     ///< global launch ordinal
     SimNs last_t_ = 0;
     bool crashed_ = false;

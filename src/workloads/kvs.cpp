@@ -798,12 +798,12 @@ GpKvs::serveBatchVar(const std::vector<KvRequest> &reqs,
     // caller) means the kernel probes exactly the state the plan saw,
     // so the prediction is exact.
     plan_handles_.assign(reqs.size(), 0);
-    std::vector<std::uint64_t> allocs, frees;
-    struct StagedVal {
-        std::uint64_t handle;
-        std::uint64_t seed;
-    };
-    std::vector<StagedVal> staged;
+    std::vector<std::uint64_t> &allocs = plan_allocs_;
+    std::vector<std::uint64_t> &frees = plan_frees_;
+    std::vector<StagedVal> &staged = plan_staged_;
+    allocs.clear();
+    frees.clear();
+    staged.clear();
     for (std::size_t i = 0; i < reqs.size(); ++i) {
         const KvRequest &rq = reqs[i];
         if (rq.verb == KvVerb::Get)
@@ -1012,13 +1012,57 @@ GpKvs::serveReference(KvPair *set_base, const KvRequest &rq)
     return 0;
 }
 
+ServeVarValues::Entry &
+ServeVarValues::entry(std::uint64_t ref)
+{
+    GPM_ASSERT(ref >= 1 && ref <= entries_.size(),
+               "serve oracle value reference out of range");
+    return entries_[ref - 1];
+}
+
 std::uint64_t
-GpKvs::serveReferenceVar(KvPair *set_base, const KvRequest &rq)
+ServeVarValues::put(std::uint64_t ref, std::uint64_t seed,
+                    std::uint32_t len)
+{
+    if (ref == 0) {
+        if (free_.empty()) {
+            entries_.emplace_back();
+            ref = entries_.size();
+        } else {
+            ref = free_.back();
+            free_.pop_back();
+        }
+    }
+    entry(ref) = Entry{seed, len, false};
+    return ref;
+}
+
+void
+ServeVarValues::drop(std::uint64_t ref)
+{
+    entry(ref);  // a bad reference must not enter the free list
+    free_.push_back(ref);
+}
+
+std::uint64_t
+ServeVarValues::hash(std::uint64_t ref)
+{
+    Entry &e = entry(ref);
+    if (!e.hashed) {
+        e.word = GpmHeap::payloadHash(e.word, e.len);
+        e.hashed = true;
+    }
+    return e.word;
+}
+
+std::uint64_t
+GpKvs::serveReferenceVar(KvPair *set_base, const KvRequest &rq,
+                         ServeVarValues &values)
 {
     if (rq.verb == KvVerb::Get) {
         for (std::uint32_t w = 0; w < GpKvsParams::kWays; ++w) {
             if (set_base[w].key == rq.key)
-                return set_base[w].value;  // the expected payload hash
+                return values.hash(set_base[w].value);
         }
         return 0;
     }
@@ -1026,12 +1070,15 @@ GpKvs::serveReferenceVar(KvPair *set_base, const KvRequest &rq)
         const std::uint32_t way = chooseWay(set_base, rq.key);
         if (way == kNoWay)
             return 0;
+        // An overwrite reuses the slot's entry; a free way holds 0.
         set_base[way] = KvPair{
-            rq.key, GpmHeap::payloadHash(rq.value, rq.value_len)};
+            rq.key, values.put(set_base[way].value, rq.value,
+                               rq.value_len)};
         return 1;
     }
     for (std::uint32_t w = 0; w < GpKvsParams::kWays; ++w) {
         if (set_base[w].key == rq.key) {
+            values.drop(set_base[w].value);
             set_base[w] = KvPair{};
             return 1;
         }
@@ -1040,7 +1087,8 @@ GpKvs::serveReferenceVar(KvPair *set_base, const KvRequest &rq)
 }
 
 bool
-GpKvs::durableEqualsVar(const std::vector<KvPair> &reference) const
+GpKvs::durableEqualsVar(const std::vector<KvPair> &reference,
+                        ServeVarValues &values) const
 {
     GPM_REQUIRE(serve_heap_ != nullptr,
                 "durableEqualsVar without serveSetupVar");
@@ -1062,9 +1110,11 @@ GpKvs::durableEqualsVar(const std::vector<KvPair> &reference) const
                 return false;
             continue;
         }
-        // The mirror stores the expected payload hash where the
-        // directory stores a handle.
-        if (serve_heap_->durablePayloadHash(d.value) != r.value)
+        // The mirror stores a value reference where the directory
+        // stores a handle.
+        if (GpmHeap::lenOf(d.value) != values.len(r.value) ||
+            serve_heap_->durablePayloadHash(d.value) !=
+                values.hash(r.value))
             return false;
         live.push_back(GpmHeap::offOf(d.value));
     }

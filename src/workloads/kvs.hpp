@@ -87,6 +87,47 @@ struct KvRequest {
     std::uint32_t value_len = 0;
 };
 
+/**
+ * Value table of the variable-size serve oracle. A host-mirror slot's
+ * value is a reference into it (0 = empty slot). An entry records the
+ * PUT's payload (seed, len); the expected payload hash is computed the
+ * first time a GET or the durable check asks for it, then kept, so a
+ * value overwritten or deleted unread is never hashed. Entries of
+ * deleted values are recycled: the table holds at most one entry per
+ * live mirror slot, and starts empty.
+ */
+class ServeVarValues
+{
+  public:
+    /** Record a PUT of (@p seed, @p len) into a mirror slot whose
+     *  reference is @p ref (0: the slot was empty). @return the slot's
+     *  new reference. */
+    std::uint64_t put(std::uint64_t ref, std::uint64_t seed,
+                      std::uint32_t len);
+
+    /** Release @p ref: its mirror slot was deleted. */
+    void drop(std::uint64_t ref);
+
+    /** Payload bytes of @p ref. */
+    std::uint32_t len(std::uint64_t ref) { return entry(ref).len; }
+
+    /** Expected payload hash of @p ref (GpmHeap::payloadHash of its
+     *  seed and length), hashed on first use. */
+    std::uint64_t hash(std::uint64_t ref);
+
+  private:
+    struct Entry {
+        std::uint64_t word = 0;  ///< the seed; the hash once hashed
+        std::uint32_t len = 0;
+        bool hashed = false;
+    };
+
+    Entry &entry(std::uint64_t ref);
+
+    std::vector<Entry> entries_;       ///< reference r is entries_[r - 1]
+    std::vector<std::uint64_t> free_;  ///< recycled references
+};
+
 /** gpKVS instance bound to one Machine. */
 class GpKvs
 {
@@ -220,21 +261,24 @@ class GpKvs
                                         const KvRequest &rq);
 
     /**
-     * Variable-size twin of serveReference: the mirror stores the
-     * expected payload hash where the kernel stores a heap handle, so
-     * GET results compare directly. Mutates @p set_base for PUT/DEL.
+     * Variable-size twin of serveReference: the mirror stores a
+     * @p values reference where the kernel stores a heap handle, and a
+     * GET hit expects that value's full payload hash. Mutates
+     * @p set_base and @p values for PUT/DEL.
      */
     static std::uint64_t serveReferenceVar(KvPair *set_base,
-                                           const KvRequest &rq);
+                                           const KvRequest &rq,
+                                           ServeVarValues &values);
 
     /**
      * Variable-size durable check: every durable (key, handle) slot
-     * must match @p reference positionally, each handle's durable
-     * payload must hash to the mirror's expected value, and the set
-     * of live handles must be exactly the heap's durably allocated
-     * slots (no leaks, no double allocations).
+     * must match @p reference positionally, each handle's length and
+     * durable payload hash must be the ones its mirror value expects,
+     * and the set of live handles must be exactly the heap's durably
+     * allocated slots (no leaks, no double allocations).
      */
-    bool durableEqualsVar(const std::vector<KvPair> &reference) const;
+    bool durableEqualsVar(const std::vector<KvPair> &reference,
+                          ServeVarValues &values) const;
 
     struct Op {
         std::uint64_t key;
@@ -284,7 +328,15 @@ class GpKvs
     mutable std::vector<std::uint32_t> set_scratch_;  ///< dedup check
     std::uint32_t serve_max_ops_ = 0;   ///< serveSetup grid capacity
     std::unique_ptr<GpmHeap> serve_heap_;  ///< variable-size value heap
+    // serveBatchVar's per-batch plan, reused across batches.
+    struct StagedVal {
+        std::uint64_t handle;
+        std::uint64_t seed;
+    };
     std::vector<std::uint64_t> plan_handles_;  ///< per-op PUT handle
+    std::vector<std::uint64_t> plan_allocs_;   ///< Intent record allocs
+    std::vector<std::uint64_t> plan_frees_;    ///< Intent record frees
+    std::vector<StagedVal> plan_staged_;       ///< payloads to stage
 };
 
 } // namespace gpm

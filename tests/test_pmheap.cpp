@@ -3,16 +3,19 @@
  * Unit tests for the pmheap layer: GpmHeap handle encoding, the
  * volatile-alloc / durable-tx split, redo-record round trips, the
  * recover() reconciliation matrix (Commit forward, Intent discard,
- * Intent forced forward), payload staging, and GpmMap's put/get/del
- * semantics with an in-flight-record replay. The crash *grid* lives
- * in the pmheap torture invariant; these tests pin the API contract
- * at deterministic single points.
+ * Intent forced forward), the payload stream and its staging, and
+ * GpmMap's put/get/del semantics with an in-flight-record replay. The
+ * crash *grid* lives in the pmheap torture invariant; these tests pin
+ * the API contract at deterministic single points.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "gpm/gpm_runtime.hpp"
 #include "gpusim/kernel.hpp"
@@ -185,6 +188,66 @@ TEST(GpmHeap, StagedPayloadHashesMatchTheOracle)
     EXPECT_EQ(read_hash, GpmHeap::payloadHash(seed, 100));
     EXPECT_EQ(f.heap.durablePayloadHash(h),
               GpmHeap::payloadHash(seed, 100));
+}
+
+/** The payload stream written out byte by byte, straight from its
+ *  definition: word w is fnv1aU64(w, fnv1aU64(seed)). */
+std::vector<std::uint8_t>
+referencePayload(std::uint64_t seed, std::uint32_t len)
+{
+    std::vector<std::uint8_t> buf(len);
+    for (std::uint32_t at = 0; at < len; at += 8) {
+        const std::uint64_t word = fnv1aU64(at / 8, fnv1aU64(seed));
+        std::memcpy(buf.data() + at, &word,
+                    std::min<std::uint32_t>(8, len - at));
+    }
+    return buf;
+}
+
+TEST(GpmHeap, PayloadStreamMatchesBytewiseReference)
+{
+    GpmHeapParams p = smallHeap();
+    p.class_sizes = {64, 4096};
+    p.slots_per_class = 2;
+    HeapFixture f(p);
+
+    std::vector<std::uint32_t> lens;
+    for (std::uint32_t len = 1; len <= 64; ++len)
+        lens.push_back(len);
+    Rng rng(0x5eed);
+    for (int i = 0; i < 200; ++i)
+        lens.push_back(1 + static_cast<std::uint32_t>(rng.below(4096)));
+
+    for (const std::uint32_t len : lens) {
+        SCOPED_TRACE(::testing::Message() << "len " << len);
+        const std::uint64_t seed = rng.next();
+        const std::vector<std::uint8_t> want = referencePayload(seed, len);
+        const std::uint64_t want_hash = fnv1a(want.data(), want.size());
+        EXPECT_EQ(GpmHeap::payloadHash(seed, len), want_hash);
+
+        const std::uint64_t h = f.heap.alloc(len);
+        std::uint64_t read_hash = 0;
+        KernelDesc k;
+        k.name = "stage_payload";
+        k.blocks = 1;
+        k.block_threads = 1;
+        k.phases.push_back([&](ThreadCtx &ctx) {
+            f.heap.stagePayload(ctx, h, seed);
+            read_hash = f.heap.readPayloadHash(ctx, h);
+        });
+        f.m.runKernel(k);
+        const std::uint8_t *stored =
+            f.m.pool().visible() + f.heap.slotAddr(h);
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), stored));
+        EXPECT_EQ(read_hash, want_hash);
+        f.heap.cancel(h);
+    }
+
+    // Past 2^16 words the stream takes the general word path.
+    const std::uint32_t long_len = (std::uint32_t(1) << 19) + 13;
+    const std::vector<std::uint8_t> want = referencePayload(7, long_len);
+    EXPECT_EQ(GpmHeap::payloadHash(7, long_len),
+              fnv1a(want.data(), want.size()));
 }
 
 GpmMapParams

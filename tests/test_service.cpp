@@ -3,7 +3,8 @@
  * Serving-path tests: GpKvs serve transactions (get/put/delete batches
  * against the host oracle), the ServiceEngine's determinism and
  * backpressure contracts, and mid-traffic crash recovery with zero
- * acknowledged-write loss.
+ * acknowledged-write loss, for inline 8 B values and for variable-size
+ * GpmHeap values.
  */
 #include <gtest/gtest.h>
 
@@ -299,6 +300,60 @@ TEST(ServiceEngine, MidTrafficCrashLosesNoAcknowledgedWrite)
             sc.survive_prob = survive;
             const ServeReport r = ServiceEngine(sc).run();
             EXPECT_TRUE(r.crash_armed);
+            fired += r.crash_fired ? 1 : 0;
+            EXPECT_TRUE(r.recovery_ran) << "seed " << seed;
+            EXPECT_TRUE(r.durable_ok)
+                << "acked writes lost, seed " << seed << " survive "
+                << survive;
+            EXPECT_EQ(r.oracle_failures, 0u);
+            EXPECT_EQ(r.pool_crashes, 2u);
+        }
+    }
+    EXPECT_GT(fired, 0);
+}
+
+/** smallEngineConfig in variable-size mode: zipfian keys, so GETs hit
+ *  values that were overwritten, and lengths that end mid-word. */
+ServeConfig
+varEngineConfig()
+{
+    ServeConfig sc = smallEngineConfig();
+    sc.dist = KeyDistKind::Zipfian;
+    sc.value_bytes_min = 1;
+    sc.value_bytes_max = 600;
+    sc.heap_slots_per_class = 1024;
+    return sc;
+}
+
+TEST(ServiceEngine, VariableSizeRunIsOracleClean)
+{
+    const ServeConfig sc = varEngineConfig();
+    const ServeReport r = ServiceEngine(sc).run();
+    EXPECT_EQ(r.ops_issued, sc.requests);
+    EXPECT_EQ(r.ops_acked, sc.requests);
+    EXPECT_EQ(r.oracle_failures, 0u);
+    EXPECT_GT(r.deferred_conflicts, 0u);
+}
+
+TEST(ServiceEngine, VariableSizeMidTrafficCrashLosesNoAcknowledgedWrite)
+{
+    int fired = 0;
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+        for (const double survive : {0.0, 0.5}) {
+            ServeConfig sc = varEngineConfig();
+            sc.clients = 256;
+            sc.requests = 2048;
+            sc.batch_max = 32;
+            sc.batch_deadline_ns = 1e6;
+            sc.think_ns = 0.0;
+            sc.get_ratio = 0.3;
+            sc.del_ratio = 0.1;
+            sc.seed = seed;
+            sc.crash_at_launch = 12;
+            sc.crash_point = CrashPoint::afterThreadPhases(
+                sc.batch_max * GpKvsParams::kGroup / 2);
+            sc.survive_prob = survive;
+            const ServeReport r = ServiceEngine(sc).run();
             fired += r.crash_fired ? 1 : 0;
             EXPECT_TRUE(r.recovery_ran) << "seed " << seed;
             EXPECT_TRUE(r.durable_ok)

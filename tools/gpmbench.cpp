@@ -27,7 +27,6 @@
  *
  * Exit codes: 0 success, 1 a failed recovery check, 2 usage error.
  */
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -80,18 +79,6 @@ usageError(const std::string &msg)
         "exit: 0 ok, 1 recovery check failed, 2 usage error\n",
         msg.c_str(), mediaUsage());
     return 2;
-}
-
-/** Strict decimal seed: digits only, no sign, no trailing junk. */
-std::optional<std::uint64_t>
-parseSeed(const char *s)
-{
-    const char *end = s + std::strlen(s);
-    std::uint64_t v = 0;
-    const auto [p, ec] = std::from_chars(s, end, v);
-    if (s == end || ec != std::errc{} || p != end)
-        return std::nullopt;
-    return v;
 }
 
 } // namespace

@@ -538,7 +538,16 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--seed") {
-            opt.seed = std::strtoull(next("--seed"), nullptr, 10);
+            const char *v = next("--seed");
+            const std::optional<std::uint64_t> seed = parseSeed(v);
+            if (!seed) {
+                std::fprintf(stderr,
+                             "gpmserve: invalid --seed '%s' (want a "
+                             "whole decimal number)\n",
+                             v);
+                return 2;
+            }
+            opt.seed = *seed;
         } else if (a == "--jobs") {
             const char *v = next("--jobs");
             const std::optional<int> jobs = parseSweepJobs(v);

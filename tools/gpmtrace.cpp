@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "harness/experiments.hpp"
 #include "memsim/media_backend.hpp"
 #include "telemetry/json.hpp"
@@ -271,7 +272,16 @@ main(int argc, char **argv)
             }
             opt.platform = *kind;
         } else if (a == "--seed") {
-            opt.seed = std::strtoull(next("--seed"), nullptr, 10);
+            const char *v = next("--seed");
+            const std::optional<std::uint64_t> seed = parseSeed(v);
+            if (!seed) {
+                std::fprintf(stderr,
+                             "gpmtrace: invalid --seed '%s' (want a "
+                             "whole decimal number)\n",
+                             v);
+                return 2;
+            }
+            opt.seed = *seed;
         } else if (a == "--media") {
             const char *v = next("--media");
             const std::optional<MediaConfig> m = parseMediaConfig(v);
