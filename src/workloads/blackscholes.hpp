@@ -24,6 +24,9 @@ struct BlkParams {
 class BlackScholesApp final : public IterativeApp
 {
   public:
+    /** Annual risk-free rate r of every option. */
+    static constexpr float kRiskFree = 0.02f;
+
     explicit BlackScholesApp(const BlkParams &p) : p_(p) {}
 
     std::string name() const override { return "blk"; }
@@ -42,19 +45,30 @@ class BlackScholesApp final : public IterativeApp
     }
     std::vector<std::uint8_t> snapshot() const override;
 
-    /** Reference price of option @p i at iteration @p iter (tests). */
+    /** Reference price of option @p i at iteration @p iter (tests):
+     *  the pricing function computeIteration runs, for one option. */
     float referenceCall(std::uint32_t i, std::uint32_t iter) const;
+
+    /** Time to maturity T, in years, that iteration @p iter prices. */
+    static float yearsToMaturity(std::uint32_t iter);
+
+    /**
+     * Standard normal CDF N(x) as the pricer computes it: an in-repo
+     * approximation (rational-Chebyshev erfc with a polynomial exp)
+     * within 2.8e-7 of the exact value (DESIGN.md S17).
+     */
+    static float normCdf(float x);
 
     float call(std::uint32_t i) const { return calls_[i]; }
     float put(std::uint32_t i) const { return puts_[i]; }
+    float spot(std::uint32_t i) const { return spot_[i]; }
+    float strike(std::uint32_t i) const { return strike_[i]; }
+    float vol(std::uint32_t i) const { return vol_[i]; }
 
   private:
-    static float normCdf(float x);
-    void price(std::uint32_t i, float years, float &call,
-               float &put) const;
-
     BlkParams p_;
     std::vector<float> spot_, strike_, vol_;  ///< inputs (HBM-resident)
+    std::vector<float> log_sk_;               ///< log(spot / strike)
     std::vector<float> calls_, puts_;         ///< checkpointed outputs
 };
 

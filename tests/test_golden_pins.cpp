@@ -4,11 +4,11 @@
  * compares its unit count, class counts and signature with the
  * manifest, at sweep widths 1 and 4. The rows are the same pins the
  * CLIs print (gpmtorture default/serve/pmheap sweeps, gpmcheck clean
- * grid and seeded-bug corpus with witness replay), so tier-1 ctest
- * guards the simulator's observable behaviour end to end. Scale
- * sweeps (gpmtorture --scale: the default grid and the mid-traffic
- * serve grid) are checked at width 4 only, by their own test under the
- * ctest label golden-scale.
+ * grid, pmheap cells and seeded-bug corpus with witness replay), so
+ * tier-1 ctest guards the simulator's observable behaviour end to end.
+ * Scale sweeps (gpmtorture --scale: the default grid, the mid-traffic
+ * serve grid and the pmheap grid) are checked at width 4 only, by
+ * their own test under the ctest label golden-scale.
  */
 #include <gtest/gtest.h>
 
@@ -111,7 +111,15 @@ sweeps()
                                  PersistDomain::LlcDurable});
           },
           true}},
+        {"torture-pmheap-scale",
+         {[](int j) { return tortureRow({"pmheap"}, j, true); }, true}},
         {"check-clean", {[](int j) { return checkRow({}, j); }}},
+        {"check-pmheap",
+         {[](int j) {
+             CheckConfig cfg;
+             cfg.workloads = {"pmheap"};
+             return checkRow(cfg, j);
+         }}},
         {"check-corpus",
          {[](int j) {
              CheckConfig cfg;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <memory>
 
 #include "workloads/blackscholes.hpp"
@@ -66,20 +67,83 @@ TEST(Cfd, FieldEvolvesAndStaysFinite)
     EXPECT_NEAR(d1, d0, 0.2 * d0);  // ... without blowing up
 }
 
-TEST(BlackScholes, PutCallParityHolds)
+double
+exactNormCdf(double x)
+{
+    return 0.5 * std::erfc(-x / std::sqrt(2.0));
+}
+
+/** Run the BLK schedule up to each of @p checked iterations and call
+ *  @p check(app, iter) after pricing it. */
+template <typename Check>
+void
+forBlkIterations(std::initializer_list<std::uint32_t> checked, Check check)
 {
     BlackScholesApp app{BlkParams{}};
     SimConfig cfg;
     Machine m(cfg, PlatformKind::Gpm, 16_MiB);
     app.init();
-    app.computeIteration(m, 0);
-    // C - P = S - K e^{-rT} with T = 2y, r = 2 %.
-    for (std::uint32_t i = 0; i < 64; ++i) {
-        const float c = app.call(i), p = app.put(i);
-        EXPECT_NEAR(c, app.referenceCall(i, 0), 1e-4f);
-        EXPECT_TRUE(std::isfinite(c) && std::isfinite(p));
-        EXPECT_GE(c, -1e-3f);
-        EXPECT_GE(p, -1e-3f);
+    std::uint32_t iter = 0;
+    for (const std::uint32_t until : checked) {
+        for (; iter <= until; ++iter)
+            app.computeIteration(m, iter);
+        SCOPED_TRACE(::testing::Message() << "iteration " << until);
+        check(app, until);
+    }
+}
+
+// Strikes and spots lie in [20, 120] and prices below 128, where a
+// float ulp is 7.6e-6.
+TEST(BlackScholes, PutCallParityHolds)
+{
+    forBlkIterations({0, 10, 19}, [](const BlackScholesApp &app,
+                                     std::uint32_t iter) {
+        const double years = BlackScholesApp::yearsToMaturity(iter);
+        const double discount =
+            std::exp(-double(BlackScholesApp::kRiskFree) * years);
+        // C - P = S - K e^{-rT}. The pricer's N(d) + N(-d) is 1 up to
+        // one rounding, so parity holds to a few ulp at 128.
+        for (std::uint32_t i = 0; i < BlkParams{}.options; ++i) {
+            const double c = app.call(i), p = app.put(i);
+            ASSERT_NEAR(c - p, app.spot(i) - app.strike(i) * discount,
+                        5e-5)
+                << "option " << i;
+            ASSERT_TRUE(std::isfinite(c) && std::isfinite(p));
+            ASSERT_GE(c, -1e-4);
+            ASSERT_GE(p, -1e-4);
+            ASSERT_EQ(app.call(i), app.referenceCall(i, iter))
+                << "option " << i;
+        }
+    });
+}
+
+TEST(BlackScholes, CallsMatchDoublePrecisionClosedForm)
+{
+    forBlkIterations({0, 10, 19}, [](const BlackScholesApp &app,
+                                     std::uint32_t iter) {
+        const double r = BlackScholesApp::kRiskFree;
+        const double years = BlackScholesApp::yearsToMaturity(iter);
+        // |C - C_exact| <= S eps_N + K eps_N + rounding, with the CDF
+        // bound eps_N = 2.8e-7 contributing at most 6.7e-5.
+        for (std::uint32_t i = 0; i < BlkParams{}.options; ++i) {
+            const double s = app.spot(i), k = app.strike(i),
+                         v = app.vol(i);
+            const double d1 = (std::log(s / k) + (r + 0.5 * v * v) * years) /
+                              (v * std::sqrt(years));
+            const double d2 = d1 - v * std::sqrt(years);
+            const double exact = s * exactNormCdf(d1) -
+                                 k * std::exp(-r * years) * exactNormCdf(d2);
+            ASSERT_NEAR(app.call(i), exact, 1e-4) << "option " << i;
+        }
+    });
+}
+
+TEST(BlackScholes, NormCdfWithinBoundOfErfc)
+{
+    for (int step = -120000; step <= 120000; ++step) {
+        const float d = static_cast<float>(step * 1e-4);
+        ASSERT_NEAR(BlackScholesApp::normCdf(d), exactNormCdf(d), 4e-7)
+            << "d = " << d;
     }
 }
 

@@ -151,7 +151,18 @@ main(int argc, char **argv)
                             kMaxSweepJobs, "], got '", v, "'");
                 cfg.jobs = *jobs;
             } else if (arg == "--seed") {
-                cfg.seed = std::strtoull(value().c_str(), nullptr, 10);
+                const std::string v = value();
+                const std::optional<std::uint64_t> seed =
+                    parseSeed(v.c_str());
+                if (!seed) {
+                    std::fprintf(stderr,
+                                 "gpmcheck: invalid --seed '%s' (want a "
+                                 "whole decimal number)\n",
+                                 v.c_str());
+                    usage();
+                    return 2;
+                }
+                cfg.seed = *seed;
             } else if (arg == "--tsv") {
                 tsv = true;
             } else if (arg == "--summary-only") {

@@ -14,6 +14,7 @@
  *     --points    frac:0.5,before-fence:1,after-fence:2,after-store:3
  *     --seeds     1,2,3               eviction seeds
  *     --survive   0.0,0.5             line-survival probabilities
+ *                                     in [0, 1]
  *     --jobs      N                   sweep workers (0 = hw threads;
  *                                     default GPM_EXEC_WORKERS, else 1)
  *     --scale                         CrashGrid::fine() + 12 seeds:
@@ -32,6 +33,7 @@
  * global to the doomed kernel launch).
  */
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -91,6 +93,30 @@ usage()
         "                  [--tsv] [--summary-only] [--list]\n");
 }
 
+/** Reject a malformed flag value: say why on stderr, print the usage
+ *  text and exit 2. */
+[[noreturn]] void
+badValue(const char *flag, const std::string &v, const char *want)
+{
+    std::fprintf(stderr, "gpmtorture: invalid %s value '%s' (want %s)\n",
+                 flag, v.c_str(), want);
+    usage();
+    std::exit(2);
+}
+
+/** A line-survival probability: the whole string is a number in
+ *  [0, 1]. */
+std::optional<double>
+parseProbability(const std::string &s)
+{
+    double v = 0;
+    const char *end = s.data() + s.size();
+    const auto [p, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc{} || p != end || !(v >= 0.0 && v <= 1.0))
+        return std::nullopt;
+    return v;
+}
+
 void
 list()
 {
@@ -145,14 +171,21 @@ main(int argc, char **argv)
                     cfg.specs.push_back(CrashScheduler::parse(p));
             } else if (arg == "--seeds") {
                 for (const std::string &s :
-                     splitList("--seeds", value()))
-                    cfg.seeds.push_back(std::strtoull(s.c_str(),
-                                                      nullptr, 10));
+                     splitList("--seeds", value())) {
+                    const std::optional<std::uint64_t> seed =
+                        parseSeed(s.c_str());
+                    if (!seed)
+                        badValue("--seeds", s, "whole decimal numbers");
+                    cfg.seeds.push_back(*seed);
+                }
             } else if (arg == "--survive") {
                 for (const std::string &s :
-                     splitList("--survive", value()))
-                    cfg.survive_probs.push_back(
-                        std::strtod(s.c_str(), nullptr));
+                     splitList("--survive", value())) {
+                    const std::optional<double> prob = parseProbability(s);
+                    if (!prob)
+                        badValue("--survive", s, "numbers in [0, 1]");
+                    cfg.survive_probs.push_back(*prob);
+                }
             } else if (arg == "--jobs") {
                 const std::string v = value();
                 const std::optional<int> jobs = parseSweepJobs(v);
