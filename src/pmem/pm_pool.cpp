@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <mutex>
+#include <optional>
+#include <utility>
 
 #include <sys/mman.h>
 
@@ -11,20 +14,217 @@
 
 namespace gpm {
 
-PmImage::PmImage(std::size_t n)
-    : data_(static_cast<std::uint8_t *>(
-          ::mmap(nullptr, n ? n : 1, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0))),
-      size_(n)
+namespace {
+
+/** An idle mapping on the free list (see PmImages). */
+struct IdleImages {
+    std::uint8_t *base;
+    std::size_t size;
+    std::vector<std::uint64_t> resident;
+    PmImages::Layout layout;
+};
+
+/** Process-wide free list of released pool mappings. */
+struct ImageFreeList {
+    std::mutex mu;
+    std::vector<IdleImages> idle;  ///< most recently released last
+    std::size_t live = 0;          ///< PmImages holding a mapping
+    std::size_t peak_live = 0;     ///< bound on idle.size()
+};
+
+ImageFreeList &
+freeList()
 {
-    GPM_REQUIRE(data_ != MAP_FAILED, "PM image allocation of ", n,
-                " bytes failed");
+    // Never destroyed: pools with static storage may outlive any
+    // static destructor order.
+    static ImageFreeList *list = new ImageFreeList;
+    return *list;
 }
 
-PmImage::~PmImage()
+std::size_t
+imageStride(std::size_t capacity)
 {
-    if (data_)
-        ::munmap(data_, size_ ? size_ : 1);
+    return alignUp(capacity, PmImages::kPageBytes);
+}
+
+std::size_t
+pageWords(std::size_t capacity)
+{
+    const std::size_t pages = imageStride(capacity) / PmImages::kPageBytes;
+    return (pages + 63) / 64;
+}
+
+/** Call fn(offset, bytes) once per run of set page bits, with the
+ *  last run clipped to the image size. */
+template <typename Fn>
+void
+forEachRun(const std::vector<std::uint64_t> &bits, std::size_t size,
+           Fn &&fn)
+{
+    const std::uint64_t npages = bits.size() * 64;
+    std::uint64_t p = 0;
+    while (p < npages) {
+        if (bits[p / 64] == 0) {
+            p = (p / 64 + 1) * 64;
+            continue;
+        }
+        if (!(bits[p / 64] >> (p % 64) & 1)) {
+            ++p;
+            continue;
+        }
+        std::uint64_t q = p + 1;
+        while (q < npages && (bits[q / 64] >> (q % 64) & 1))
+            ++q;
+        const std::uint64_t lo = p * PmImages::kPageBytes;
+        const std::uint64_t hi =
+            std::min<std::uint64_t>(q * PmImages::kPageBytes, size);
+        fn(lo, hi - lo);
+        p = q;
+    }
+}
+
+std::uint64_t
+popcount(const std::vector<std::uint64_t> &bits)
+{
+    std::uint64_t n = 0;
+    for (const std::uint64_t w : bits)
+        n += static_cast<std::uint64_t>(__builtin_popcountll(w));
+    return n;
+}
+
+/** Give [off, off+bytes) of both images back to the kernel; the
+ *  range reads as zero afterwards. */
+void
+dropRange(std::uint8_t *base, std::size_t stride, std::uint64_t off,
+          std::uint64_t bytes)
+{
+    for (std::uint8_t *img : {base, base + stride}) {
+        // madvise needs host-page alignment; zeroing in place is the
+        // exact fallback when the host page is larger than 4 KiB.
+        if (::madvise(img + off, bytes, MADV_DONTNEED) != 0)
+            std::memset(img + off, 0, bytes);
+    }
+}
+
+} // namespace
+
+PmImages::PmImages(std::size_t capacity)
+    : size_(capacity), stride_(imageStride(capacity))
+{
+    GPM_REQUIRE(capacity > 0, "PM pool capacity must be non-zero");
+    ImageFreeList &fl = freeList();
+    {
+        std::lock_guard<std::mutex> lock(fl.mu);
+        // Most recent first: in a sweep that is the previous item's
+        // pool, the likeliest to share this pool's layout.
+        for (auto it = fl.idle.rbegin(); it != fl.idle.rend(); ++it) {
+            if (it->size != capacity)
+                continue;
+            base_ = it->base;
+            resident_ = std::move(it->resident);
+            inherited_ = std::move(it->layout);
+            fl.idle.erase(std::next(it).base());
+            break;
+        }
+        if (base_)
+            fl.peak_live = std::max(fl.peak_live, ++fl.live);
+    }
+    if (!base_) {
+        void *p = ::mmap(nullptr, 2 * stride_, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        GPM_REQUIRE(p != MAP_FAILED, "PM image allocation of ",
+                    2 * stride_, " bytes failed");
+        base_ = static_cast<std::uint8_t *>(p);
+        resident_.assign(pageWords(capacity), 0);
+        diverged_ = true;
+        std::lock_guard<std::mutex> lock(fl.mu);
+        fl.peak_live = std::max(fl.peak_live, ++fl.live);
+    }
+    dirty_.assign(resident_.size(), 0);
+}
+
+PmImages::PmImages(PmImages &&o) noexcept
+    : base_(std::exchange(o.base_, nullptr)), size_(o.size_),
+      stride_(o.stride_), resident_(std::move(o.resident_)),
+      dirty_(std::move(o.dirty_)), inherited_(std::move(o.inherited_)),
+      layout_(std::move(o.layout_)), diverged_(o.diverged_),
+      pages_dropped_(std::exchange(o.pages_dropped_, 0))
+{
+}
+
+PmImages::~PmImages()
+{
+    if (base_)
+        release();
+}
+
+void
+PmImages::dropPages(std::vector<std::uint64_t> &pages)
+{
+    forEachRun(pages, size_, [&](std::uint64_t off, std::uint64_t n) {
+        dropRange(base_, stride_, off, n);
+    });
+    pages_dropped_ += popcount(pages);
+    std::fill(pages.begin(), pages.end(), 0);
+}
+
+void
+PmImages::noteRegion(const std::string &name, std::uint64_t offset)
+{
+    if (!diverged_) {
+        const std::size_t i = layout_.size();
+        if (i >= inherited_.size() || inherited_[i].first != name ||
+            inherited_[i].second != offset) {
+            diverged_ = true;
+            // Regions may be created after others were written: keep
+            // what this pool wrote, drop only the inherited pages.
+            for (std::size_t w = 0; w < resident_.size(); ++w)
+                resident_[w] &= ~dirty_[w];
+            dropPages(resident_);
+        }
+    }
+    layout_.emplace_back(name, offset);
+}
+
+void
+PmImages::release()
+{
+    std::uint64_t kept = 0;
+    for (std::size_t w = 0; w < resident_.size(); ++w)
+        resident_[w] |= dirty_[w];
+    if (!diverged_ && layout_ == inherited_) {
+        // Same layout as the previous owner: zero what this pool wrote
+        // and keep every page resident for the next one.
+        forEachRun(dirty_, size_, [&](std::uint64_t off, std::uint64_t n) {
+            std::memset(base_ + off, 0, n);
+            std::memset(base_ + stride_ + off, 0, n);
+        });
+        kept = popcount(resident_);
+    } else {
+        dropPages(resident_);
+    }
+
+    // Only pools of mixed capacities can overfill the list; the oldest
+    // idle mapping is then unmapped.
+    ImageFreeList &fl = freeList();
+    std::optional<IdleImages> evicted;
+    {
+        std::lock_guard<std::mutex> lock(fl.mu);
+        --fl.live;
+        fl.idle.push_back(
+            {base_, size_, std::move(resident_), std::move(layout_)});
+        if (fl.idle.size() > fl.peak_live) {
+            evicted = std::move(fl.idle.front());
+            fl.idle.erase(fl.idle.begin());
+        }
+    }
+    if (evicted) {
+        pages_dropped_ += popcount(evicted->resident);
+        ::munmap(evicted->base, 2 * imageStride(evicted->size));
+    }
+    base_ = nullptr;
+    telemetry::count("pool.pages_kept", kept);
+    telemetry::count("pool.pages_dropped", pages_dropped_);
 }
 
 void
@@ -47,10 +247,8 @@ PmPool::setRecorder(PmEventRecorder *rec)
 
 PmPool::PmPool(std::size_t capacity, PersistDomain domain,
                std::uint64_t seed)
-    : visible_(capacity), durable_(capacity), domain_(domain),
-      rng_(seed)
+    : images_(capacity), domain_(domain), rng_(seed)
 {
-    GPM_REQUIRE(capacity > 0, "PM pool capacity must be non-zero");
 }
 
 PmRegion
@@ -67,10 +265,11 @@ PmPool::map(const std::string &name, std::uint64_t size, bool create)
     GPM_REQUIRE(size > 0, "cannot create empty region '", name, "'");
 
     const std::uint64_t offset = alignUp(alloc_cursor_, 256);
-    GPM_REQUIRE(offset + size <= visible_.size(),
+    GPM_REQUIRE(offset + size <= images_.size(),
                 "PM pool exhausted allocating '", name, "' (", size,
-                " bytes at ", offset, " of ", visible_.size(), ")");
+                " bytes at ", offset, " of ", images_.size(), ")");
     alloc_cursor_ = offset + size;
+    images_.noteRegion(name, offset);
     PmRegion r{offset, size};
     regions_.emplace(name, r);
     return r;
@@ -93,9 +292,9 @@ PmPool::region(const std::string &name) const
 void
 PmPool::checkRange(std::uint64_t addr, std::uint64_t size) const
 {
-    GPM_REQUIRE(addr + size <= visible_.size() && addr + size >= addr,
+    GPM_REQUIRE(addr + size <= images_.size() && addr + size >= addr,
                 "PM access [", addr, ", ", addr + size,
-                ") out of pool of ", visible_.size(), " bytes");
+                ") out of pool of ", images_.size(), " bytes");
 }
 
 void
@@ -105,10 +304,11 @@ PmPool::writeCommon(OwnerId owner, std::uint64_t addr, const void *src,
     checkRange(addr, size);
     if (recorder_)
         recorder_->store(domain_, owner, addr, size);
-    std::memcpy(visible_.data() + addr, src, size);
+    images_.markDirty(addr, size);
+    std::memcpy(images_.visible() + addr, src, size);
     if (domain_ == PersistDomain::LlcDurable) {
         // eADR: the LLC is inside the persistence domain.
-        std::memcpy(durable_.data() + addr, src, size);
+        std::memcpy(images_.durable() + addr, src, size);
     } else {
         std::vector<Extent> &pend = pending_[owner];
         if (!pend.empty()) {
@@ -156,13 +356,13 @@ PmPool::read(std::uint64_t addr, void *dst, std::uint64_t size) const
     checkRange(addr, size);
     if (recorder_ && recorder_->inRecovery())
         recorder_->recoveryRead(domain_, addr, size);
-    std::memcpy(dst, visible_.data() + addr, size);
+    std::memcpy(dst, images_.visible() + addr, size);
 }
 
 void
 PmPool::drain(const Extent &e)
 {
-    std::memcpy(durable_.data() + e.addr, visible_.data() + e.addr,
+    std::memcpy(images_.durable() + e.addr, images_.visible() + e.addr,
                 e.size);
     ++stats_.extents_drained;
 }
@@ -283,8 +483,8 @@ PmPool::crash(double survive_prob)
         // extent's surviving line was drained would lose that line.
         for (const auto &[owner, extents] : pending_) {
             for (const Extent &e : extents) {
-                std::memcpy(visible_.data() + e.addr,
-                            durable_.data() + e.addr, e.size);
+                std::memcpy(images_.visible() + e.addr,
+                            images_.durable() + e.addr, e.size);
                 restored_bytes += e.size;
             }
         }
@@ -326,7 +526,7 @@ PmPool::saveDurable(const std::string &path) const
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     GPM_REQUIRE(os.good(), "cannot open '", path, "' for writing");
 
-    const std::uint64_t cap = durable_.size();
+    const std::uint64_t cap = images_.size();
     const std::uint64_t nregions = regions_.size();
     os.write(reinterpret_cast<const char *>(&cap), sizeof(cap));
     os.write(reinterpret_cast<const char *>(&alloc_cursor_),
@@ -338,8 +538,8 @@ PmPool::saveDurable(const std::string &path) const
         os.write(name.data(), static_cast<std::streamsize>(len));
         os.write(reinterpret_cast<const char *>(&r), sizeof(r));
     }
-    os.write(reinterpret_cast<const char *>(durable_.data()),
-             static_cast<std::streamsize>(durable_.size()));
+    os.write(reinterpret_cast<const char *>(images_.durable()),
+             static_cast<std::streamsize>(images_.size()));
     GPM_REQUIRE(os.good(), "short write saving pool to '", path, "'");
 }
 
@@ -367,10 +567,11 @@ PmPool::loadDurable(const std::string &path, PersistDomain domain,
         is.read(reinterpret_cast<char *>(&r), sizeof(r));
         pool.regions_.emplace(std::move(name), r);
     }
-    is.read(reinterpret_cast<char *>(pool.durable_.data()),
+    pool.images_.markDirty(0, cap);
+    is.read(reinterpret_cast<char *>(pool.images_.durable()),
             static_cast<std::streamsize>(cap));
     GPM_REQUIRE(is.good(), "short read loading pool from '", path, "'");
-    std::memcpy(pool.visible_.data(), pool.durable_.data(), cap);
+    std::memcpy(pool.images_.visible(), pool.images_.durable(), cap);
     return pool;
 }
 

@@ -47,49 +47,93 @@ namespace gpm {
 class PmEventRecorder;
 
 /**
- * Zero-initialized byte image backed by an anonymous private mapping.
+ * The visible and durable byte images of one pool, recycled between
+ * pools.
  *
- * Pools are allocated at full capacity per Machine but most workloads
- * touch a fraction of it. A fresh anonymous mapping reads as zero and
- * faults a page in only when it is first written, so construction is
- * O(1) and resident memory tracks the bytes a run actually dirtied.
- * calloc cannot promise that: once glibc has raised its mmap threshold
- * (up to 32 MiB) after a large free, a pool below it comes from the
- * heap and is memset in full.
+ * Both images live in one anonymous private mapping, so a fresh pool
+ * is O(1) to build and reads as zero everywhere. What a sweep pays for
+ * instead is the first-touch fault on every page a pool writes, twice
+ * over (visible and durable), and the munmap that frees those pages
+ * again. So a released pool's mapping is not unmapped: it goes to a
+ * process-wide free list, together with a bitmap of its resident
+ * 4 KiB pages and its region layout, and the next pool of the same
+ * capacity takes it over.
  *
- * Move-only: nothing needs a whole-image copy. crash() restores only
- * the pending extents and loadDurable() copies the file image in.
+ * Every byte a successor can see is zero; only where the pages live
+ * differs. The pool marks each page it writes (markDirty) and, on
+ * release:
+ *
+ *   - when its whole layout (the ordered name/offset list of the
+ *     regions it created) equals the layout it inherited, zeroes its
+ *     dirty pages with memset and hands them on resident;
+ *   - otherwise gives every resident page back (MADV_DONTNEED, what
+ *     munmap did) and hands on only the mapping.
+ *
+ * A pool that inherited resident pages drops the ones it has not
+ * written at its first map() that departs from the inherited layout,
+ * so it never holds more resident memory than its own footprint.
+ * Keeping pages across different layouts would not: pages left over
+ * from one benchmark cell would sit under the next cell's host
+ * buffers and raise the peak resident set.
+ *
+ * The free list holds at most as many idle mappings as the peak number
+ * of pools ever live at once. A moved-from instance recycles nothing.
  */
-class PmImage
+class PmImages
 {
   public:
-    explicit PmImage(std::size_t n);
-    PmImage(const PmImage &) = delete;
-    PmImage &operator=(const PmImage &) = delete;
+    /** Dirty/resident tracking granularity: the common host page. */
+    static constexpr std::uint64_t kPageBytes = 4096;
 
-    PmImage(PmImage &&o) noexcept : data_(o.data_), size_(o.size_)
-    {
-        o.data_ = nullptr;
-        o.size_ = 0;
-    }
+    explicit PmImages(std::size_t capacity);
+    PmImages(PmImages &&o) noexcept;
+    PmImages(const PmImages &) = delete;
+    PmImages &operator=(const PmImages &) = delete;
+    PmImages &operator=(PmImages &&) = delete;
+    ~PmImages();
 
-    PmImage &
-    operator=(PmImage &&o) noexcept
-    {
-        std::swap(data_, o.data_);
-        std::swap(size_, o.size_);
-        return *this;
-    }
-
-    ~PmImage();
-
-    std::uint8_t *data() { return data_; }
-    const std::uint8_t *data() const { return data_; }
     std::size_t size() const { return size_; }
+    std::uint8_t *visible() { return base_; }
+    const std::uint8_t *visible() const { return base_; }
+    std::uint8_t *durable() { return base_ + stride_; }
+    const std::uint8_t *durable() const { return base_ + stride_; }
+
+    /** Note that [addr, addr+size) may now hold non-zero bytes in
+     *  either image. Every byte that enters an image must be covered. */
+    void
+    markDirty(std::uint64_t addr, std::uint64_t size)
+    {
+        if (size == 0)
+            return;
+        const std::uint64_t last = (addr + size - 1) / kPageBytes;
+        for (std::uint64_t p = addr / kPageBytes; p <= last; ++p)
+            dirty_[p / 64] |= std::uint64_t(1) << (p % 64);
+    }
+
+    /** Record the pool's next created region. At the first departure
+     *  from the inherited layout, drops the inherited pages this pool
+     *  has not written. */
+    void noteRegion(const std::string &name, std::uint64_t offset);
+
+    /** Layout entry: a created region's name and offset, in order. */
+    using Layout = std::vector<std::pair<std::string, std::uint64_t>>;
 
   private:
-    std::uint8_t *data_;
-    std::size_t size_;
+    void release();
+    /** Give @p pages back to the kernel (both images) and clear them. */
+    void dropPages(std::vector<std::uint64_t> &pages);
+
+    std::uint8_t *base_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t stride_ = 0;               ///< durable image offset
+    std::vector<std::uint64_t> resident_;  ///< zero pages kept resident
+    std::vector<std::uint64_t> dirty_;     ///< pages this pool wrote
+    Layout inherited_;                     ///< previous owner's layout
+    Layout layout_;                        ///< this pool's layout
+    bool diverged_ = false;                ///< layout_ departs from
+                                           ///< inherited_ (or nothing
+                                           ///< was inherited)
+    std::uint64_t pages_dropped_ = 0;      ///< for pool.pages_dropped
 };
 
 /** Identity of a writer for fence scoping (GPU thread / CPU thread). */
@@ -131,7 +175,7 @@ class PmPool
     PmPool(std::size_t capacity, PersistDomain domain,
            std::uint64_t seed = 1);
 
-    std::size_t capacity() const { return visible_.size(); }
+    std::size_t capacity() const { return images_.size(); }
     PersistDomain domain() const { return domain_; }
 
     /** Change the persistence domain (gpm_persist_begin/end toggling). */
@@ -261,20 +305,20 @@ class PmPool
     // ---- inspection & file backing ------------------------------------
 
     /** Durable image base (tests inspect what a crash would preserve). */
-    const std::uint8_t *durable() const { return durable_.data(); }
+    const std::uint8_t *durable() const { return images_.durable(); }
 
     /** Visible image base. */
-    const std::uint8_t *visible() const { return visible_.data(); }
+    const std::uint8_t *visible() const { return images_.visible(); }
 
     /** Typed load from the durable image (test helper). */
     template <typename T>
     T
     loadDurable(std::uint64_t addr) const
     {
-        GPM_REQUIRE(addr + sizeof(T) <= durable_.size(),
+        GPM_REQUIRE(addr + sizeof(T) <= images_.size(),
                     "durable load out of range");
         T v;
-        std::memcpy(&v, durable_.data() + addr, sizeof(T));
+        std::memcpy(&v, images_.durable() + addr, sizeof(T));
         return v;
     }
 
@@ -297,14 +341,15 @@ class PmPool
                      std::uint64_t size);
     void drain(const Extent &e);
 
-    // Invariant: visible_ and durable_ differ only inside pending
-    // extents. writeCommon records an extent covering every
+    // Invariant: the visible and durable images differ only inside
+    // pending extents. writeCommon records an extent covering every
     // visible-only store (eADR stores write both images), drain makes
     // an extent's bytes equal before it leaves pending_, and
     // loadDurable starts from equal images. crash() relies on it to
     // restore just the pending extents instead of the whole image.
-    PmImage visible_;
-    PmImage durable_;
+    // It also means writeCommon and loadDurable are the only places
+    // new bytes enter either image, so they alone mark dirty pages.
+    PmImages images_;
     PmEventRecorder *recorder_ = nullptr;
     // std::map for deterministic crash-survival iteration order.
     std::map<OwnerId, std::vector<Extent>> pending_;

@@ -4,7 +4,9 @@
  * mapping, the visible/durable split per persistence domain, fences,
  * range flushes, partial-eviction crashes, and file backing. A
  * randomized equivalence test holds the extent-only crash restore to a
- * reference pool that resets the whole visible image.
+ * reference pool that resets the whole visible image. The recycling
+ * tests hold released pool pages to the fresh-pool contract: every
+ * successor reads zero, and only an identical layout keeps pages.
  */
 #include <gtest/gtest.h>
 
@@ -15,10 +17,13 @@
 #include <map>
 #include <vector>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include "common/rng.hpp"
+#include "harness/sweep.hpp"
 #include "pmem/pm_pool.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace gpm {
 namespace {
@@ -597,6 +602,252 @@ TEST(PmPool, CrashFootprintTracksDirtyBytesNotCapacity)
         pool.crash(i % 2 ? 0.5 : 0.0);
     }
     EXPECT_LT(residentBytes(), before + 32_MiB);
+}
+
+// ---- page recycling ---------------------------------------------------
+//
+// A released pool's mapping goes to the next pool of the same capacity,
+// so each test below uses a capacity no other test uses: it then only
+// ever inherits mappings it released itself.
+
+constexpr std::uint64_t kPage = PmImages::kPageBytes;
+
+/** Resident host pages of [p, p + n), by mincore. */
+std::uint64_t
+residentPages(const std::uint8_t *p, std::size_t n)
+{
+    const std::size_t host_page = ::sysconf(_SC_PAGESIZE);
+    std::vector<unsigned char> vec((n + host_page - 1) / host_page);
+    EXPECT_EQ(::mincore(const_cast<std::uint8_t *>(p), n, vec.data()), 0);
+    std::uint64_t pages = 0;
+    for (const unsigned char v : vec)
+        pages += v & 1;
+    return pages;
+}
+
+std::uint64_t
+residentPages(const PmPool &pool)
+{
+    return residentPages(pool.visible(), pool.capacity()) +
+           residentPages(pool.durable(), pool.capacity());
+}
+
+/** Index of the first non-zero byte of either image, or -1. */
+long long
+firstNonZero(const PmPool &pool)
+{
+    for (const std::uint8_t *img : {pool.visible(), pool.durable()}) {
+        for (std::size_t i = 0; i < pool.capacity(); ++i) {
+            if (img[i] != 0)
+                return static_cast<long long>(i);
+        }
+    }
+    return -1;
+}
+
+/** The layout every recycling test creates, in this order. */
+void
+mapLayout(PmPool &pool)
+{
+    pool.map("meta", 4_KiB, true);
+    pool.map("data", 512_KiB, true);
+}
+
+/**
+ * Dirty pages of @p pool through every way bytes enter an image, each
+ * on pages of its own so that a path that forgot to mark its pages
+ * leaves them non-zero for the successor.
+ */
+void
+dirtyThroughEveryPath(PmPool &pool)
+{
+    const std::uint64_t base = pool.region("data").offset;
+    std::vector<std::uint8_t> buf(3 * kPage, 0xa5);
+    auto at = [&](int slot) { return base + slot * 4 * kPage + 100; };
+
+    // A pending device write, then a fence (McDurable drains it).
+    pool.deviceWrite(1, at(0), buf.data(), buf.size());
+    EXPECT_TRUE(pool.persistOwner(1));
+    // A CPU store plus a range flush.
+    pool.cpuWrite(2, at(1), buf.data(), buf.size());
+    pool.persistRange(at(1), buf.size());
+    // eADR: the store writes both images at once.
+    pool.setDomain(PersistDomain::LlcDurable);
+    pool.deviceWrite(3, at(2), buf.data(), buf.size());
+    pool.setDomain(PersistDomain::McDurable);
+    // Crashes that lose and that keep every pending line.
+    pool.deviceWrite(4, at(3), buf.data(), buf.size());
+    pool.crash(0.0);
+    pool.deviceWrite(5, at(4), buf.data(), buf.size());
+    pool.crash(1.0);
+    // An orderly shutdown drain.
+    pool.deviceWrite(6, at(5), buf.data(), buf.size());
+    pool.persistAll();
+    // A store still pending at release (visible only).
+    pool.deviceWrite(7, at(6), buf.data(), buf.size());
+    pool.cpuWrite(8, pool.region("meta").offset, buf.data(), 64);
+}
+
+TEST(PmPoolRecycling, SuccessorReadsZeroAfterEveryWritePath)
+{
+    constexpr std::size_t cap = 2_MiB + 1 * kPage;
+    // Round 0 is a fresh mapping and round 1 inherits it with the same
+    // layout, so later rounds take the keep-resident path.
+    for (int round = 0; round < 4; ++round) {
+        PmPool pool(cap, PersistDomain::McDurable, round + 1);
+        EXPECT_EQ(firstNonZero(pool), -1) << "round " << round;
+        mapLayout(pool);
+        dirtyThroughEveryPath(pool);
+    }
+    PmPool next(cap, PersistDomain::McDurable);
+    EXPECT_GT(residentPages(next), 0u) << "no pages were kept";
+    EXPECT_EQ(firstNonZero(next), -1);
+}
+
+TEST(PmPoolRecycling, SuccessorReadsZeroAfterDivergentLayout)
+{
+    constexpr std::size_t cap = 2_MiB + 2 * kPage;
+    for (int round = 0; round < 3; ++round) {
+        PmPool pool(cap, PersistDomain::McDurable, round + 1);
+        EXPECT_EQ(firstNonZero(pool), -1) << "round " << round;
+        // Every round departs from the last one's layout.
+        pool.map("pad" + std::to_string(round), 256 * (round + 1), true);
+        mapLayout(pool);
+        dirtyThroughEveryPath(pool);
+    }
+    PmPool next(cap, PersistDomain::McDurable);
+    EXPECT_EQ(firstNonZero(next), -1);
+}
+
+TEST(PmPoolRecycling, SuccessorReadsZeroAfterLoadDurable)
+{
+    constexpr std::size_t cap = 2_MiB + 3 * kPage;
+    const std::string path =
+        ::testing::TempDir() + "gpm_recycle_load.img";
+    {
+        PmPool pool(cap, PersistDomain::McDurable);
+        mapLayout(pool);
+        std::vector<std::uint8_t> ones(cap - 8 * kPage, 0x5a);
+        pool.cpuWrite(0, 8 * kPage, ones.data(), ones.size());
+        pool.persistAll();
+        pool.saveDurable(path);
+    }
+    // Two loads: the second inherits the first one's mapping.
+    for (int round = 0; round < 2; ++round) {
+        PmPool loaded =
+            PmPool::loadDurable(path, PersistDomain::McDurable);
+        EXPECT_EQ(loaded.load<std::uint8_t>(cap - 1), 0x5a);
+    }
+    std::remove(path.c_str());
+    PmPool next(cap, PersistDomain::McDurable);
+    EXPECT_EQ(firstNonZero(next), -1);
+}
+
+TEST(PmPoolRecycling, DivergentMapDropsInheritedPagesButKeepsOwnWrites)
+{
+    constexpr std::size_t cap = 2_MiB + 4 * kPage;
+    const std::vector<std::uint8_t> buf(64 * kPage, 0x11);
+    for (int round = 0; round < 2; ++round) {
+        PmPool pool(cap, PersistDomain::McDurable);
+        mapLayout(pool);
+        pool.deviceWrite(0, pool.region("data").offset, buf.data(),
+                         buf.size());
+        pool.persistOwner(0);
+    }
+
+    telemetry::ScopedSession session;
+    {
+        PmPool pool(cap, PersistDomain::McDurable);
+        // The layout matches so far: the inherited pages stay.
+        pool.map("meta", 4_KiB, true);
+        const PmRegion data = pool.map("data", 512_KiB, true);
+        EXPECT_EQ(residentPages(pool), 2 * 64u);
+        // This pool writes one inherited page before it departs.
+        const std::uint64_t v = 0x1234;
+        pool.deviceWrite(0, data.offset, &v, sizeof v);
+        // First departure: every inherited page this pool has not
+        // written goes back, before the new region is written.
+        pool.map("other", 512_KiB, true);
+        EXPECT_EQ(residentPages(pool), 2u);
+        EXPECT_EQ(pool.load<std::uint64_t>(data.offset), v);
+    }
+    // Counters count pool pages: one offset covers both images. The
+    // 63 unwritten inherited pages went at the map, the written one at
+    // release.
+    const telemetry::MetricsSnapshot snap = session->metrics.snapshot();
+    EXPECT_EQ(snap.counter("pool.pages_dropped"), 63u + 1u);
+    EXPECT_EQ(snap.counter("pool.pages_kept"), 0u);
+}
+
+TEST(PmPoolRecycling, IdenticalLayoutKeepsPagesResident)
+{
+    constexpr std::size_t cap = 2_MiB + 5 * kPage;
+    const std::vector<std::uint8_t> buf(16 * kPage, 0x22);
+    std::uint64_t kept = 0;
+    for (int round = 0; round < 3; ++round) {
+        telemetry::ScopedSession session;
+        {
+            PmPool pool(cap, PersistDomain::McDurable);
+            mapLayout(pool);
+            pool.deviceWrite(0, pool.region("data").offset, buf.data(),
+                             buf.size());
+            pool.persistOwner(0);
+        }
+        kept = session->metrics.snapshot().counter("pool.pages_kept");
+        if (round == 0) { // a fresh mapping: no layout to match
+            EXPECT_EQ(kept, 0u);
+        }
+    }
+    EXPECT_EQ(kept, 16u);
+    PmPool next(cap, PersistDomain::McDurable);
+    EXPECT_EQ(residentPages(next), 2 * 16u);
+}
+
+TEST(PmPoolRecycling, MovedFromPoolRecyclesNothing)
+{
+    constexpr std::size_t cap = 2_MiB + 6 * kPage;
+    {
+        PmPool a(cap, PersistDomain::McDurable);
+        a.map("meta", 4_KiB, true);
+        const std::uint64_t v = 7;
+        a.deviceWrite(0, 0, &v, sizeof v);
+        PmPool b(std::move(a));
+        EXPECT_EQ(b.load<std::uint64_t>(0), v);
+    }
+    // Had the moved-from pool released the mapping too, the free list
+    // would now hand the same images to two live pools.
+    PmPool c(cap, PersistDomain::McDurable);
+    PmPool d(cap, PersistDomain::McDurable);
+    EXPECT_NE(c.visible(), d.visible());
+    EXPECT_EQ(firstNonZero(c), -1);
+}
+
+TEST(PmPoolRecycling, ConcurrentSweepWorkersBuildAndDropPools)
+{
+    // The free list is shared by every sweep worker: pools built and
+    // dropped on four lanes at once must still start all-zero.
+    constexpr std::size_t caps[] = {1_MiB + 7 * kPage, 1_MiB + 8 * kPage};
+    SweepOptions opt;
+    opt.workers = 4;
+    const std::vector<long long> first_nonzero = sweep(
+        64,
+        [&](SweepLane &, std::size_t i) {
+            PmPool pool(caps[i % 2], PersistDomain::McDurable, i + 1);
+            const long long nz = firstNonZero(pool);
+            if (i % 3 != 0)
+                mapLayout(pool);
+            else
+                pool.map("odd", 8_KiB, true);
+            const std::vector<std::uint8_t> buf(4 * kPage, 0x33);
+            pool.deviceWrite(i, 4 * kPage * (i % 8), buf.data(),
+                             buf.size());
+            if (i % 2)
+                pool.crash(0.5);
+            return nz;
+        },
+        opt);
+    for (std::size_t i = 0; i < first_nonzero.size(); ++i)
+        EXPECT_EQ(first_nonzero[i], -1) << "item " << i;
 }
 
 } // namespace

@@ -22,11 +22,17 @@
  * malformed or inconsistent artifact fails the run that produced it.
  *
  * --summary prints the top-N hottest kernels by traced wall time, the
- * observed NVM tier-byte breakdown, coalescing efficiency and
- * histogram percentiles. Blocks run on one sequential executor, so
- * there is no per-worker utilization to report.
+ * observed NVM tier-byte breakdown, coalescing efficiency, histogram
+ * percentiles and the run's host cost from getrusage (user and sys
+ * seconds, minor page faults) next to the pool pages recycled or given
+ * back. N must be a whole number in [1, INT_MAX]. Blocks run on one
+ * sequential executor, so there is no per-worker utilization to report.
+ *
+ * The getrusage figures land in metrics.json as the host.* gauges.
  */
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +41,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "common/env.hpp"
 #include "harness/experiments.hpp"
@@ -71,10 +79,43 @@ usage()
         "platforms: gpm ndp eadr capfs capmm capeadr gpufs\n"
         "media:     %s\n"
         "--no-crash: skip the crash + recovery pass\n"
-        "--summary:  print top-N hottest kernels, NVM tier bytes,\n"
-        "            coalescing efficiency and histogram percentiles\n",
+        "--summary:  print top-N hottest kernels (N in [1, INT_MAX],\n"
+        "            default 10), NVM tier bytes, coalescing efficiency,\n"
+        "            histogram percentiles and host user/sys time\n",
         mediaUsage());
     return 2;
+}
+
+/** Parse a --summary count: the whole token, in [1, INT_MAX]. */
+std::optional<int>
+parseTop(const char *s)
+{
+    const char *end = s + std::strlen(s);
+    int v = 0;
+    const auto [p, ec] = std::from_chars(s, end, v);
+    if (ec != std::errc() || p != end || v < 1)
+        return std::nullopt;
+    return v;
+}
+
+/**
+ * Record the process's host cost so far as host.* gauges: user and
+ * sys CPU seconds and minor page faults. The kernel share (sys, most
+ * of it first-touch faults) is time no span sees.
+ */
+void
+recordHostUsage()
+{
+    rusage ru{};
+    if (::getrusage(RUSAGE_SELF, &ru) != 0)
+        return;
+    auto seconds = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) + tv.tv_usec * 1e-6;
+    };
+    telemetry::gaugeSet("host.user_s", seconds(ru.ru_utime));
+    telemetry::gaugeSet("host.sys_s", seconds(ru.ru_stime));
+    telemetry::gaugeSet("host.minor_faults",
+                        static_cast<double>(ru.ru_minflt));
 }
 
 /** Aggregate of one kernel's "launch" spans. */
@@ -168,6 +209,19 @@ printSummary(const Options &opt, const telemetry::Session &session,
 
     std::printf("\nworker utilization: not reported (blocks run on one "
                 "sequential executor)\n");
+
+    // Host cost no span sees: the kernel's share, mostly first-touch
+    // page faults, and the pool pages recycled between Machines.
+    std::printf("\nhost cost (getrusage, whole run):\n");
+    std::printf("  user %.3f s  sys %.3f s  minor faults %.0f\n",
+                snap.gauge("host.user_s"), snap.gauge("host.sys_s"),
+                snap.gauge("host.minor_faults"));
+    std::printf("  pool pages kept %llu, dropped %llu (4 KiB, both "
+                "images)\n",
+                static_cast<unsigned long long>(
+                    snap.counter("pool.pages_kept")),
+                static_cast<unsigned long long>(
+                    snap.counter("pool.pages_dropped")));
 
     // Tail percentiles of every recorded distribution — the same
     // log2-bin estimator gpmserve's latency accounting uses.
@@ -299,10 +353,18 @@ main(int argc, char **argv)
             opt.metrics_path = next("--metrics");
         } else if (a == "--summary") {
             opt.summary = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-' &&
-                std::strtol(argv[i + 1], nullptr, 10) > 0)
-                opt.summary_top =
-                    static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+            if (i + 1 < argc && argv[i + 1][0] != '-') {
+                const char *v = argv[++i];
+                const std::optional<int> top = parseTop(v);
+                if (!top) {
+                    std::fprintf(stderr,
+                                 "gpmtrace: invalid --summary count '%s' "
+                                 "(want a whole number in [1, %d])\n",
+                                 v, INT_MAX);
+                    return 2;
+                }
+                opt.summary_top = *top;
+            }
         } else if (a == "--no-crash") {
             opt.crash_pass = false;
         } else {
@@ -339,6 +401,8 @@ main(int argc, char **argv)
         if (r.op_ns != 0 || r.recovery_ns != 0)
             recovered_ok = r.verified;
     }
+
+    recordHostUsage();
 
     // Accounting identity: every coalesced line transaction moves
     // exactly one coalesce granule. Holds across clean and crashed
