@@ -134,7 +134,7 @@ class PmheapInvariant : public RecoveryInvariant
 
     TortureOutcome
     run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) override
+        std::uint64_t seed, double survive_prob) const override
     {
         TortureOutcome o;
         try {

@@ -100,11 +100,11 @@ class KvsInvariant : public RecoveryInvariant
 
     TortureOutcome
     run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) override
+        std::uint64_t seed, double survive_prob) const override
     {
         return runScenario(setup, seed, [&](Machine &m) {
             GpKvs kvs(m, params());
-            return kvs.runCrashPoint(1, point, survive_prob,
+            return kvs.runCrashPoint(ref_, point, survive_prob,
                                      setup.open_persist_window);
         });
     }
@@ -119,13 +119,18 @@ class KvsInvariant : public RecoveryInvariant
         p.batches = 3;
         return p;
     }
+
+    const CrashReference ref_ = GpKvs::crashReference(params(), 1);
 };
 
 /** gpDB INSERT or UPDATE batches, crash batch 1 of 2. */
 class DbInvariant : public RecoveryInvariant
 {
   public:
-    explicit DbInvariant(GpDb::TxnKind kind) : kind_(kind) {}
+    explicit DbInvariant(GpDb::TxnKind kind)
+        : kind_(kind), ref_(GpDb::crashReference(params(), kind, 1))
+    {
+    }
 
     std::string
     name() const override
@@ -146,11 +151,11 @@ class DbInvariant : public RecoveryInvariant
 
     TortureOutcome
     run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) override
+        std::uint64_t seed, double survive_prob) const override
     {
         return runScenario(setup, seed, [&](Machine &m) {
             GpDb db(m, params());
-            return db.runCrashPoint(kind_, 1, point, survive_prob,
+            return db.runCrashPoint(kind_, ref_, point, survive_prob,
                                     setup.open_persist_window);
         });
     }
@@ -168,7 +173,8 @@ class DbInvariant : public RecoveryInvariant
         return p;
     }
 
-    GpDb::TxnKind kind_;
+    const GpDb::TxnKind kind_;
+    const CrashReference ref_;
 };
 
 /** Prefix sum: Figure 8's sentinel-ordered native recovery. */
@@ -187,7 +193,7 @@ class PsInvariant : public RecoveryInvariant
 
     TortureOutcome
     run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) override
+        std::uint64_t seed, double survive_prob) const override
     {
         return runScenario(setup, seed, [&](Machine &m) {
             GpPrefixSum ps(m, params());
@@ -225,11 +231,11 @@ class SradInvariant : public RecoveryInvariant
 
     TortureOutcome
     run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) override
+        std::uint64_t seed, double survive_prob) const override
     {
         return runScenario(setup, seed, [&](Machine &m) {
             GpSrad srad(m, params());
-            return srad.runCrashPoint(1, point, survive_prob,
+            return srad.runCrashPoint(ref_, point, survive_prob,
                                       setup.open_persist_window);
         });
     }
@@ -244,6 +250,8 @@ class SradInvariant : public RecoveryInvariant
         p.iterations = 3;
         return p;
     }
+
+    const CrashReference ref_ = GpSrad::crashReference(params(), 1);
 };
 
 } // namespace

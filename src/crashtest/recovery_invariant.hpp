@@ -79,7 +79,14 @@ struct TortureOutcome {
     std::uint64_t crash_survivors = 0;    ///< sub-extents that survived
 };
 
-/** One workload adapted to the torture matrix. */
+/**
+ * One workload adapted to the torture matrix.
+ *
+ * An adapter is built once per torture run and shared read-only by
+ * every scenario and sweep worker of that run: whatever expected
+ * state it precomputes (a workload CrashReference) is built in its
+ * constructor, and run() is const and safe to call concurrently.
+ */
 class RecoveryInvariant
 {
   public:
@@ -94,11 +101,12 @@ class RecoveryInvariant
      */
     virtual std::uint64_t doomedThreadPhases() const = 0;
 
-    /** Run one scenario. Must not throw: failures land in error. */
+    /** Run one scenario on a private Machine. Must not throw:
+     *  failures land in error. */
     virtual TortureOutcome run(const DomainSetup &setup,
                                const CrashPoint &point,
                                std::uint64_t seed,
-                               double survive_prob) = 0;
+                               double survive_prob) const = 0;
 };
 
 /** Names of every registered workload adapter, in sweep order.

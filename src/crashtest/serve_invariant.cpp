@@ -53,7 +53,7 @@ class ServeInvariant : public RecoveryInvariant
 
     TortureOutcome
     run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) override
+        std::uint64_t seed, double survive_prob) const override
     {
         TortureOutcome o;
         try {

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "common/hash.hpp"
@@ -179,21 +180,20 @@ TortureReport::summary() const
 namespace {
 
 /**
- * Run one scenario end to end: a private invariant adapter and a
- * private Machine + PmPool world, so scenarios are independent and
- * the sweep may run them on any worker in any order.
+ * Run one scenario end to end on a private Machine + PmPool world;
+ * @p inv is the run's shared, read-only adapter. Scenarios are
+ * independent, so the sweep may run them on any worker in any order.
  */
 TortureResult
-runScenarioCell(SweepLane &lane, const TortureScenario &sc)
+runScenarioCell(SweepLane &lane, const TortureScenario &sc,
+                const RecoveryInvariant &inv)
 {
     TortureResult r;
     r.scenario = sc;
-    const std::unique_ptr<RecoveryInvariant> inv =
-        makeInvariant(sc.workload);
     DomainSetup setup = domainSetupFor(sc.domain);
     setup.media = sc.media;
     const CrashPoint point =
-        sc.spec.materialize(inv->doomedThreadPhases());
+        sc.spec.materialize(inv.doomedThreadPhases());
     {
         // Building key() costs a string; skip it (and the span)
         // unless tracing is live.
@@ -201,7 +201,7 @@ runScenarioCell(SweepLane &lane, const TortureScenario &sc)
         telemetry::Span span(traced ? "scenario" : nullptr,
                              traced ? std::string_view(r.key())
                                     : std::string_view());
-        r.outcome = inv->run(setup, point, sc.seed, sc.survive_prob);
+        r.outcome = inv.run(setup, point, sc.seed, sc.survive_prob);
         classifyScenario(r);
         if (span.armed())
             span.arg("outcome", outcomeClassName(r.cls));
@@ -240,12 +240,26 @@ TortureRunner::run(const TortureConfig &cfg_in)
     // worker ran it, so the table, counts and signature are
     // bit-identical at any cfg.jobs.
     const std::vector<TortureScenario> scenarios = enumerate(cfg);
+
+    // One adapter per workload, built (with its expected states)
+    // before the sweep and shared read-only by every worker.
+    std::map<std::string, std::unique_ptr<const RecoveryInvariant>>
+        adapters;
+    for (const std::string &name : cfg.workloads)
+        if (!adapters.count(name))
+            adapters.emplace(name, makeInvariant(name));
+
     SweepOptions opt;
     opt.workers = cfg.jobs;
     // Invariant adapters never throw (failures land in
     // outcome.error), so fail-fast only trips on runner bugs.
     TortureReport report;
-    report.results = sweep(scenarios, runScenarioCell, opt);
+    report.results = sweep(
+        scenarios,
+        [&adapters](SweepLane &lane, const TortureScenario &sc) {
+            return runScenarioCell(lane, sc, *adapters.at(sc.workload));
+        },
+        opt);
     return report;
 }
 

@@ -155,6 +155,9 @@ class TortureRunner
     static std::vector<TortureScenario> enumerate(
         const TortureConfig &cfg);
 
+    /** Build one adapter per workload name (its crash reference
+     *  included), then sweep enumerate(cfg) with every scenario and
+     *  worker sharing those adapters read-only. */
     static TortureReport run(const TortureConfig &cfg);
 };
 

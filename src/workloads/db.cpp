@@ -41,11 +41,16 @@ updateVersion(std::uint32_t batch)
 
 } // namespace
 
-GpDb::GpDb(Machine &m, const GpDbParams &p) : m_(&m), p_(p)
+GpDb::GpDb(const GpDbParams &p) : p_(p)
 {
     GPM_REQUIRE(p_.initial_rows > 0, "gpDB needs initial rows");
     GPM_REQUIRE(p_.update_rows <= p_.initial_rows,
                 "more updates than rows");
+}
+
+GpDb::GpDb(Machine &m, const GpDbParams &p) : GpDb(p)
+{
+    m_ = &m;
 }
 
 std::uint64_t
@@ -87,6 +92,13 @@ GpDb::makeUpdateTargets(std::uint32_t batch,
 void
 GpDb::setup()
 {
+    mirrorInitial();
+    setupFrom(mirror_.data());
+}
+
+void
+GpDb::setupFrom(const void *initial_rows)
+{
     // Slack past the table end lets CAP's chunk-rounded transfers of
     // appended rows stay in bounds.
     table_ = gpmMap(*m_, "gpdb.table",
@@ -106,10 +118,7 @@ GpDb::setup()
     }
 
     // Bulk-load the initial rows (setup; persisted from the CPU).
-    mirror_.assign(p_.maxRows(), DbRow{});
-    for (std::uint64_t i = 0; i < p_.initial_rows; ++i)
-        mirror_[i] = makeRow(i, kInitialVersion);
-    m_->cpuWritePersist(table_.offset, mirror_.data(),
+    m_->cpuWritePersist(table_.offset, initial_rows,
                         std::uint64_t(p_.initial_rows) *
                             GpDbParams::kRowBytes, p_.cap_threads);
     const std::uint64_t count = p_.initial_rows;
@@ -145,7 +154,15 @@ GpDb::durableRowCount() const
 }
 
 void
-GpDb::mirrorInsert(std::uint32_t batch)
+GpDb::mirrorInitial()
+{
+    mirror_.assign(p_.maxRows(), DbRow{});
+    for (std::uint64_t i = 0; i < p_.initial_rows; ++i)
+        mirror_[i] = makeRow(i, kInitialVersion);
+}
+
+std::uint64_t
+GpDb::mirrorRowCount() const
 {
     std::uint64_t count = 0;
     for (const DbRow &row : mirror_) {
@@ -153,6 +170,13 @@ GpDb::mirrorInsert(std::uint32_t batch)
             break;
         ++count;
     }
+    return count;
+}
+
+void
+GpDb::mirrorInsert(std::uint32_t batch)
+{
+    const std::uint64_t count = mirrorRowCount();
     for (std::uint32_t i = 0; i < p_.insert_rows; ++i)
         mirror_[count + i] = makeRow(count + i, insertVersion(batch));
 }
@@ -160,13 +184,8 @@ GpDb::mirrorInsert(std::uint32_t batch)
 void
 GpDb::mirrorUpdate(std::uint32_t batch)
 {
-    std::uint64_t count = 0;
-    for (const DbRow &row : mirror_) {
-        if (row.id == 0)
-            break;
-        ++count;
-    }
-    for (const std::uint64_t t : makeUpdateTargets(batch, count))
+    for (const std::uint64_t t :
+         makeUpdateTargets(batch, mirrorRowCount()))
         mirror_[t] = makeRow(t, updateVersion(batch));
 }
 
@@ -503,7 +522,7 @@ GpDb::runWithCrash(TxnKind kind, std::uint32_t crash_batch, double frac,
     const std::uint64_t threads = ceilDiv(n, tpb) * tpb;
     WorkloadResult r;
     const CrashOutcome o = runCrashPoint(
-        kind, crash_batch,
+        kind, crashReference(p_, kind, crash_batch),
         CrashPoint::afterThreadPhases(static_cast<std::uint64_t>(
             frac * static_cast<double>(threads))),
         survive_prob, /*open_persist_window=*/true, &r);
@@ -511,8 +530,45 @@ GpDb::runWithCrash(TxnKind kind, std::uint32_t crash_batch, double frac,
     return r;
 }
 
+CrashReference
+GpDb::crashReference(const GpDbParams &p, TxnKind kind,
+                     std::uint32_t crash_batch)
+{
+    const bool insert = kind == TxnKind::Insert;
+    GPM_REQUIRE(crash_batch <
+                    (insert ? p.insert_batches : p.update_batches),
+                "crash batch out of range");
+    telemetry::Span span("oracle", "reference");
+    span.arg("workload", insert ? "db-insert" : "db-update");
+    GpDb model(p);
+    model.mirrorInitial();
+    const auto image = [&model] {
+        const std::uint64_t rows = model.mirrorRowCount();
+        return CrashImage(model.mirror_.data(),
+                          rows * GpDbParams::kRowBytes, rows);
+    };
+    const auto apply = [&model, insert](std::uint32_t b) {
+        if (insert)
+            model.mirrorInsert(b);
+        else
+            model.mirrorUpdate(b);
+    };
+    CrashReference ref;
+    ref.crash_batch = crash_batch;
+    const auto *rows =
+        reinterpret_cast<const std::uint8_t *>(model.mirror_.data());
+    ref.initial.assign(rows, rows + std::uint64_t(p.initial_rows) *
+                                        GpDbParams::kRowBytes);
+    for (std::uint32_t b = 0; b < crash_batch; ++b)
+        apply(b);
+    ref.pre_crash = image();
+    apply(crash_batch);
+    ref.committed = image();
+    return ref;
+}
+
 CrashOutcome
-GpDb::runCrashPoint(TxnKind kind, std::uint32_t crash_batch,
+GpDb::runCrashPoint(TxnKind kind, const CrashReference &ref,
                     const CrashPoint &point, double survive_prob,
                     bool open_persist_window, WorkloadResult *result_out)
 {
@@ -520,8 +576,12 @@ GpDb::runCrashPoint(TxnKind kind, std::uint32_t crash_batch,
                 "crash recovery needs in-kernel persistence");
     GPM_REQUIRE(p_.use_hcl || kind == TxnKind::Insert,
                 "per-thread undo recovery requires the HCL log");
+    GPM_REQUIRE(ref.initial.size() == std::uint64_t(p_.initial_rows) *
+                                          GpDbParams::kRowBytes,
+                "crash reference built for other params");
+    const std::uint32_t crash_batch = ref.crash_batch;
 
-    setup();
+    setupFrom(ref.initial.data());
     WorkloadResult r;
     CrashOutcome o;
     const bool window =
@@ -533,33 +593,22 @@ GpDb::runCrashPoint(TxnKind kind, std::uint32_t crash_batch,
 
     const SimNs t0 = m_->now();
     for (std::uint32_t b = 0; b < crash_batch; ++b) {
-        if (kind == TxnKind::Insert) {
-            mirrorInsert(b);
+        if (kind == TxnKind::Insert)
             runInsertGpm(b, false);
-        } else {
-            mirrorUpdate(b);
+        else
             runUpdateGpm(b, false);
-        }
     }
     const SimNs clean_ns = m_->now() - t0;
 
-    // Reference durable state: everything before the crashed batch —
-    // and the batch applied on top, the other legal atomic outcome
-    // when the armed point never fires.
-    std::vector<DbRow> reference = mirror_;
-    const std::uint64_t ref_count =
+    // The clean batches must have committed exactly the rows the
+    // reference expects: the doomed batch and the oracle both build
+    // on that count, so a lost commit must not go unnoticed here.
+    const std::uint64_t ref_count = ref.pre_crash.rows;
+    const std::uint64_t live_count =
         m_->pool().load<std::uint64_t>(meta_.offset + kRowCountOff);
-    std::vector<DbRow> committed = mirror_;
-    {
-        std::vector<DbRow> saved = std::move(mirror_);
-        mirror_ = committed;
-        if (kind == TxnKind::Insert)
-            mirrorInsert(crash_batch);
-        else
-            mirrorUpdate(crash_batch);
-        committed = std::move(mirror_);
-        mirror_ = std::move(saved);
-    }
+    GPM_ASSERT(live_count == ref_count, "gpDB holds ", live_count,
+               " rows before crash batch ", crash_batch,
+               ", the reference expects ", ref_count);
 
     // Arm and run the doomed batch.
     const std::uint32_t batch = crash_batch;
@@ -633,29 +682,21 @@ GpDb::runCrashPoint(TxnKind kind, std::uint32_t crash_batch,
     r.op_ns = clean_ns;
     r.ops_done = static_cast<double>(crash_batch) * n;
 
-    const std::uint64_t count = durableRowCount();
-    o.strict_ok =
-        (count == ref_count && durableEquals(reference)) ||
-        (!o.fired && count == ref_count + (kind == TxnKind::Insert
-                                               ? p_.insert_rows
-                                               : 0) &&
-         durableEquals(committed));
-    o.state_hash = fnv1aU64(
-        count, fnv1a(m_->pool().durable() + table_.offset,
-                     count * GpDbParams::kRowBytes));
+    {
+        telemetry::Span span("oracle", "check");
+        const std::uint64_t count = durableRowCount();
+        const std::uint8_t *table = m_->pool().durable() + table_.offset;
+        const std::uint64_t bytes = count * GpDbParams::kRowBytes;
+        const CrashImage *match = ref.match(table, bytes, count);
+        o.strict_ok = match == &ref.pre_crash ||
+                      (!o.fired && match == &ref.committed);
+        o.state_hash =
+            fnv1aU64(count, match ? match->hash : fnv1a(table, bytes));
+    }
     r.verified = o.strict_ok;
     if (result_out)
         *result_out = r;
     return o;
-}
-
-bool
-GpDb::durableEquals(const std::vector<DbRow> &mirror) const
-{
-    const std::uint64_t count = durableRowCount();
-    return std::memcmp(m_->pool().durable() + table_.offset,
-                       mirror.data(),
-                       count * GpDbParams::kRowBytes) == 0;
 }
 
 } // namespace gpm

@@ -108,11 +108,24 @@ class GpDb
                                 double frac, double survive_prob);
 
     /**
-     * Descriptor-armed crash run (see GpKvs::runCrashPoint for the
-     * contract). strict_ok accepts either the pre-batch reference or,
-     * when @p point never fired, the committed post-batch state.
+     * Expected durable tables of a @p kind crash in batch
+     * @p crash_batch: the initial rows, every earlier batch applied
+     * (pre_crash) and the doomed batch on top (committed), each with
+     * its row count. A pure function of its arguments.
      */
-    CrashOutcome runCrashPoint(TxnKind kind, std::uint32_t crash_batch,
+    static CrashReference crashReference(const GpDbParams &p,
+                                         TxnKind kind,
+                                         std::uint32_t crash_batch);
+
+    /**
+     * Descriptor-armed crash run (see GpKvs::runCrashPoint for the
+     * contract). @p ref must come from crashReference() with this
+     * instance's params and @p kind. The clean batches must leave
+     * exactly pre_crash's row count (checked before arming).
+     * strict_ok accepts either the pre_crash table or, when @p point
+     * never fired, the committed one — rows and row count both.
+     */
+    CrashOutcome runCrashPoint(TxnKind kind, const CrashReference &ref,
                                const CrashPoint &point,
                                double survive_prob,
                                bool open_persist_window = true,
@@ -131,10 +144,14 @@ class GpDb
     makeUpdateTargets(std::uint32_t batch,
                       std::uint64_t row_count) const;
 
-    /** Compare the durable table prefix against @p mirror. */
-    bool durableEquals(const std::vector<DbRow> &mirror) const;
-
   private:
+    /** Machine-less instance: the host reference model only
+     *  (crashReference). */
+    explicit GpDb(const GpDbParams &p);
+
+    /** setup() with the initial rows taken from @p initial_rows. */
+    void setupFrom(const void *initial_rows);
+
     std::uint64_t rowAddr(std::uint64_t idx) const;
 
     void runInsertGpm(std::uint32_t batch, bool ndp);
@@ -144,10 +161,12 @@ class GpDb
     void recoverUpdate();
 
     /** Host mirror bookkeeping shared by every platform. */
+    void mirrorInitial();
     void mirrorInsert(std::uint32_t batch);
     void mirrorUpdate(std::uint32_t batch);
+    std::uint64_t mirrorRowCount() const;
 
-    Machine *m_;
+    Machine *m_ = nullptr;
     GpDbParams p_;
     PmRegion table_;
     PmRegion meta_;  ///< u64 row_count; u32 txn_active; u32 batch_id

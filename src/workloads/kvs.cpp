@@ -37,10 +37,15 @@ struct EpochEntry {
 
 } // namespace
 
-GpKvs::GpKvs(Machine &m, const GpKvsParams &p) : m_(&m), p_(p)
+GpKvs::GpKvs(const GpKvsParams &p) : p_(p)
 {
     GPM_REQUIRE(p_.n_sets > 0 && p_.batch_ops > 0 && p_.batches > 0,
                 "empty gpKVS configuration");
+}
+
+GpKvs::GpKvs(Machine &m, const GpKvsParams &p) : GpKvs(p)
+{
+    m_ = &m;
 }
 
 std::uint64_t
@@ -469,7 +474,7 @@ GpKvs::runWithCrash(std::uint32_t crash_batch, double frac,
         std::uint64_t(p_.batch_ops) * GpKvsParams::kGroup;
     WorkloadResult r;
     const CrashOutcome o = runCrashPoint(
-        crash_batch,
+        crashReference(p_, crash_batch),
         CrashPoint::afterThreadPhases(static_cast<std::uint64_t>(
             frac * static_cast<double>(threads))),
         survive_prob, /*open_persist_window=*/true, &r);
@@ -477,8 +482,28 @@ GpKvs::runWithCrash(std::uint32_t crash_batch, double frac,
     return r;
 }
 
+CrashReference
+GpKvs::crashReference(const GpKvsParams &p, std::uint32_t crash_batch)
+{
+    GPM_REQUIRE(crash_batch < p.batches, "crash batch out of range");
+    telemetry::Span span("oracle", "reference");
+    span.arg("workload", "kvs");
+    const GpKvs model(p);
+    std::vector<KvPair> store(std::uint64_t(p.n_sets) *
+                              GpKvsParams::kWays);
+    const std::size_t bytes = store.size() * sizeof(KvPair);
+    for (std::uint32_t b = 0; b < crash_batch; ++b)
+        model.applyBatchReference(store, b);
+    CrashReference ref;
+    ref.crash_batch = crash_batch;
+    ref.pre_crash = CrashImage(store.data(), bytes);
+    model.applyBatchReference(store, crash_batch);
+    ref.committed = CrashImage(store.data(), bytes);
+    return ref;
+}
+
 CrashOutcome
-GpKvs::runCrashPoint(std::uint32_t crash_batch, const CrashPoint &point,
+GpKvs::runCrashPoint(const CrashReference &ref, const CrashPoint &point,
                      double survive_prob, bool open_persist_window,
                      WorkloadResult *result_out)
 {
@@ -486,6 +511,7 @@ GpKvs::runCrashPoint(std::uint32_t crash_batch, const CrashPoint &point,
                 "crash recovery needs in-kernel persistence");
     GPM_REQUIRE(p_.use_hcl,
                 "per-thread undo recovery requires the HCL log");
+    const std::uint32_t crash_batch = ref.crash_batch;
     GPM_REQUIRE(crash_batch < p_.batches, "crash batch out of range");
 
     setup();
@@ -494,16 +520,6 @@ GpKvs::runCrashPoint(std::uint32_t crash_batch, const CrashPoint &point,
     // Only PlatformKind::Gpm has a DDIO toggle; eADR needs no window.
     const bool window =
         open_persist_window && m_->kind() == PlatformKind::Gpm;
-
-    // Reference states: every batch before the crashed one applied,
-    // and additionally the doomed batch on top — the durable image
-    // must equal one of the two (atomicity: all or nothing).
-    std::vector<KvPair> reference(std::uint64_t(p_.n_sets) *
-                                  GpKvsParams::kWays);
-    for (std::uint32_t b = 0; b < crash_batch; ++b)
-        applyBatchReference(reference, b);
-    std::vector<KvPair> committed = reference;
-    applyBatchReference(committed, crash_batch);
 
     const SimNs t0 = m_->now();
     for (std::uint32_t b = 0; b < crash_batch; ++b) {
@@ -582,10 +598,16 @@ GpKvs::runCrashPoint(std::uint32_t crash_batch, const CrashPoint &point,
     r.recovery_ns = m_->now() - r0;
     r.op_ns = clean_ns;
 
-    o.strict_ok = durableEquals(reference) ||
-                  (!o.fired && durableEquals(committed));
-    o.state_hash = fnv1a(m_->pool().durable() + store_.offset,
-                         p_.storeBytes());
+    {
+        // Atomicity: the durable store is all or nothing of the batch.
+        telemetry::Span span("oracle", "check");
+        const std::uint8_t *img = m_->pool().durable() + store_.offset;
+        const CrashImage *match = ref.match(img, p_.storeBytes());
+        o.strict_ok = match == &ref.pre_crash ||
+                      (!o.fired && match == &ref.committed);
+        o.state_hash = match ? match->hash
+                             : fnv1a(img, p_.storeBytes());
+    }
     r.verified = o.strict_ok;
     if (result_out)
         *result_out = r;

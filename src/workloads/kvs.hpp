@@ -153,17 +153,28 @@ class GpKvs
                                 double survive_prob);
 
     /**
+     * Expected durable stores of a crash in batch @p crash_batch: every
+     * earlier batch applied (pre_crash), and the doomed batch on top
+     * (committed). A pure function of @p p and @p crash_batch.
+     */
+    static CrashReference crashReference(const GpKvsParams &p,
+                                         std::uint32_t crash_batch);
+
+    /**
      * Descriptor-armed crash run (the torture-matrix entry point):
-     * run batches up to @p crash_batch cleanly, arm @p point on the
-     * doomed batch's kernel, crash the pool with @p survive_prob
+     * run batches up to @p ref's crash batch cleanly, arm @p point on
+     * the doomed batch's kernel, crash the pool with @p survive_prob
      * line survival, reboot, recover, and report the outcome.
+     * @p ref must come from crashReference() with this instance's
+     * params; strict_ok means the durable store equals its pre_crash
+     * image, or its committed image when @p point never fired.
      *
      * @p open_persist_window false leaves DDIO on for the doomed run
      * (PersistDomain::LlcVolatile — the GPM-NDP trap); recovery then
      * still runs inside its own persist window, modelling a correct
      * reboot-time recovery procedure on top of crash-time data loss.
      */
-    CrashOutcome runCrashPoint(std::uint32_t crash_batch,
+    CrashOutcome runCrashPoint(const CrashReference &ref,
                                const CrashPoint &point,
                                double survive_prob,
                                bool open_persist_window = true,
@@ -297,6 +308,10 @@ class GpKvs
     void fillBatch(std::uint32_t batch, std::vector<Op> &out) const;
 
   private:
+    /** Machine-less instance: the host reference model only
+     *  (crashReference). */
+    explicit GpKvs(const GpKvsParams &p);
+
     static std::uint32_t chooseWay(const KvPair *set_base,
                                    std::uint64_t key);
 
@@ -316,7 +331,7 @@ class GpKvs
 
     std::uint64_t pairAddr(std::uint32_t set, std::uint32_t way) const;
 
-    Machine *m_;
+    Machine *m_ = nullptr;
     GpKvsParams p_;
     PmRegion store_;
     PmRegion meta_;   ///< [0]: txn_active flag

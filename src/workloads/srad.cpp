@@ -9,6 +9,7 @@
 #include "gpm/gpm_runtime.hpp"
 #include "gpusim/kernel.hpp"
 #include "pmem/pm_events.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace gpm {
 
@@ -270,59 +271,53 @@ GpSrad::run()
 WorkloadResult
 GpSrad::runWithCrash(std::uint32_t crash_iter, double survive_prob)
 {
-    GPM_REQUIRE(inKernelPersistence(m_->kind()),
-                "SRAD resume needs in-kernel persistence");
-    GPM_REQUIRE(crash_iter < p_.iterations, "crash iteration too late");
-    setup();
-    if (m_->kind() == PlatformKind::Gpm)
-        gpmPersistBegin(*m_);
-
-    for (std::uint32_t iter = 0; iter < crash_iter; ++iter)
-        runIteration(iter, std::nullopt);
-
     // Same mid-kernel point the fixed-fraction harness always used:
     // half the launch's thread phases.
     const std::uint64_t blocks = std::max<std::uint64_t>(
         1, ceilDiv(p_.pixels(), std::uint64_t(256) * 15));
-    try {
-        runIteration(crash_iter,
-                     CrashPoint::afterThreadPhases(blocks * 256 / 2));
-        GPM_ASSERT(false, "SRAD crash point did not fire");
-    } catch (const KernelCrashed &) {
-    }
-    m_->pool().crash(survive_prob);
-
-    // Reboot: the durable iteration counter says how many passes
-    // committed; reload that pass's durable image and resume.
     WorkloadResult r;
-    const SimNs r0 = m_->now();
-    const std::uint64_t n = p_.pixels();
-    std::uint32_t done = 0;
-    {
-        PmRecoveryScope rscope(m_->pool().recorder());
-        done = m_->pool().load<std::uint32_t>(meta_.offset);
-        host_img_.assign(n, 0.0f);
-        m_->pool().read(imgAddr(done % 2, 0), host_img_.data(), n * 4);
-    }
-    m_->cpuPmRead(n * 4, p_.cap_threads);
-    r.recovery_ns = m_->now() - r0;
-
-    for (std::uint32_t iter = done; iter < p_.iterations; ++iter)
-        runIteration(iter, std::nullopt);
-
-    r.verified = host_img_ == referenceImage() && done == crash_iter;
-    r.op_ns = m_->now() - r0;
-    r.ops_done = p_.iterations - done;
+    const CrashOutcome o = runCrashPoint(
+        crashReference(p_, crash_iter),
+        CrashPoint::afterThreadPhases(blocks * 256 / 2), survive_prob,
+        /*open_persist_window=*/true, &r);
+    GPM_ASSERT(o.fired, "SRAD crash point did not fire");
     return r;
 }
 
+CrashReference
+GpSrad::crashReference(const SradParams &p, std::uint32_t crash_iter)
+{
+    GPM_REQUIRE(crash_iter < p.iterations, "crash iteration too late");
+    telemetry::Span span("oracle", "reference");
+    span.arg("workload", "srad");
+    const std::uint64_t n = p.pixels();
+    std::vector<float> img = sradMakeInput(p), next(n), coef(n);
+    CrashReference ref;
+    ref.crash_batch = crash_iter;
+    for (std::uint32_t iter = 0; iter < p.iterations; ++iter) {
+        if (iter == crash_iter)
+            ref.pre_crash = CrashImage(img.data(), n * 4);
+        sradDiffuse(p, img, next, coef);
+        img.swap(next);
+        if (iter == crash_iter)
+            ref.committed = CrashImage(img.data(), n * 4);
+    }
+    ref.final = CrashImage(img.data(), n * 4);
+    return ref;
+}
+
 CrashOutcome
-GpSrad::runCrashPoint(std::uint32_t crash_iter, const CrashPoint &point,
-                      double survive_prob, bool open_persist_window)
+GpSrad::runCrashPoint(const CrashReference &ref, const CrashPoint &point,
+                      double survive_prob, bool open_persist_window,
+                      WorkloadResult *result_out)
 {
     GPM_REQUIRE(inKernelPersistence(m_->kind()),
                 "SRAD resume needs in-kernel persistence");
+    const std::uint32_t crash_iter = ref.crash_batch;
     GPM_REQUIRE(crash_iter < p_.iterations, "crash iteration too late");
+    const std::uint64_t n = p_.pixels();
+    GPM_REQUIRE(ref.final.bytes.size() == n * 4,
+                "crash reference built for other params");
     setup();
 
     const bool window =
@@ -347,7 +342,8 @@ GpSrad::runCrashPoint(std::uint32_t crash_iter, const CrashPoint &point,
     const bool reopen = !window && m_->kind() == PlatformKind::Gpm;
     if (reopen)
         gpmPersistBegin(*m_);
-    const std::uint64_t n = p_.pixels();
+    WorkloadResult r;
+    const SimNs r0 = m_->now();
     std::uint32_t done = 0;
     {
         PmRecoveryScope rscope(m_->pool().recorder());
@@ -356,23 +352,33 @@ GpSrad::runCrashPoint(std::uint32_t crash_iter, const CrashPoint &point,
         m_->pool().read(imgAddr(done % 2, 0), host_img_.data(), n * 4);
     }
     m_->cpuPmRead(n * 4, p_.cap_threads);
+    r.recovery_ns = m_->now() - r0;
     for (std::uint32_t iter = done; iter < p_.iterations; ++iter)
         runIteration(iter, std::nullopt);
+    r.op_ns = m_->now() - r0;
+    r.ops_done = p_.iterations - done;
     o.recovery_ran = true;
     if (reopen)
         gpmPersistEnd(*m_);
     if (window)
         gpmPersistEnd(*m_);
 
-    // Recompute recovery: one legal final state regardless of where
-    // (or whether) the crash landed.
-    o.strict_ok = host_img_ == referenceImage();
-    std::vector<float> durable_img(n, 0.0f);
-    m_->pool().read(imgAddr(p_.iterations % 2, 0), durable_img.data(),
-                    n * 4);
-    o.state_hash = fnv1aU64(
-        m_->pool().load<std::uint32_t>(meta_.offset),
-        fnv1a(durable_img.data(), n * 4));
+    {
+        // Recompute recovery: one legal final state regardless of
+        // where (or whether) the crash landed.
+        telemetry::Span span("oracle", "check");
+        o.strict_ok = ref.final.equals(host_img_.data(), n * 4);
+        const std::uint8_t *img =
+            m_->pool().visible() + imgAddr(p_.iterations % 2, 0);
+        o.state_hash = fnv1aU64(
+            m_->pool().load<std::uint32_t>(meta_.offset),
+            ref.final.equals(img, n * 4) ? ref.final.hash
+                                         : fnv1a(img, n * 4));
+    }
+    if (result_out) {
+        r.verified = o.strict_ok && done == crash_iter;
+        *result_out = r;
+    }
     return o;
 }
 

@@ -68,16 +68,29 @@ class GpSrad
                                 double survive_prob);
 
     /**
-     * Descriptor-armed crash run: crash iteration @p crash_iter at
-     * @p point, reboot from the durable iteration counter + image
-     * buffer, resume to completion. strict_ok means the final image
-     * matches the full-run reference (recompute recovery: one legal
-     * final state).
+     * Expected images of a crash in iteration @p crash_iter: the
+     * image after crash_iter passes (pre_crash), after one more
+     * (committed), and after every pass (final). A pure function of
+     * its arguments.
      */
-    CrashOutcome runCrashPoint(std::uint32_t crash_iter,
+    static CrashReference crashReference(const SradParams &p,
+                                         std::uint32_t crash_iter);
+
+    /**
+     * Descriptor-armed crash run: crash iteration ref.crash_batch at
+     * @p point, reboot from the durable iteration counter + image
+     * buffer, resume to completion. @p ref must come from
+     * crashReference() with this instance's params. strict_ok means
+     * the final image equals ref.final byte for byte (recompute
+     * recovery: one legal final state). @p result_out, when given,
+     * gets the recovery timing and verified = strict_ok and recovery
+     * resumed from the crashed iteration.
+     */
+    CrashOutcome runCrashPoint(const CrashReference &ref,
                                const CrashPoint &point,
                                double survive_prob,
-                               bool open_persist_window = true);
+                               bool open_persist_window = true,
+                               WorkloadResult *result_out = nullptr);
 
     /** Host reference: the full diffusion run in plain C++. */
     std::vector<float> referenceImage() const;

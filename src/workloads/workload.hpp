@@ -9,13 +9,55 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/units.hpp"
 #include "platform/machine.hpp"
 
 namespace gpm {
+
+/** One expected durable image of a crash scenario, with its FNV-1a. */
+struct CrashImage {
+    std::vector<std::uint8_t> bytes;
+    std::uint64_t rows = 0;  ///< gpDB: durable row count; 0 elsewhere
+    std::uint64_t hash = 0;  ///< fnv1a(bytes)
+
+    /** Build from @p n bytes at @p p, hashing them once. */
+    CrashImage(const void *p, std::size_t n, std::uint64_t rows = 0);
+    CrashImage() = default;
+
+    /** The @p n bytes at @p p (with @p rows rows) are this image? */
+    bool equals(const void *p, std::size_t n,
+                std::uint64_t rows = 0) const;
+};
+
+/**
+ * The expected durable states of one crash-capable workload's crash
+ * scenarios: a pure function of the workload params and the crash
+ * batch (GpKvs/GpDb/GpSrad::crashReference), built without a Machine.
+ * Immutable once built, so one reference serves every scenario of a
+ * torture run, on any number of sweep workers.
+ *
+ * A scenario reuses an image's hash only after its own bytes compared
+ * equal to that image, so every state hash equals the one hashing the
+ * scenario's own bytes gives (see DESIGN.md #7).
+ */
+struct CrashReference {
+    std::uint32_t crash_batch = 0;  ///< batch (SRAD: iteration) doomed
+    /** gpDB: the initial rows setup bulk-loads. */
+    std::vector<std::uint8_t> initial;
+    CrashImage pre_crash;  ///< every batch before crash_batch applied
+    CrashImage committed;  ///< ...and crash_batch applied on top
+    CrashImage final;      ///< SRAD: every iteration applied
+
+    /** &pre_crash or &committed when one of them equals the @p n
+     *  bytes at @p p (with @p rows rows), else nullptr. */
+    const CrashImage *match(const void *p, std::size_t n,
+                            std::uint64_t rows = 0) const;
+};
 
 /**
  * Outcome of one descriptor-armed crash run (the torture-matrix unit

@@ -54,7 +54,7 @@ class BugInvariant : public RecoveryInvariant
 
     TortureOutcome
     run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) override
+        std::uint64_t seed, double survive_prob) const override
     {
         return runBugScenario(setup, seed, [&](Machine &m) {
             CrashOutcome o;
@@ -85,11 +85,13 @@ class BugInvariant : public RecoveryInvariant
     }
 
   protected:
-    /** Map regions, declare intent, run the armed kernel. */
-    virtual void doomed(Machine &m, const CrashPoint &point) = 0;
+    /** Map regions, declare intent, run the armed kernel. The
+     *  regions live in the scenario's pool: recover() and stateHash()
+     *  look them up there, so the adapter holds no scenario state. */
+    virtual void doomed(Machine &m, const CrashPoint &point) const = 0;
 
     /** Durable-state invariant over the post-crash pool. */
-    virtual bool recover(Machine &m) = 0;
+    virtual bool recover(Machine &m) const = 0;
 
     virtual std::uint64_t stateHash(Machine &m) const = 0;
 
@@ -131,16 +133,17 @@ class DropFenceBug : public BugInvariant
     }
 
     void
-    doomed(Machine &m, const CrashPoint &point) override
+    doomed(Machine &m, const CrashPoint &point) const override
     {
-        entries_ = gpmMap(m, "bug.log.entries", kThreads * kEntryBytes,
-                          true);
-        tails_ = gpmMap(m, "bug.log.tails", kThreads * 8, true);
+        const PmRegion entries = gpmMap(m, "bug.log.entries",
+                                        kThreads * kEntryBytes, true);
+        const PmRegion tails =
+            gpmMap(m, "bug.log.tails", kThreads * 8, true);
         if (PmEventRecorder *rec = m.pool().recorder()) {
-            rec->declareRange("bug.log.entries", entries_.offset,
+            rec->declareRange("bug.log.entries", entries.offset,
                               kThreads * kEntryBytes, 0,
                               PmRangeKind::Data);
-            rec->declareRange("bug.log.tails", tails_.offset,
+            rec->declareRange("bug.log.tails", tails.offset,
                               kThreads * 8, 0, PmRangeKind::Commit);
             rec->declareOrder("bug.log.entries", "bug.log.tails",
                               /*strict=*/true);
@@ -150,32 +153,34 @@ class DropFenceBug : public BugInvariant
         k.blocks = 1;
         k.block_threads = kThreads;
         k.crash = point;
-        k.phases.push_back([this](ThreadCtx &ctx) {
+        k.phases.push_back([this, entries, tails](ThreadCtx &ctx) {
             const std::uint32_t t = ctx.threadIdx();
             std::uint64_t words[kEntryBytes / 8];
             for (std::uint64_t i = 0; i < kEntryBytes / 8; ++i)
                 words[i] = entryWord(t, i);
-            ctx.pmWrite(entries_.offset + t * kEntryBytes, words,
+            ctx.pmWrite(entries.offset + t * kEntryBytes, words,
                         kEntryBytes);
             if (fixed_)
                 ctx.threadfenceSystem();  // seal entry before the bump
-            ctx.pmStore<std::uint64_t>(tails_.offset + t * 8, 1);
+            ctx.pmStore<std::uint64_t>(tails.offset + t * 8, 1);
             ctx.threadfenceSystem();
         });
         m.runKernel(k);
     }
 
     bool
-    recover(Machine &m) override
+    recover(Machine &m) const override
     {
+        const PmRegion entries = m.pool().region("bug.log.entries");
+        const PmRegion tails = m.pool().region("bug.log.tails");
         bool ok = true;
         for (std::uint32_t t = 0; t < kThreads; ++t) {
             if (m.pool().loadDurable<std::uint64_t>(
-                    tails_.offset + t * 8) != 1)
+                    tails.offset + t * 8) != 1)
                 continue;  // never claimed: nothing to check
             for (std::uint64_t i = 0; i < kEntryBytes / 8; ++i)
                 if (m.pool().loadDurable<std::uint64_t>(
-                        entries_.offset + t * kEntryBytes + i * 8) !=
+                        entries.offset + t * kEntryBytes + i * 8) !=
                     entryWord(t, i))
                     ok = false;
         }
@@ -185,13 +190,13 @@ class DropFenceBug : public BugInvariant
     std::uint64_t
     stateHash(Machine &m) const override
     {
-        std::uint64_t h = fnv1a(m.pool().durable() + entries_.offset,
+        const PmRegion entries = m.pool().region("bug.log.entries");
+        const PmRegion tails = m.pool().region("bug.log.tails");
+        std::uint64_t h = fnv1a(m.pool().durable() + entries.offset,
                                 kThreads * kEntryBytes);
-        return fnv1a(m.pool().durable() + tails_.offset, kThreads * 8,
+        return fnv1a(m.pool().durable() + tails.offset, kThreads * 8,
                      h);
     }
-
-    PmRegion entries_, tails_;
 };
 
 // ---- reorder-flip ------------------------------------------------------
@@ -226,15 +231,15 @@ class ReorderFlipBug : public BugInvariant
     }
 
     void
-    doomed(Machine &m, const CrashPoint &point) override
+    doomed(Machine &m, const CrashPoint &point) const override
     {
         const std::uint64_t bytes = kThreads * kSliceWords * 8;
-        data_ = gpmMap(m, "bug.ckpt.data", bytes, true);
-        meta_ = gpmMap(m, "bug.ckpt.meta", 8, true);
+        const PmRegion data = gpmMap(m, "bug.ckpt.data", bytes, true);
+        const PmRegion meta = gpmMap(m, "bug.ckpt.meta", 8, true);
         if (PmEventRecorder *rec = m.pool().recorder()) {
-            rec->declareRange("bug.ckpt.data", data_.offset, bytes, 8,
+            rec->declareRange("bug.ckpt.data", data.offset, bytes, 8,
                               PmRangeKind::Data);
-            rec->declareRange("bug.ckpt.meta", meta_.offset, 8, 8,
+            rec->declareRange("bug.ckpt.meta", meta.offset, 8, 8,
                               PmRangeKind::Commit);
             rec->declareOrder("bug.ckpt.data", "bug.ckpt.meta",
                               /*strict=*/true);
@@ -243,28 +248,28 @@ class ReorderFlipBug : public BugInvariant
         std::vector<std::uint64_t> img(kThreads * kSliceWords);
         for (std::uint64_t w = 0; w < img.size(); ++w)
             img[w] = imageWord(0, w);
-        m.cpuWritePersist(data_.offset, img.data(), bytes, 1);
+        m.cpuWritePersist(data.offset, img.data(), bytes, 1);
         const std::uint64_t zero = 0;
-        m.cpuWritePersist(meta_.offset, &zero, 8, 1);
+        m.cpuWritePersist(meta.offset, &zero, 8, 1);
 
         KernelDesc k;
         k.name = suffixed("bug_ckpt", fixed_);
         k.blocks = 1;
         k.block_threads = kThreads;
         k.crash = point;
-        const auto copy = [this](ThreadCtx &ctx) {
+        const auto copy = [data](ThreadCtx &ctx) {
             const std::uint64_t base =
                 std::uint64_t(ctx.threadIdx()) * kSliceWords;
             for (std::uint64_t i = 0; i < kSliceWords; ++i)
                 ctx.pmStore<std::uint64_t>(
-                    data_.offset + (base + i) * 8,
+                    data.offset + (base + i) * 8,
                     imageWord(1, base + i));
             ctx.threadfenceSystem();
         };
-        const auto flip = [this](ThreadCtx &ctx) {
+        const auto flip = [meta](ThreadCtx &ctx) {
             if (ctx.threadIdx() != 0)
                 return;
-            ctx.pmStore<std::uint64_t>(meta_.offset, 1);
+            ctx.pmStore<std::uint64_t>(meta.offset, 1);
             ctx.threadfenceSystem();
         };
         if (fixed_) {  // copy, barrier, then flip
@@ -278,15 +283,17 @@ class ReorderFlipBug : public BugInvariant
     }
 
     bool
-    recover(Machine &m) override
+    recover(Machine &m) const override
     {
+        const PmRegion data = m.pool().region("bug.ckpt.data");
+        const PmRegion meta = m.pool().region("bug.ckpt.meta");
         const std::uint64_t gen =
-            m.pool().loadDurable<std::uint64_t>(meta_.offset);
+            m.pool().loadDurable<std::uint64_t>(meta.offset);
         if (gen > 1)
             return false;
         bool ok = true;
         for (std::uint64_t w = 0; w < kThreads * kSliceWords; ++w)
-            if (m.pool().loadDurable<std::uint64_t>(data_.offset +
+            if (m.pool().loadDurable<std::uint64_t>(data.offset +
                                                     w * 8) !=
                 imageWord(gen, w))
                 ok = false;
@@ -296,12 +303,12 @@ class ReorderFlipBug : public BugInvariant
     std::uint64_t
     stateHash(Machine &m) const override
     {
-        std::uint64_t h = fnv1a(m.pool().durable() + data_.offset,
+        const PmRegion data = m.pool().region("bug.ckpt.data");
+        const PmRegion meta = m.pool().region("bug.ckpt.meta");
+        std::uint64_t h = fnv1a(m.pool().durable() + data.offset,
                                 kThreads * kSliceWords * 8);
-        return fnv1a(m.pool().durable() + meta_.offset, 8, h);
+        return fnv1a(m.pool().durable() + meta.offset, 8, h);
     }
-
-    PmRegion data_, meta_;
 };
 
 // ---- coalesced-tail ----------------------------------------------------
@@ -332,14 +339,15 @@ class CoalescedTailBug : public BugInvariant
     }
 
     void
-    doomed(Machine &m, const CrashPoint &point) override
+    doomed(Machine &m, const CrashPoint &point) const override
     {
-        rec_ = gpmMap(m, "bug.rec", kPayloadBytes + 8, true);
+        const PmRegion record =
+            gpmMap(m, "bug.rec", kPayloadBytes + 8, true);
         if (PmEventRecorder *rec = m.pool().recorder()) {
-            rec->declareRange("bug.rec.payload", rec_.offset,
+            rec->declareRange("bug.rec.payload", record.offset,
                               kPayloadBytes, 0, PmRangeKind::Data);
             rec->declareRange("bug.rec.tail",
-                              rec_.offset + kPayloadBytes, 8, 0,
+                              record.offset + kPayloadBytes, 8, 0,
                               PmRangeKind::Commit);
             rec->declareOrder("bug.rec.payload", "bug.rec.tail",
                               /*strict=*/true);
@@ -349,30 +357,31 @@ class CoalescedTailBug : public BugInvariant
         k.blocks = 1;
         k.block_threads = 32;
         k.crash = point;
-        k.phases.push_back([this](ThreadCtx &ctx) {
+        k.phases.push_back([this, record](ThreadCtx &ctx) {
             if (ctx.threadIdx() != 0)
                 return;
             std::uint64_t words[kPayloadBytes / 8];
             for (std::uint64_t i = 0; i < kPayloadBytes / 8; ++i)
                 words[i] = payloadWord(i);
-            ctx.pmWrite(rec_.offset, words, kPayloadBytes);
+            ctx.pmWrite(record.offset, words, kPayloadBytes);
             if (fixed_)
                 ctx.threadfenceSystem();  // drain before the tail abuts
-            ctx.pmStore<std::uint64_t>(rec_.offset + kPayloadBytes, 1);
+            ctx.pmStore<std::uint64_t>(record.offset + kPayloadBytes, 1);
             ctx.threadfenceSystem();
         });
         m.runKernel(k);
     }
 
     bool
-    recover(Machine &m) override
+    recover(Machine &m) const override
     {
-        if (m.pool().loadDurable<std::uint64_t>(rec_.offset +
+        const PmRegion record = m.pool().region("bug.rec");
+        if (m.pool().loadDurable<std::uint64_t>(record.offset +
                                                 kPayloadBytes) != 1)
             return true;
         bool ok = true;
         for (std::uint64_t i = 0; i < kPayloadBytes / 8; ++i)
-            if (m.pool().loadDurable<std::uint64_t>(rec_.offset +
+            if (m.pool().loadDurable<std::uint64_t>(record.offset +
                                                     i * 8) !=
                 payloadWord(i))
                 ok = false;
@@ -382,11 +391,10 @@ class CoalescedTailBug : public BugInvariant
     std::uint64_t
     stateHash(Machine &m) const override
     {
-        return fnv1a(m.pool().durable() + rec_.offset,
+        const PmRegion record = m.pool().region("bug.rec");
+        return fnv1a(m.pool().durable() + record.offset,
                      kPayloadBytes + 8);
     }
-
-    PmRegion rec_;
 };
 
 // ---- torn-value --------------------------------------------------------
@@ -422,11 +430,11 @@ class TornValueBug : public BugInvariant
     }
 
     void
-    doomed(Machine &m, const CrashPoint &point) override
+    doomed(Machine &m, const CrashPoint &point) const override
     {
-        slots_ = gpmMap(m, "bug.slots", kThreads * 16, true);
+        const PmRegion slots = gpmMap(m, "bug.slots", kThreads * 16, true);
         if (PmEventRecorder *rec = m.pool().recorder()) {
-            rec->declareRange("bug.slots", slots_.offset, kThreads * 16,
+            rec->declareRange("bug.slots", slots.offset, kThreads * 16,
                               16, PmRangeKind::Data);
         }
         KernelDesc k;
@@ -434,9 +442,9 @@ class TornValueBug : public BugInvariant
         k.blocks = 1;
         k.block_threads = kThreads;
         k.crash = point;
-        k.phases.push_back([this](ThreadCtx &ctx) {
+        k.phases.push_back([this, slots](ThreadCtx &ctx) {
             const std::uint32_t t = ctx.threadIdx();
-            const std::uint64_t slot = slots_.offset + t * 16ull;
+            const std::uint64_t slot = slots.offset + t * 16ull;
             if (fixed_) {
                 const std::uint64_t pair[2] = {keyOf(t), valOf(t)};
                 ctx.pmWrite(slot, pair, 16);
@@ -452,14 +460,15 @@ class TornValueBug : public BugInvariant
     }
 
     bool
-    recover(Machine &m) override
+    recover(Machine &m) const override
     {
+        const PmRegion slots = m.pool().region("bug.slots");
         bool ok = true;
         for (std::uint32_t t = 0; t < kThreads; ++t) {
             const std::uint64_t k = m.pool().loadDurable<std::uint64_t>(
-                slots_.offset + t * 16ull);
+                slots.offset + t * 16ull);
             const std::uint64_t v = m.pool().loadDurable<std::uint64_t>(
-                slots_.offset + t * 16ull + 8);
+                slots.offset + t * 16ull + 8);
             const bool empty = k == 0 && v == 0;
             const bool put = k == keyOf(t) && v == valOf(t);
             if (!empty && !put)
@@ -471,10 +480,9 @@ class TornValueBug : public BugInvariant
     std::uint64_t
     stateHash(Machine &m) const override
     {
-        return fnv1a(m.pool().durable() + slots_.offset, kThreads * 16);
+        const PmRegion slots = m.pool().region("bug.slots");
+        return fnv1a(m.pool().durable() + slots.offset, kThreads * 16);
     }
-
-    PmRegion slots_;
 };
 
 // ---- double-flush ------------------------------------------------------
@@ -498,11 +506,11 @@ class DoubleFlushBug : public BugInvariant
     static constexpr std::uint64_t kBytes = 256;
 
     void
-    doomed(Machine &m, const CrashPoint &point) override
+    doomed(Machine &m, const CrashPoint &point) const override
     {
-        buf_ = gpmMap(m, "bug.buf", kBytes, true);
+        const PmRegion buf = gpmMap(m, "bug.buf", kBytes, true);
         if (PmEventRecorder *rec = m.pool().recorder()) {
-            rec->declareRange("bug.buf", buf_.offset, kBytes, 0,
+            rec->declareRange("bug.buf", buf.offset, kBytes, 0,
                               PmRangeKind::Data);
         }
         KernelDesc k;
@@ -510,26 +518,27 @@ class DoubleFlushBug : public BugInvariant
         k.blocks = 1;
         k.block_threads = 32;
         k.crash = point;
-        k.phases.push_back([this](ThreadCtx &ctx) {
+        k.phases.push_back([buf](ThreadCtx &ctx) {
             if (ctx.threadIdx() != 0)
                 return;
             for (std::uint64_t i = 0; i < kBytes / 8; ++i)
-                ctx.pmStore<std::uint64_t>(buf_.offset + i * 8,
+                ctx.pmStore<std::uint64_t>(buf.offset + i * 8,
                                            0xd00d + i);
             ctx.threadfenceSystem();
         });
         m.runKernel(k);
         if (!fixed_)  // belt-and-braces flush of already-durable data
-            m.cpuPersistRange(buf_.offset, kBytes, 1);
+            m.cpuPersistRange(buf.offset, kBytes, 1);
     }
 
     bool
-    recover(Machine &m) override
+    recover(Machine &m) const override
     {
+        const PmRegion buf = m.pool().region("bug.buf");
         bool ok = true;
         for (std::uint64_t i = 0; i < kBytes / 8; ++i) {
             const std::uint64_t v = m.pool().loadDurable<std::uint64_t>(
-                buf_.offset + i * 8);
+                buf.offset + i * 8);
             if (v != 0 && v != 0xd00d + i)
                 ok = false;
         }
@@ -539,10 +548,9 @@ class DoubleFlushBug : public BugInvariant
     std::uint64_t
     stateHash(Machine &m) const override
     {
-        return fnv1a(m.pool().durable() + buf_.offset, kBytes);
+        const PmRegion buf = m.pool().region("bug.buf");
+        return fnv1a(m.pool().durable() + buf.offset, kBytes);
     }
-
-    PmRegion buf_;
 };
 
 // ---- host-only-commit --------------------------------------------------
@@ -566,43 +574,44 @@ class HostOnlyCommitBug : public BugInvariant
     static constexpr std::uint64_t kBytes = 256;
 
     void
-    doomed(Machine &m, const CrashPoint &point) override
+    doomed(Machine &m, const CrashPoint &point) const override
     {
-        data_ = gpmMap(m, "bug.data", kBytes, true);
-        flag_ = gpmMap(m, "bug.flag", 8, true);
+        const PmRegion data = gpmMap(m, "bug.data", kBytes, true);
+        const PmRegion flag = gpmMap(m, "bug.flag", 8, true);
         if (PmEventRecorder *rec = m.pool().recorder()) {
-            rec->declareRange("bug.data", data_.offset, kBytes, 0,
+            rec->declareRange("bug.data", data.offset, kBytes, 0,
                               PmRangeKind::Data);
-            rec->declareRange("bug.flag", flag_.offset, 8, 0,
+            rec->declareRange("bug.flag", flag.offset, 8, 0,
                               PmRangeKind::Commit);
         }
         const std::uint64_t one = 1;
-        m.cpuWritePersist(flag_.offset, &one, 8, 1);
+        m.cpuWritePersist(flag.offset, &one, 8, 1);
         KernelDesc k;
         k.name = suffixed("bug_worker", fixed_);
         k.blocks = 1;
         k.block_threads = 32;
         k.crash = point;
-        k.phases.push_back([this](ThreadCtx &ctx) {
+        k.phases.push_back([this, data, flag](ThreadCtx &ctx) {
             if (ctx.threadIdx() != 0)
                 return;
             for (std::uint64_t i = 0; i < kBytes / 8; ++i)
-                ctx.pmStore<std::uint64_t>(data_.offset + i * 8,
+                ctx.pmStore<std::uint64_t>(data.offset + i * 8,
                                            0xcafe + i);
             if (fixed_)  // the device owns the commit record too
-                ctx.pmStore<std::uint64_t>(flag_.offset, 2);
+                ctx.pmStore<std::uint64_t>(flag.offset, 2);
             ctx.threadfenceSystem();
         });
         m.runKernel(k);
     }
 
     bool
-    recover(Machine &m) override
+    recover(Machine &m) const override
     {
+        const PmRegion data = m.pool().region("bug.data");
         bool ok = true;
         for (std::uint64_t i = 0; i < kBytes / 8; ++i) {
             const std::uint64_t v = m.pool().loadDurable<std::uint64_t>(
-                data_.offset + i * 8);
+                data.offset + i * 8);
             if (v != 0 && v != 0xcafe + i)
                 ok = false;
         }
@@ -612,12 +621,12 @@ class HostOnlyCommitBug : public BugInvariant
     std::uint64_t
     stateHash(Machine &m) const override
     {
+        const PmRegion data = m.pool().region("bug.data");
+        const PmRegion flag = m.pool().region("bug.flag");
         std::uint64_t h =
-            fnv1a(m.pool().durable() + data_.offset, kBytes);
-        return fnv1a(m.pool().durable() + flag_.offset, 8, h);
+            fnv1a(m.pool().durable() + data.offset, kBytes);
+        return fnv1a(m.pool().durable() + flag.offset, 8, h);
     }
-
-    PmRegion data_, flag_;
 };
 
 // ---- late-redo ---------------------------------------------------------
@@ -644,14 +653,15 @@ class LateRedoBug : public BugInvariant
     static constexpr std::uint32_t kSlots = 8;  ///< one per thread
 
     void
-    doomed(Machine &m, const CrashPoint &point) override
+    doomed(Machine &m, const CrashPoint &point) const override
     {
-        bitmap_ = gpmMap(m, "bug.heap.bitmap", kSlots * 8, true);
-        redo_ = gpmMap(m, "bug.heap.redo", kSlots * 8, true);
+        const PmRegion bitmap =
+            gpmMap(m, "bug.heap.bitmap", kSlots * 8, true);
+        const PmRegion redo = gpmMap(m, "bug.heap.redo", kSlots * 8, true);
         if (PmEventRecorder *rec = m.pool().recorder()) {
-            rec->declareRange("bug.heap.bitmap", bitmap_.offset,
+            rec->declareRange("bug.heap.bitmap", bitmap.offset,
                               kSlots * 8, 0, PmRangeKind::Data);
-            rec->declareRange("bug.heap.redo", redo_.offset, kSlots * 8,
+            rec->declareRange("bug.heap.redo", redo.offset, kSlots * 8,
                               0, PmRangeKind::Commit);
             // The record must be durable before the bits it covers —
             // exactly GpmHeap::setup()'s declaration.
@@ -663,19 +673,19 @@ class LateRedoBug : public BugInvariant
             std::uint64_t rec_words[kSlots];
             for (std::uint32_t t = 0; t < kSlots; ++t)
                 rec_words[t] = 1;
-            m.cpuWritePersist(redo_.offset, rec_words, kSlots * 8, 1);
+            m.cpuWritePersist(redo.offset, rec_words, kSlots * 8, 1);
         }
         KernelDesc k;
         k.name = suffixed("bug_heap_alloc", fixed_);
         k.blocks = 1;
         k.block_threads = kSlots;
         k.crash = point;
-        k.phases.push_back([this](ThreadCtx &ctx) {
+        k.phases.push_back([this, bitmap, redo](ThreadCtx &ctx) {
             const std::uint32_t t = ctx.threadIdx();
-            ctx.pmStore<std::uint64_t>(bitmap_.offset + t * 8, 1);
+            ctx.pmStore<std::uint64_t>(bitmap.offset + t * 8, 1);
             ctx.threadfenceSystem();  // the bit is now durable...
             if (!fixed_) {  // ...and only then does its record follow
-                ctx.pmStore<std::uint64_t>(redo_.offset + t * 8, 1);
+                ctx.pmStore<std::uint64_t>(redo.offset + t * 8, 1);
                 ctx.threadfenceSystem();
             }
         });
@@ -683,17 +693,19 @@ class LateRedoBug : public BugInvariant
     }
 
     bool
-    recover(Machine &m) override
+    recover(Machine &m) const override
     {
+        const PmRegion bitmap = m.pool().region("bug.heap.bitmap");
+        const PmRegion redo = m.pool().region("bug.heap.redo");
         // A record without its bit rolls forward (redo semantics); a
         // bit without its record is a leaked slot — the violation.
         bool ok = true;
         for (std::uint32_t t = 0; t < kSlots; ++t) {
             const std::uint64_t bit =
-                m.pool().loadDurable<std::uint64_t>(bitmap_.offset +
+                m.pool().loadDurable<std::uint64_t>(bitmap.offset +
                                                     t * 8);
             const std::uint64_t rec =
-                m.pool().loadDurable<std::uint64_t>(redo_.offset +
+                m.pool().loadDurable<std::uint64_t>(redo.offset +
                                                     t * 8);
             if (bit > 1 || rec > 1)
                 ok = false;
@@ -706,12 +718,12 @@ class LateRedoBug : public BugInvariant
     std::uint64_t
     stateHash(Machine &m) const override
     {
-        std::uint64_t h = fnv1a(m.pool().durable() + bitmap_.offset,
+        const PmRegion bitmap = m.pool().region("bug.heap.bitmap");
+        const PmRegion redo = m.pool().region("bug.heap.redo");
+        std::uint64_t h = fnv1a(m.pool().durable() + bitmap.offset,
                                 kSlots * 8);
-        return fnv1a(m.pool().durable() + redo_.offset, kSlots * 8, h);
+        return fnv1a(m.pool().durable() + redo.offset, kSlots * 8, h);
     }
-
-    PmRegion bitmap_, redo_;
 };
 
 } // namespace

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
+#include "crash_hash_grid.hpp"
 #include "workloads/bfs.hpp"
 #include "workloads/prefix_sum.hpp"
 #include "workloads/srad.hpp"
@@ -166,6 +168,74 @@ TEST_P(SradCrash, ResumesFromCommittedIteration)
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SradCrash, ::testing::Range(0, 6));
+
+/** Address of SRAD image buffer @p buf in @p m's pool (srad.cpp's
+ *  layout: a 4 B pad, then two pixel buffers). */
+std::uint64_t
+sradImageAddr(Machine &m, const SradParams &p, std::uint32_t buf)
+{
+    return m.pool().region("srad.img").offset + 4 +
+           std::uint64_t(buf) * p.pixels() * 4;
+}
+
+/** Durable image after a clean GPM run of @p iterations passes. */
+std::vector<std::uint8_t>
+cleanDurableImage(SradParams p, std::uint32_t iterations)
+{
+    p.iterations = iterations;
+    SimConfig cfg;
+    Machine m(cfg, PlatformKind::Gpm, 16_MiB);
+    GpSrad srad(m, p);
+    EXPECT_TRUE(srad.run().verified);
+    const std::uint8_t *img =
+        m.pool().durable() + sradImageAddr(m, p, iterations % 2);
+    return {img, img + p.pixels() * 4};
+}
+
+TEST(SradCrashReference, ImagesEqualCleanRunsToAndPastTheCrashIteration)
+{
+    const SradParams p = smallSrad();
+    const std::vector<std::uint8_t> final_img =
+        cleanDurableImage(p, p.iterations);
+    for (std::uint32_t it = 0; it < p.iterations; ++it) {
+        const CrashReference ref = GpSrad::crashReference(p, it);
+        EXPECT_EQ(ref.crash_batch, it);
+        EXPECT_EQ(ref.pre_crash.bytes, cleanDurableImage(p, it)) << it;
+        EXPECT_EQ(ref.committed.bytes, cleanDurableImage(p, it + 1))
+            << it;
+        EXPECT_EQ(ref.final.bytes, final_img) << it;
+        EXPECT_EQ(ref.final.hash,
+                  fnv1a(final_img.data(), final_img.size()));
+    }
+    EXPECT_THROW(GpSrad::crashReference(p, p.iterations), FatalError);
+}
+
+TEST(SradCrashReference, StateHashIsTheDurableImageFnv)
+{
+    const SradParams p = smallSrad();
+    const CrashReference ref = GpSrad::crashReference(p, 1);
+    const std::uint64_t blocks =
+        (p.pixels() + 256 * 15 - 1) / (256 * 15);
+    int matched = 0, unmatched = 0;
+    for (const CrashGridCell &c : crashHashGrid(blocks * 256)) {
+        SimConfig cfg;
+        Machine m(cfg, c.kind, 16_MiB, c.seed);
+        GpSrad srad(m, p);
+        const CrashOutcome o = srad.runCrashPoint(
+            ref, c.point, c.survive_prob, c.open_persist_window);
+        const std::uint64_t img_hash =
+            fnv1a(m.pool().durable() +
+                      sradImageAddr(m, p, p.iterations % 2),
+                  p.pixels() * 4);
+        const std::uint32_t done = m.pool().loadDurable<std::uint32_t>(
+            m.pool().region("srad.meta").offset);
+        EXPECT_EQ(o.state_hash, fnv1aU64(done, img_hash)) << c.label;
+        ++(img_hash == ref.final.hash ? matched : unmatched);
+    }
+    // Both kinds occur, so a hash that skipped the comparison fails.
+    EXPECT_GT(matched, 0);
+    EXPECT_GT(unmatched, 0);
+}
 
 // ---- PS ---------------------------------------------------------------
 

@@ -215,8 +215,10 @@ TEST(Sweep, WorkerIdsStayWithinTheRequestedWidth)
 
 TEST(Sweep, TortureSignatureIsBitIdenticalAtAnyWorkerCount)
 {
+    // Every default invariant: each run's adapters (and the crash
+    // references they hold) are shared read-only by all its workers.
     TortureConfig cfg;
-    cfg.workloads = {"kvs", "prefix-sum"};
+    cfg.workloads = registeredInvariants();
     cfg.specs = CrashScheduler::parseList("frac:0.50,after-store:1");
     cfg.seeds = {1, 2};
     cfg.survive_probs = {0.5};
