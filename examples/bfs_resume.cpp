@@ -36,5 +36,5 @@ main()
                 r.ops_done);
     std::printf("durable cost of the far corner: %u hops\n",
                 bfs.durableCost(params.nodes() - 1));
-    return 0;
+    return r.verified ? 0 : 1;
 }

@@ -34,6 +34,8 @@ main()
                          /*survive_prob=*/0.35);
 
     std::printf("recovered: %s\n", r.verified ? "yes" : "NO");
+    if (!r.verified)
+        return 1;
     std::printf("recovery kernel time: %.1f us (vs %.1f us for the "
                 "committed batches)\n",
                 toUs(r.recovery_ns), toUs(r.op_ns));
@@ -57,10 +59,10 @@ main()
     std::printf("spot-checked %llu committed keys: all present\n",
                 static_cast<unsigned long long>(checked));
 
-    // Persist the image to a real file and reload it — the cross-
-    // process recovery story.
-    m.pool().saveDurable("/tmp/gpm_kvs.img");
-    PmPool reloaded = PmPool::loadDurable("/tmp/gpm_kvs.img",
+    // Persist the image to a real file (in the working directory)
+    // and reload it — the cross-process recovery story.
+    m.pool().saveDurable("gpm_kvs.img");
+    PmPool reloaded = PmPool::loadDurable("gpm_kvs.img",
                                           PersistDomain::McDurable);
     const PmRegion store = reloaded.region("gpkvs.data");
     std::printf("reloaded pool: region 'gpkvs.data' at offset %llu, "

@@ -59,13 +59,14 @@ main()
         Machine m(cfg, PlatformKind::Gpm, 16_MiB);
         const std::uint64_t base = runSquares(m, true);
         m.pool().crash();  // power failure
+        const std::uint64_t sq42 =
+            m.pool().loadDurable<std::uint64_t>(base + 42 * 8);
         std::printf("after crash, squares[42] = %llu (expected %d)\n",
-                    static_cast<unsigned long long>(
-                        m.pool().loadDurable<std::uint64_t>(base +
-                                                            42 * 8)),
-                    42 * 42);
+                    static_cast<unsigned long long>(sq42), 42 * 42);
         std::printf("simulated kernel time: %.1f us\n",
                     toUs(m.now()));
+        if (sq42 != 42 * 42)
+            return 1;
     }
 
     std::printf("\n== The DDIO trap: same kernel, no persistence "

@@ -14,6 +14,7 @@ namespace {
 constexpr std::uint64_t kLevelOff = 0;  ///< u32 last durable level
 constexpr std::uint64_t kSizeOff = 4;   ///< u32 frontier size
 constexpr std::uint64_t kQueueOff = 8;  ///< u32 nodes[]
+constexpr std::uint32_t kLevelTpb = 128; ///< bfs_level block size
 } // namespace
 
 GpBfs::GpBfs(Machine &m, const BfsParams &p) : m_(&m), p_(p)
@@ -123,12 +124,13 @@ GpBfs::setup()
 
 std::vector<std::uint32_t>
 GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
-                std::uint32_t level, bool first_level)
+                std::uint32_t level, bool first_level,
+                const std::optional<CrashPoint> &crash)
 {
     const bool gpu_direct = inKernelPersistence(m_->kind()) ||
                             m_->kind() == PlatformKind::GpmNdp;
     const bool in_kernel = inKernelPersistence(m_->kind());
-    const std::uint32_t tpb = 128;
+    const std::uint32_t tpb = kLevelTpb;
 
     std::uint64_t marked = 0;
     KernelDesc k;
@@ -136,6 +138,7 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
     k.blocks = static_cast<std::uint32_t>(
         std::max<std::uint64_t>(1, ceilDiv(frontier.size(), tpb)));
     k.block_threads = tpb;
+    k.crash = crash;
     // GPM runs BFS as a persistent kernel: only the first level pays
     // the launch; CAP relaunches (and DMAs) every level.
     k.no_launch_overhead = in_kernel && !first_level;
@@ -165,6 +168,8 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
             ctx.threadfenceSystem();
     });
     m_->runKernel(k);
+    if (crash)
+        return {};  // a doomed level never persists its frontier
     ++levels_executed_;
 
     // Next frontier: every node at distance level+1 (idempotent under
@@ -330,30 +335,13 @@ GpBfs::runWithCrash(double progress_frac, double survive_prob)
     // Crash half-way through the next level's marking kernel: run it
     // armed, then power-fail.
     if (!frontier.empty()) {
-        const std::uint32_t tpb = 128;
-        KernelDesc k;
-        k.name = "bfs_level_crashing";
-        k.blocks = static_cast<std::uint32_t>(
-            std::max<std::uint64_t>(1, ceilDiv(frontier.size(), tpb)));
-        k.block_threads = tpb;
-        k.crash = CrashPoint{std::uint64_t(k.blocks) * tpb / 2};
-        k.phases.push_back([this, &frontier, level](ThreadCtx &ctx) {
-            const std::uint64_t i = ctx.globalId();
-            if (i >= frontier.size())
-                return;
-            const std::uint32_t u = frontier[i];
-            for (std::uint32_t e = graph_.row_off[u];
-                 e < graph_.row_off[u + 1]; ++e) {
-                const std::uint32_t v = graph_.col[e];
-                if (host_cost_[v] != kInf)
-                    continue;
-                host_cost_[v] = level + 1;
-                ctx.pmStore(costAddr(v), level + 1);
-            }
-            ctx.threadfenceSystem();
-        });
+        const std::uint64_t threads =
+            std::max<std::uint64_t>(
+                1, ceilDiv(frontier.size(), kLevelTpb)) *
+            kLevelTpb;
         try {
-            m_->runKernel(k);
+            runLevel(frontier, level, first,
+                     CrashPoint::afterThreadPhases(threads / 2));
         } catch (const KernelCrashed &) {
         }
     }

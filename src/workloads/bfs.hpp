@@ -24,8 +24,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "gpusim/kernel.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpm {
@@ -100,10 +102,13 @@ class GpBfs
   private:
     /** One BFS level; returns the next frontier. Persistence follows
      *  the machine's platform. @p first_level charges the single
-     *  launch of the persistent kernel. */
+     *  launch of the persistent kernel. A set @p crash arms the
+     *  marking kernel (runWithCrash's doomed level): the level then
+     *  returns {} right after it, persisting no frontier. */
     std::vector<std::uint32_t> runLevel(
         const std::vector<std::uint32_t> &frontier, std::uint32_t level,
-        bool first_level);
+        bool first_level,
+        const std::optional<CrashPoint> &crash = std::nullopt);
 
     /** Run levels until the frontier empties, starting from the given
      *  state. */

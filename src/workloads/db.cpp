@@ -190,7 +190,8 @@ GpDb::mirrorUpdate(std::uint32_t batch)
 }
 
 void
-GpDb::runInsertGpm(std::uint32_t batch, bool ndp)
+GpDb::runInsertGpm(std::uint32_t batch, bool ndp,
+                   const std::optional<CrashPoint> &crash)
 {
     const std::uint64_t old_count =
         m_->pool().load<std::uint64_t>(meta_.offset + kRowCountOff);
@@ -204,6 +205,7 @@ GpDb::runInsertGpm(std::uint32_t batch, bool ndp)
     k.name = "gpdb_insert";
     k.blocks = static_cast<std::uint32_t>(ceilDiv(p_.insert_rows, tpb));
     k.block_threads = tpb;
+    k.crash = crash;
     k.phases.push_back([this, old_count, batch, ndp](ThreadCtx &ctx) {
         const std::uint64_t i = ctx.globalId();
         if (i >= p_.insert_rows)
@@ -215,6 +217,8 @@ GpDb::runInsertGpm(std::uint32_t batch, bool ndp)
             gpmPersist(ctx);
     });
     m_->runKernel(k);
+    if (crash)
+        return;  // a doomed batch never commits, fired or not
 
     if (ndp) {
         m_->cpuPersistRange(rowAddr(old_count),
@@ -245,7 +249,8 @@ GpDb::runInsertGpm(std::uint32_t batch, bool ndp)
 }
 
 void
-GpDb::runUpdateGpm(std::uint32_t batch, bool ndp)
+GpDb::runUpdateGpm(std::uint32_t batch, bool ndp,
+                   const std::optional<CrashPoint> &crash)
 {
     const std::uint64_t count =
         m_->pool().load<std::uint64_t>(meta_.offset + kRowCountOff);
@@ -261,6 +266,7 @@ GpDb::runUpdateGpm(std::uint32_t batch, bool ndp)
     k.name = "gpdb_update";
     k.blocks = static_cast<std::uint32_t>(ceilDiv(p_.update_rows, tpb));
     k.block_threads = tpb;
+    k.crash = crash;
     k.phases.push_back([this, &targets, batch](ThreadCtx &ctx) {
         const std::uint64_t i = ctx.globalId();
         if (i >= targets.size())
@@ -279,6 +285,8 @@ GpDb::runUpdateGpm(std::uint32_t batch, bool ndp)
         gpmPersist(ctx);
     });
     m_->runKernel(k);
+    if (crash)
+        return;  // a doomed batch never commits, fired or not
     m_->advance(log_.front().consumeSerializationNs());
     if (ndp) {
         m_->cpuPersistScattered(std::uint64_t(p_.update_rows) * 4 *
@@ -610,51 +618,12 @@ GpDb::runCrashPoint(TxnKind kind, const CrashReference &ref,
                " rows before crash batch ", crash_batch,
                ", the reference expects ", ref_count);
 
-    // Arm and run the doomed batch.
-    const std::uint32_t batch = crash_batch;
-    const std::uint32_t flag_and_batch[2] = {1u, batch};
-    m_->cpuWritePersist(meta_.offset + kTxnFlagOff, flag_and_batch, 8,
-                        1);
-
-    const std::uint32_t tpb = 256;
-    const std::uint32_t n = kind == TxnKind::Insert ? p_.insert_rows
-                                                    : p_.update_rows;
-    const std::vector<std::uint64_t> targets =
-        kind == TxnKind::Update ? makeUpdateTargets(batch, ref_count)
-                                : std::vector<std::uint64_t>{};
-    KernelDesc k;
-    k.name = "gpdb_crashing";
-    k.blocks = static_cast<std::uint32_t>(ceilDiv(n, tpb));
-    k.block_threads = tpb;
-    k.crash = point;
-    if (kind == TxnKind::Insert) {
-        k.phases.push_back([this, ref_count, batch](ThreadCtx &ctx) {
-            const std::uint64_t i = ctx.globalId();
-            if (i >= p_.insert_rows)
-                return;
-            const DbRow row =
-                makeRow(ref_count + i, insertVersion(batch));
-            ctx.pmWrite(rowAddr(ref_count + i), &row, sizeof(row));
-            gpmPersist(ctx);
-        });
-    } else {
-        k.phases.push_back([this, &targets, batch](ThreadCtx &ctx) {
-            const std::uint64_t i = ctx.globalId();
-            if (i >= targets.size())
-                return;
-            RowLogEntry entry;
-            entry.row_idx = targets[i];
-            m_->pool().read(rowAddr(targets[i]), &entry.old_row,
-                            sizeof(DbRow));
-            entry.batch = batch;
-            log_.front().insert(ctx, &entry, sizeof(entry));
-            const DbRow row = makeRow(targets[i], updateVersion(batch));
-            ctx.pmWrite(rowAddr(targets[i]), &row, sizeof(row));
-            gpmPersist(ctx);
-        });
-    }
+    // The doomed batch: the clean batch kernel, armed mid-flight.
     try {
-        m_->runKernel(k);
+        if (kind == TxnKind::Insert)
+            runInsertGpm(crash_batch, false, point);
+        else
+            runUpdateGpm(crash_batch, false, point);
     } catch (const KernelCrashed &) {
         o.fired = true;
     }
@@ -680,7 +649,9 @@ GpDb::runCrashPoint(TxnKind kind, const CrashReference &ref,
     }
     r.recovery_ns = m_->now() - r0;
     r.op_ns = clean_ns;
-    r.ops_done = static_cast<double>(crash_batch) * n;
+    r.ops_done = static_cast<double>(crash_batch) *
+                 (kind == TxnKind::Insert ? p_.insert_rows
+                                          : p_.update_rows);
 
     {
         telemetry::Span span("oracle", "check");

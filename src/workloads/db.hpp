@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -154,8 +155,17 @@ class GpDb
 
     std::uint64_t rowAddr(std::uint64_t idx) const;
 
-    void runInsertGpm(std::uint32_t batch, bool ndp);
-    void runUpdateGpm(std::uint32_t batch, bool ndp);
+    /** GPM-family INSERT / UPDATE batch. A set @p crash arms the
+     *  batch kernel (runCrashPoint's doomed batch): the batch then
+     *  returns right after the kernel, before its commit kernel, flag
+     *  clear and log-serialization charge, whether or not the point
+     *  fired. */
+    void runInsertGpm(std::uint32_t batch, bool ndp,
+                      const std::optional<CrashPoint> &crash =
+                          std::nullopt);
+    void runUpdateGpm(std::uint32_t batch, bool ndp,
+                      const std::optional<CrashPoint> &crash =
+                          std::nullopt);
     void runInsertCap(std::uint32_t batch);
     void runUpdateCap(std::uint32_t batch);
     void recoverUpdate();

@@ -163,7 +163,8 @@ GpKvs::setup()
 }
 
 void
-GpKvs::runBatchGpm(const std::vector<Op> &ops, bool ndp)
+GpKvs::runBatchGpm(const std::vector<Op> &ops, bool ndp,
+                   const std::optional<CrashPoint> &crash)
 {
     get_results_.assign(ops.size(), 0);
     const std::uint32_t batch_id =
@@ -183,6 +184,7 @@ GpKvs::runBatchGpm(const std::vector<Op> &ops, bool ndp)
     k.name = "gpkvs_batch";
     k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
     k.block_threads = tpb;
+    k.crash = crash;
     k.phases.push_back([this, &ops, batch_id,
                         &sets_written](ThreadCtx &ctx) {
         const std::uint64_t gtid = ctx.globalId();
@@ -240,6 +242,8 @@ GpKvs::runBatchGpm(const std::vector<Op> &ops, bool ndp)
         ++sets_written;
     });
     m_->runKernel(k);
+    if (crash)
+        return;  // a doomed batch never commits, fired or not
     m_->advance(log_.front().consumeSerializationNs());
 
     if (ndp) {
@@ -532,54 +536,15 @@ GpKvs::runCrashPoint(const CrashReference &ref, const CrashPoint &point,
     }
     const SimNs clean_ns = m_->now() - t0;
 
-    // The doomed batch: arm the crash point mid-kernel.
-    {
-        const std::vector<Op> &ops = makeBatch(crash_batch);
-        const std::uint32_t batch_id = crash_batch;
-        const std::uint32_t flag_and_batch[2] = {1u, batch_id};
-        m_->cpuWritePersist(meta_.offset, flag_and_batch, 8, 1);
-        if (window)
-            gpmPersistBegin(*m_);
-
-        const std::uint64_t threads =
-            std::uint64_t(ops.size()) * GpKvsParams::kGroup;
-        const std::uint32_t tpb = 256;
-        KernelDesc k;
-        k.name = "gpkvs_batch_crashing";
-        k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
-        k.block_threads = tpb;
-        k.crash = point;
-        k.phases.push_back([this, &ops, batch_id](ThreadCtx &ctx) {
-            const std::uint64_t gtid = ctx.globalId();
-            const std::uint64_t op_idx = gtid / GpKvsParams::kGroup;
-            if (op_idx >= ops.size())
-                return;
-            const Op &op = ops[op_idx];
-            if (op.is_get)
-                return;
-            const std::uint32_t set = static_cast<std::uint32_t>(
-                hashKey(op.key) % p_.n_sets);
-            KvPair ways[GpKvsParams::kWays];
-            m_->pool().read(pairAddr(set, 0), ways, sizeof(ways));
-            const std::uint32_t way = chooseWay(ways, op.key);
-            if (gtid % GpKvsParams::kGroup != way)
-                return;
-            EpochEntry entry;
-            entry.e = KvLogEntry{set, way, ways[way].key,
-                                 ways[way].value};
-            entry.batch = batch_id;
-            log_.front().insert(ctx, &entry, sizeof(entry));
-            ctx.pmStore(pairAddr(set, way),
-                        KvPair{op.key, op.value});
-            gpmPersist(ctx);
-        });
-        try {
-            m_->runKernel(k);
-        } catch (const KernelCrashed &) {
-            o.fired = true;
-        }
-        m_->pool().crash(survive_prob);
+    // The doomed batch: the clean batch kernel, armed mid-flight.
+    if (window)
+        gpmPersistBegin(*m_);
+    try {
+        runBatchGpm(makeBatch(crash_batch), /*ndp=*/false, point);
+    } catch (const KernelCrashed &) {
+        o.fired = true;
     }
+    m_->pool().crash(survive_prob);
 
     // Reboot: recover if the durable flag says a batch was in flight.
     // Recovery always runs inside a persist window — after a reboot
@@ -710,12 +675,17 @@ GpKvs::serveBatch(const std::vector<KvRequest> &reqs,
                 "serve batch carries two requests on one set");
 
     results.assign(reqs.size(), 0);
-    if (serve_heap_) {
-        serveBatchVar(reqs, results, crash);
-        return;
-    }
+    if (serve_heap_)
+        serveStageVar(reqs);
+
+    // Variable-size: the Intent record of the slot deltas this batch
+    // will make real. The record never self-commits — the kvs txn flag
+    // below is the composite commit point serveRecover() consults.
     const std::uint32_t batch_id =
         m_->pool().load<std::uint32_t>(meta_.offset + kBatchIdOff);
+    if (serve_heap_)
+        serve_heap_->txBegin(GpmHeap::TxMode::Intent, batch_id,
+                             plan_allocs_, plan_frees_);
     const std::uint32_t flag_and_batch[2] = {1u, batch_id};
     m_->cpuWritePersist(meta_.offset, flag_and_batch, 8, 1);
 
@@ -746,7 +716,10 @@ GpKvs::serveBatch(const std::vector<KvRequest> &reqs,
                 m_->pool().read(pairAddr(set, 0), ways, sizeof(ways));
                 for (const KvPair &pair : ways) {
                     if (pair.key == rq.key)
-                        results[op_idx] = pair.value;
+                        results[op_idx] =
+                            serve_heap_ ? serve_heap_->readPayloadHash(
+                                              ctx, pair.value)
+                                        : pair.value;
                 }
             }
             return;
@@ -773,20 +746,29 @@ GpKvs::serveBatch(const std::vector<KvRequest> &reqs,
         entry.e = KvLogEntry{set, way, ways[way].key, ways[way].value};
         entry.batch = batch_id;
         log_.front().insert(ctx, &entry, sizeof(entry));
-        const KvPair next = rq.verb == KvVerb::Put
-                                ? KvPair{rq.key, rq.value}
-                                : KvPair{};
+        KvPair next{};
+        if (rq.verb == KvVerb::Put) {
+            GPM_ASSERT(!serve_heap_ || plan_handles_[op_idx] != 0,
+                       "kernel way diverged from the host plan");
+            next = KvPair{rq.key, serve_heap_ ? plan_handles_[op_idx]
+                                              : rq.value};
+        }
         ctx.pmStore(pairAddr(set, way), next);
         gpmPersist(ctx);
         results[op_idx] = 1;
     });
-    m_->runKernel(k);  // KernelCrashed propagates to the caller
+    m_->runKernel(k);  // KernelCrashed propagates; record + flag stay
     m_->advance(log_.front().consumeSerializationNs());
 
-    // Transaction epilogue, then truncate the per-thread undo tails
-    // so a long-running service never outgrows the log.
+    // Transaction epilogue — THE commit point: after this store is
+    // durable the batch is acknowledgeable and serveRecover() rolls a
+    // variable-size batch's Intent record forward instead of
+    // discarding it. Then truncate the per-thread undo tails so a
+    // long-running service never outgrows the log.
     const std::uint32_t done_and_next[2] = {0u, batch_id + 1};
     m_->cpuWritePersist(meta_.offset, done_and_next, 8, 1);
+    if (serve_heap_)
+        serve_heap_->txCommit();
     log_.front().clearAll();
 }
 
@@ -811,9 +793,7 @@ GpKvs::serveSetupVar(std::uint32_t max_batch_ops, GpmHeapParams heap)
 }
 
 void
-GpKvs::serveBatchVar(const std::vector<KvRequest> &reqs,
-                     std::vector<std::uint64_t> &results,
-                     const CrashPoint *crash)
+GpKvs::serveStageVar(const std::vector<KvRequest> &reqs)
 {
     // ---- host plan: predict each PUT's way and every handle this
     // batch replaces or deletes. One op per set (checked by the
@@ -874,92 +854,6 @@ GpKvs::serveBatchVar(const std::vector<KvRequest> &reqs,
         });
         m_->runKernel(k);
     }
-
-    // ---- Intent record: the slot deltas this batch will make real.
-    // The record never self-commits — the kvs txn flag below is the
-    // composite commit point serveRecover() consults.
-    const std::uint32_t batch_id =
-        m_->pool().load<std::uint32_t>(meta_.offset + kBatchIdOff);
-    serve_heap_->txBegin(GpmHeap::TxMode::Intent, batch_id, allocs,
-                         frees);
-
-    const std::uint32_t flag_and_batch[2] = {1u, batch_id};
-    m_->cpuWritePersist(meta_.offset, flag_and_batch, 8, 1);
-
-    const std::uint64_t threads =
-        std::uint64_t(reqs.size()) * GpKvsParams::kGroup;
-    const std::uint32_t tpb = 256;
-    KernelDesc k;
-    k.name = "gpkvs_serve";
-    k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
-    k.block_threads = tpb;
-    if (crash)
-        k.crash = *crash;
-    k.phases.push_back([this, &reqs, &results, batch_id](ThreadCtx &ctx) {
-        const std::uint64_t gtid = ctx.globalId();
-        const std::uint64_t op_idx = gtid / GpKvsParams::kGroup;
-        if (op_idx >= reqs.size())
-            return;
-        const KvRequest &rq = reqs[op_idx];
-        ctx.work(40);  // hashing + probe arithmetic
-        const std::uint32_t set = setOf(rq.key);
-
-        if (rq.verb == KvVerb::Get) {
-            if (gtid % GpKvsParams::kGroup == 0) {
-                ctx.hbmTraffic(GpKvsParams::kWays * sizeof(KvPair));
-                ctx.work(20);
-                KvPair ways[GpKvsParams::kWays];
-                m_->pool().read(pairAddr(set, 0), ways, sizeof(ways));
-                for (const KvPair &pair : ways) {
-                    if (pair.key == rq.key)
-                        results[op_idx] = serve_heap_->readPayloadHash(
-                            ctx, pair.value);
-                }
-            }
-            return;
-        }
-
-        KvPair ways[GpKvsParams::kWays];
-        m_->pool().read(pairAddr(set, 0), ways, sizeof(ways));
-        ctx.hbmTraffic(sizeof(KvPair));
-
-        std::uint32_t way = kNoWay;
-        if (rq.verb == KvVerb::Put) {
-            way = chooseWay(ways, rq.key);
-        } else {
-            for (std::uint32_t w = 0; w < GpKvsParams::kWays; ++w) {
-                if (ways[w].key == rq.key)
-                    way = w;
-            }
-        }
-        if (way == kNoWay || gtid % GpKvsParams::kGroup != way)
-            return;  // not the leader (PUT on full set / DEL miss)
-
-        EpochEntry entry;
-        entry.e = KvLogEntry{set, way, ways[way].key, ways[way].value};
-        entry.batch = batch_id;
-        log_.front().insert(ctx, &entry, sizeof(entry));
-        KvPair next{};
-        if (rq.verb == KvVerb::Put) {
-            GPM_ASSERT(plan_handles_[op_idx] != 0,
-                       "kernel way diverged from the host plan");
-            next = KvPair{rq.key, plan_handles_[op_idx]};
-        }
-        ctx.pmStore(pairAddr(set, way), next);
-        gpmPersist(ctx);
-        results[op_idx] = 1;
-    });
-    m_->runKernel(k);  // KernelCrashed propagates; record + flag stay
-    m_->advance(log_.front().consumeSerializationNs());
-
-    // Transaction epilogue — THE commit point: after this store is
-    // durable the batch is acknowledgeable and serveRecover() rolls
-    // the Intent record forward instead of discarding it.
-    const std::uint32_t done_and_next[2] = {0u, batch_id + 1};
-    m_->cpuWritePersist(meta_.offset, done_and_next, 8, 1);
-
-    serve_heap_->txCommit();
-    log_.front().clearAll();
 }
 
 bool

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "gpm/gpm_log.hpp"
@@ -248,6 +249,10 @@ class GpKvs
      * miss; PUT -> 1 applied / 0 rejected (set full); DEL -> 1
      * deleted / 0 absent.
      *
+     * Inline and variable-size serving share this one body and its
+     * one gpkvs_serve kernel; with a heap, serveStageVar() runs first
+     * and the heap's Intent record brackets the transaction.
+     *
      * @p crash optionally arms a crash descriptor on the batch kernel;
      * the KernelCrashed exception propagates to the caller, leaving
      * the in-flight transaction for serveRecover().
@@ -315,19 +320,25 @@ class GpKvs
     static std::uint32_t chooseWay(const KvPair *set_base,
                                    std::uint64_t key);
 
-    /** GPM-family batch: in-kernel logging + persistence. */
-    void runBatchGpm(const std::vector<Op> &ops, bool ndp);
+    /** GPM-family batch: in-kernel logging + persistence. A set
+     *  @p crash arms the batch kernel (runCrashPoint's doomed batch):
+     *  the batch then returns right after the kernel, never reaching
+     *  its commit, whether or not the point fired. */
+    void runBatchGpm(const std::vector<Op> &ops, bool ndp,
+                     const std::optional<CrashPoint> &crash =
+                         std::nullopt);
     /** CAP-family batch: volatile update + bulk transfer + persist. */
     void runBatchCap(const std::vector<Op> &ops);
     /** Launch the recovery kernel of Figure 6(b). */
     void recover();
 
-    /** Variable-size serveBatch body (dispatched when a heap exists):
-     *  host plan -> stage kernel -> Intent record -> txn flag ->
-     *  serve kernel -> epilogue -> heap txCommit. */
-    void serveBatchVar(const std::vector<KvRequest> &reqs,
-                       std::vector<std::uint64_t> &results,
-                       const CrashPoint *crash);
+    /** Variable-size half of serveBatch (run when a heap exists):
+     *  plan each PUT's handle and the handles the batch frees, then
+     *  stage the payloads into still-unreachable slots. serveBatch
+     *  then opens the Intent record on that plan and runs the one
+     *  serve kernel, which differs only in the GET answer (payload
+     *  hash) and the PUT value (the planned handle). */
+    void serveStageVar(const std::vector<KvRequest> &reqs);
 
     std::uint64_t pairAddr(std::uint32_t set, std::uint32_t way) const;
 
@@ -343,7 +354,7 @@ class GpKvs
     mutable std::vector<std::uint32_t> set_scratch_;  ///< dedup check
     std::uint32_t serve_max_ops_ = 0;   ///< serveSetup grid capacity
     std::unique_ptr<GpmHeap> serve_heap_;  ///< variable-size value heap
-    // serveBatchVar's per-batch plan, reused across batches.
+    // serveStageVar's per-batch plan, reused across batches.
     struct StagedVal {
         std::uint64_t handle;
         std::uint64_t seed;

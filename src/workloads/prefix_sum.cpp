@@ -266,52 +266,21 @@ GpPrefixSum::run()
 WorkloadResult
 GpPrefixSum::runWithCrash(double frac, double survive_prob)
 {
-    GPM_REQUIRE(inKernelPersistence(m_->kind()),
-                "prefix-sum resume needs in-kernel persistence");
-    setup();
-    if (m_->kind() == PlatformKind::Gpm)
-        gpmPersistBegin(*m_);
-
     const std::uint64_t total_threads =
         std::uint64_t(p_.blocks) * p_.block_threads;
-    try {
-        partialSumsKernel(CrashPoint::afterThreadPhases(
-            static_cast<std::uint64_t>(
-                frac * 2.0 * static_cast<double>(total_threads))));
-        GPM_ASSERT(false, "prefix-sum crash point did not fire");
-    } catch (const KernelCrashed &) {
-    }
-    m_->pool().crash(survive_prob);
-
-    // Resume: re-run the kernel; the sentinel check skips completed
-    // blocks (the recovery logic is native to the kernel, section
-    // 5.4). Then finish.
     WorkloadResult r;
-    const SimNs r0 = m_->now();
-    {
-        PmRecoveryScope rscope(m_->pool().recorder());
-        blocks_skipped_ = 0;
-        partialSumsKernel(std::nullopt);
-        finalKernel();
-    }
-    r.recovery_ns = m_->now() - r0;
-    r.op_ns = r.recovery_ns;
-
-    const std::vector<std::uint64_t> ref = referencePrefix();
-    r.verified = true;
-    for (std::uint64_t i = 0; i < ref.size(); ++i) {
-        if (durablePrefix(i) != ref[i]) {
-            r.verified = false;
-            break;
-        }
-    }
-    r.ops_done = static_cast<double>(blocks_skipped_);
+    const CrashOutcome o = runCrashPoint(
+        CrashPoint::afterThreadPhases(static_cast<std::uint64_t>(
+            frac * 2.0 * static_cast<double>(total_threads))),
+        survive_prob, /*open_persist_window=*/true, &r);
+    GPM_ASSERT(o.fired, "prefix-sum crash point did not fire");
     return r;
 }
 
 CrashOutcome
 GpPrefixSum::runCrashPoint(const CrashPoint &point, double survive_prob,
-                           bool open_persist_window)
+                           bool open_persist_window,
+                           WorkloadResult *result_out)
 {
     GPM_REQUIRE(inKernelPersistence(m_->kind()),
                 "prefix-sum resume needs in-kernel persistence");
@@ -331,15 +300,21 @@ GpPrefixSum::runCrashPoint(const CrashPoint &point, double survive_prob,
 
     // Resume under a fresh persist window (reboot-time recovery gets
     // DDIO right even when the crashed run never did): the sentinel
-    // check skips completed blocks, everything else recomputes.
+    // check skips completed blocks (the recovery logic is native to
+    // the kernel, section 5.4), everything else recomputes.
     if (!window && m_->kind() == PlatformKind::Gpm)
         gpmPersistBegin(*m_);
+    WorkloadResult r;
+    const SimNs r0 = m_->now();
     {
         PmRecoveryScope rscope(m_->pool().recorder());
         blocks_skipped_ = 0;
         partialSumsKernel(std::nullopt);
         finalKernel();
     }
+    r.recovery_ns = m_->now() - r0;
+    r.op_ns = r.recovery_ns;
+    r.ops_done = static_cast<double>(blocks_skipped_);
     o.recovery_ran = true;
 
     const std::vector<std::uint64_t> ref = referencePrefix();
@@ -354,6 +329,9 @@ GpPrefixSum::runCrashPoint(const CrashPoint &point, double survive_prob,
                          p_.elements() * 8);
     if (!window && m_->kind() == PlatformKind::Gpm)
         gpmPersistEnd(*m_);
+    r.verified = o.strict_ok;
+    if (result_out)
+        *result_out = r;
     return o;
 }
 

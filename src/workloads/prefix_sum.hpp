@@ -70,10 +70,13 @@ class GpPrefixSum
      * strict_ok means the full durable output equals the reference —
      * the kernel's native recovery is a recompute, so there is a
      * single legal final state regardless of where the crash landed.
+     * @p result_out, when given, gets the resume timing, the blocks
+     * the sentinel check skipped (ops_done) and verified = strict_ok.
      */
     CrashOutcome runCrashPoint(const CrashPoint &point,
                                double survive_prob,
-                               bool open_persist_window = true);
+                               bool open_persist_window = true,
+                               WorkloadResult *result_out = nullptr);
 
     /** Host reference prefix sums. */
     std::vector<std::uint64_t> referencePrefix() const;

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <set>
+#include <tuple>
 
 #include "common/status.hpp"
 #include "crashtest/torture_runner.hpp"
@@ -19,6 +22,12 @@
 #include "gpm/gpm_runtime.hpp"
 #include "gpusim/kernel.hpp"
 #include "harness/experiments.hpp"
+#include "pmem/pm_events.hpp"
+#include "workloads/bfs.hpp"
+#include "workloads/db.hpp"
+#include "workloads/kvs.hpp"
+#include "workloads/prefix_sum.hpp"
+#include "workloads/srad.hpp"
 
 namespace gpm {
 namespace {
@@ -237,6 +246,140 @@ TEST(CrashMatrix, BoundaryEventsFireAndRecover)
         EXPECT_TRUE(o.fired) << tok;
         EXPECT_TRUE(o.strict_ok) << tok;
         EXPECT_EQ(o.crashes, 1u) << tok;
+    }
+}
+
+// ---- crash runs arm the clean kernels ----------------------------------
+
+/** One kernel launch of a recorded run: its name, whether a crash
+ *  point armed it, and its stores as (addr, size, ordinal). */
+struct LaunchTrace {
+    std::string kernel;
+    bool armed = false;
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>>
+        stores;
+};
+
+/** The launches of @p run on a recorded GPM machine, in order. */
+std::vector<LaunchTrace>
+recordLaunches(const std::function<void(Machine &)> &run)
+{
+    Machine m(SimConfig{}, PlatformKind::Gpm, 64_MiB, /*seed=*/11);
+    PmEventRecorder rec;
+    m.pool().setRecorder(&rec);
+    run(m);
+    m.pool().setRecorder(nullptr);
+    std::vector<LaunchTrace> launches;
+    for (const PmEvent &e : rec.events()) {
+        if (e.kind == PmEventKind::LaunchBegin)
+            launches.push_back({rec.kernelName(e.kernel), e.armed, {}});
+        else if (e.kind == PmEventKind::Store && e.launch != 0)
+            launches.back().stores.emplace_back(e.addr, e.size,
+                                                e.ordinal);
+    }
+    return launches;
+}
+
+/** The crash run arms exactly one launch; it is the n-th launch of a
+ *  kernel the clean run launches too, and its stores are a prefix of
+ *  that kernel's n-th clean launch (same batch, level or iteration). */
+::testing::AssertionResult
+armsCleanKernel(const std::vector<LaunchTrace> &clean,
+                const std::vector<LaunchTrace> &crash)
+{
+    std::map<std::string, std::vector<const LaunchTrace *>> by_name;
+    for (const LaunchTrace &l : clean)
+        by_name[l.kernel].push_back(&l);
+    std::map<std::string, std::size_t> seen;
+    std::size_t armed = 0;
+    for (const LaunchTrace &l : crash) {
+        const std::size_t nth = seen[l.kernel]++;
+        if (!l.armed)
+            continue;
+        ++armed;
+        const auto twins = by_name.find(l.kernel);
+        if (twins == by_name.end())
+            return ::testing::AssertionFailure()
+                   << "armed kernel '" << l.kernel
+                   << "' is never launched by the clean run";
+        if (nth >= twins->second.size())
+            return ::testing::AssertionFailure()
+                   << "armed launch #" << nth << " of '" << l.kernel
+                   << "' has no clean twin";
+        const LaunchTrace &twin = *twins->second[nth];
+        if (l.stores.empty() || l.stores.size() > twin.stores.size() ||
+            !std::equal(l.stores.begin(), l.stores.end(),
+                        twin.stores.begin()))
+            return ::testing::AssertionFailure()
+                   << "armed launch #" << nth << " of '" << l.kernel
+                   << "' stored " << l.stores.size()
+                   << " times, not a non-empty prefix of its clean "
+                      "twin's " << twin.stores.size() << " stores";
+    }
+    if (armed != 1)
+        return ::testing::AssertionFailure()
+               << armed << " armed launches, expected 1";
+    return ::testing::AssertionSuccess();
+}
+
+TEST(CrashArming, CrashRunsArmOnlyTheCleanKernels)
+{
+    GpKvsParams kvs;
+    kvs.n_sets = 1u << 10;
+    kvs.batch_ops = 256;
+    kvs.batches = 3;
+    kvs.get_ratio = 0.25;
+
+    GpDbParams db;
+    db.initial_rows = 1u << 12;
+    db.insert_rows = 512;
+    db.update_rows = 256;
+
+    SradParams srad;
+    srad.width = 96;
+    srad.height = 64;
+    srad.iterations = 4;
+
+    PsParams ps;
+    ps.blocks = 16;
+    ps.block_threads = 64;
+    ps.elems_per_thread = 4;
+
+    BfsParams bfs;
+    bfs.grid_w = 16;
+    bfs.grid_h = 48;
+    bfs.shortcuts = 8;
+
+    using Run = std::function<void(Machine &)>;
+    const struct {
+        const char *name;
+        Run clean, crash;
+    } cases[] = {
+        {"kvs", [&](Machine &m) { GpKvs(m, kvs).run(); },
+         [&](Machine &m) { GpKvs(m, kvs).runWithCrash(1, 0.5, 0.0); }},
+        {"db-insert",
+         [&](Machine &m) { GpDb(m, db).run(GpDb::TxnKind::Insert); },
+         [&](Machine &m) {
+             GpDb(m, db).runWithCrash(GpDb::TxnKind::Insert, 1, 0.5,
+                                      0.0);
+         }},
+        {"db-update",
+         [&](Machine &m) { GpDb(m, db).run(GpDb::TxnKind::Update); },
+         [&](Machine &m) {
+             GpDb(m, db).runWithCrash(GpDb::TxnKind::Update, 1, 0.5,
+                                      0.0);
+         }},
+        {"srad", [&](Machine &m) { GpSrad(m, srad).run(); },
+         [&](Machine &m) { GpSrad(m, srad).runWithCrash(2, 0.0); }},
+        {"prefix-sum", [&](Machine &m) { GpPrefixSum(m, ps).run(); },
+         [&](Machine &m) { GpPrefixSum(m, ps).runWithCrash(0.5, 0.0); }},
+        {"bfs", [&](Machine &m) { GpBfs(m, bfs).run(); },
+         [&](Machine &m) { GpBfs(m, bfs).runWithCrash(0.5, 0.0); }},
+    };
+    for (const auto &c : cases) {
+        EXPECT_TRUE(armsCleanKernel(recordLaunches(c.clean),
+                                    recordLaunches(c.crash)))
+            << c.name;
     }
 }
 
