@@ -260,6 +260,7 @@ void
 Machine::capMmPersist(std::uint64_t pm_addr, const void *src,
                       std::uint64_t size, int threads)
 {
+    telemetry::Span span("cap", "persist");
     dmaDeviceToHost(size);
     cpuWritePersist(pm_addr, src, size, threads);
 }
@@ -268,6 +269,7 @@ void
 Machine::capFsPersist(std::uint64_t pm_addr, const void *src,
                       std::uint64_t size, std::uint64_t write_calls)
 {
+    telemetry::Span span("cap", "persist");
     dmaDeviceToHost(size);
     const OwnerId owner = next_cpu_owner_++;
     pool_.cpuWrite(owner, pm_addr, src, size);
@@ -287,6 +289,7 @@ Machine::capPersistChunks(std::uint64_t region_base,
 {
     if (chunk_idx.empty())
         return;
+    telemetry::Span span("cap", "persist");
     const std::uint64_t total = chunk_idx.size() * chunk_bytes;
     dmaDeviceToHost(total);
 

@@ -21,7 +21,6 @@ struct IdleImages {
     std::uint8_t *base;
     std::size_t size;
     std::vector<std::uint64_t> resident;
-    PmImages::Layout layout;
 };
 
 /** Process-wide free list of released pool mappings. */
@@ -92,20 +91,6 @@ popcount(const std::vector<std::uint64_t> &bits)
     return n;
 }
 
-/** Give [off, off+bytes) of both images back to the kernel; the
- *  range reads as zero afterwards. */
-void
-dropRange(std::uint8_t *base, std::size_t stride, std::uint64_t off,
-          std::uint64_t bytes)
-{
-    for (std::uint8_t *img : {base, base + stride}) {
-        // madvise needs host-page alignment; zeroing in place is the
-        // exact fallback when the host page is larger than 4 KiB.
-        if (::madvise(img + off, bytes, MADV_DONTNEED) != 0)
-            std::memset(img + off, 0, bytes);
-    }
-}
-
 } // namespace
 
 PmImages::PmImages(std::size_t capacity)
@@ -115,14 +100,12 @@ PmImages::PmImages(std::size_t capacity)
     ImageFreeList &fl = freeList();
     {
         std::lock_guard<std::mutex> lock(fl.mu);
-        // Most recent first: in a sweep that is the previous item's
-        // pool, the likeliest to share this pool's layout.
+        // Most recent first: its pages are the likeliest to be hot.
         for (auto it = fl.idle.rbegin(); it != fl.idle.rend(); ++it) {
             if (it->size != capacity)
                 continue;
             base_ = it->base;
             resident_ = std::move(it->resident);
-            inherited_ = std::move(it->layout);
             fl.idle.erase(std::next(it).base());
             break;
         }
@@ -136,7 +119,6 @@ PmImages::PmImages(std::size_t capacity)
                     2 * stride_, " bytes failed");
         base_ = static_cast<std::uint8_t *>(p);
         resident_.assign(pageWords(capacity), 0);
-        diverged_ = true;
         std::lock_guard<std::mutex> lock(fl.mu);
         fl.peak_live = std::max(fl.peak_live, ++fl.live);
     }
@@ -146,9 +128,7 @@ PmImages::PmImages(std::size_t capacity)
 PmImages::PmImages(PmImages &&o) noexcept
     : base_(std::exchange(o.base_, nullptr)), size_(o.size_),
       stride_(o.stride_), resident_(std::move(o.resident_)),
-      dirty_(std::move(o.dirty_)), inherited_(std::move(o.inherited_)),
-      layout_(std::move(o.layout_)), diverged_(o.diverged_),
-      pages_dropped_(std::exchange(o.pages_dropped_, 0))
+      dirty_(std::move(o.dirty_))
 {
 }
 
@@ -159,50 +139,17 @@ PmImages::~PmImages()
 }
 
 void
-PmImages::dropPages(std::vector<std::uint64_t> &pages)
-{
-    forEachRun(pages, size_, [&](std::uint64_t off, std::uint64_t n) {
-        dropRange(base_, stride_, off, n);
-    });
-    pages_dropped_ += popcount(pages);
-    std::fill(pages.begin(), pages.end(), 0);
-}
-
-void
-PmImages::noteRegion(const std::string &name, std::uint64_t offset)
-{
-    if (!diverged_) {
-        const std::size_t i = layout_.size();
-        if (i >= inherited_.size() || inherited_[i].first != name ||
-            inherited_[i].second != offset) {
-            diverged_ = true;
-            // Regions may be created after others were written: keep
-            // what this pool wrote, drop only the inherited pages.
-            for (std::size_t w = 0; w < resident_.size(); ++w)
-                resident_[w] &= ~dirty_[w];
-            dropPages(resident_);
-        }
-    }
-    layout_.emplace_back(name, offset);
-}
-
-void
 PmImages::release()
 {
-    std::uint64_t kept = 0;
+    // Zero what this pool wrote and keep every page resident: the
+    // successor takes the mapping over whatever its layout.
+    forEachRun(dirty_, size_, [&](std::uint64_t off, std::uint64_t n) {
+        std::memset(base_ + off, 0, n);
+        std::memset(base_ + stride_ + off, 0, n);
+    });
     for (std::size_t w = 0; w < resident_.size(); ++w)
         resident_[w] |= dirty_[w];
-    if (!diverged_ && layout_ == inherited_) {
-        // Same layout as the previous owner: zero what this pool wrote
-        // and keep every page resident for the next one.
-        forEachRun(dirty_, size_, [&](std::uint64_t off, std::uint64_t n) {
-            std::memset(base_ + off, 0, n);
-            std::memset(base_ + stride_ + off, 0, n);
-        });
-        kept = popcount(resident_);
-    } else {
-        dropPages(resident_);
-    }
+    const std::uint64_t kept = popcount(resident_);
 
     // Only pools of mixed capacities can overfill the list; the oldest
     // idle mapping is then unmapped.
@@ -211,20 +158,20 @@ PmImages::release()
     {
         std::lock_guard<std::mutex> lock(fl.mu);
         --fl.live;
-        fl.idle.push_back(
-            {base_, size_, std::move(resident_), std::move(layout_)});
+        fl.idle.push_back({base_, size_, std::move(resident_)});
         if (fl.idle.size() > fl.peak_live) {
             evicted = std::move(fl.idle.front());
             fl.idle.erase(fl.idle.begin());
         }
     }
+    std::uint64_t dropped = 0;
     if (evicted) {
-        pages_dropped_ += popcount(evicted->resident);
+        dropped = popcount(evicted->resident);
         ::munmap(evicted->base, 2 * imageStride(evicted->size));
     }
     base_ = nullptr;
     telemetry::count("pool.pages_kept", kept);
-    telemetry::count("pool.pages_dropped", pages_dropped_);
+    telemetry::count("pool.pages_dropped", dropped);
 }
 
 void
@@ -269,7 +216,6 @@ PmPool::map(const std::string &name, std::uint64_t size, bool create)
                 "PM pool exhausted allocating '", name, "' (", size,
                 " bytes at ", offset, " of ", images_.size(), ")");
     alloc_cursor_ = offset + size;
-    images_.noteRegion(name, offset);
     PmRegion r{offset, size};
     regions_.emplace(name, r);
     return r;

@@ -54,27 +54,16 @@ class PmEventRecorder;
  * is O(1) to build and reads as zero everywhere. What a sweep pays for
  * instead is the first-touch fault on every page a pool writes, twice
  * over (visible and durable), and the munmap that frees those pages
- * again. So a released pool's mapping is not unmapped: it goes to a
- * process-wide free list, together with a bitmap of its resident
- * 4 KiB pages and its region layout, and the next pool of the same
- * capacity takes it over.
+ * again. So a released pool's mapping is not unmapped. The pool zeroes
+ * the pages it wrote (markDirty) in both images and hands the mapping,
+ * with a bitmap of its resident 4 KiB pages, to a process-wide free
+ * list. The next pool of the same capacity takes it over as it is,
+ * whatever regions it maps.
  *
  * Every byte a successor can see is zero; only where the pages live
- * differs. The pool marks each page it writes (markDirty) and, on
- * release:
- *
- *   - when its whole layout (the ordered name/offset list of the
- *     regions it created) equals the layout it inherited, zeroes its
- *     dirty pages with memset and hands them on resident;
- *   - otherwise gives every resident page back (MADV_DONTNEED, what
- *     munmap did) and hands on only the mapping.
- *
- * A pool that inherited resident pages drops the ones it has not
- * written at its first map() that departs from the inherited layout,
- * so it never holds more resident memory than its own footprint.
- * Keeping pages across different layouts would not: pages left over
- * from one benchmark cell would sit under the next cell's host
- * buffers and raise the peak resident set.
+ * differs. Pages follow addresses, not layouts: a mapping keeps at
+ * most the union of the pages ever written through it, so it never
+ * holds more than the widest footprint its pools had at each offset.
  *
  * The free list holds at most as many idle mappings as the peak number
  * of pools ever live at once. A moved-from instance recycles nothing.
@@ -110,30 +99,14 @@ class PmImages
             dirty_[p / 64] |= std::uint64_t(1) << (p % 64);
     }
 
-    /** Record the pool's next created region. At the first departure
-     *  from the inherited layout, drops the inherited pages this pool
-     *  has not written. */
-    void noteRegion(const std::string &name, std::uint64_t offset);
-
-    /** Layout entry: a created region's name and offset, in order. */
-    using Layout = std::vector<std::pair<std::string, std::uint64_t>>;
-
   private:
     void release();
-    /** Give @p pages back to the kernel (both images) and clear them. */
-    void dropPages(std::vector<std::uint64_t> &pages);
 
     std::uint8_t *base_ = nullptr;
     std::size_t size_ = 0;
     std::size_t stride_ = 0;               ///< durable image offset
     std::vector<std::uint64_t> resident_;  ///< zero pages kept resident
     std::vector<std::uint64_t> dirty_;     ///< pages this pool wrote
-    Layout inherited_;                     ///< previous owner's layout
-    Layout layout_;                        ///< this pool's layout
-    bool diverged_ = false;                ///< layout_ departs from
-                                           ///< inherited_ (or nothing
-                                           ///< was inherited)
-    std::uint64_t pages_dropped_ = 0;      ///< for pool.pages_dropped
 };
 
 /** Identity of a writer for fence scoping (GPU thread / CPU thread). */

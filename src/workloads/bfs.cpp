@@ -283,7 +283,10 @@ GpBfs::run()
         r.supported = false;  // fine-grain writes deadlock GPUfs
         return r;
     }
-    setup();
+    {
+        WorkloadSpan span("setup", "bfs");
+        setup();
+    }
     levels_executed_ = 0;
 
     if (m_->kind() == PlatformKind::Gpm)
@@ -300,6 +303,7 @@ GpBfs::run()
     if (m_->kind() == PlatformKind::Gpm)
         gpmPersistEnd(*m_);
 
+    WorkloadSpan verify("verify", "bfs");
     const std::vector<std::uint32_t> ref = referenceCosts();
     r.verified = host_cost_ == ref;
     r.ops_done = static_cast<double>(p_.nodes());

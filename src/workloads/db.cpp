@@ -380,7 +380,11 @@ GpDb::run(TxnKind kind)
         r.supported = false;
         return r;
     }
-    setup();
+    const char *key = kind == TxnKind::Insert ? "dbi" : "dbu";
+    {
+        WorkloadSpan span("setup", key);
+        setup();
+    }
 
     const SimNs t0 = m_->now();
     const std::uint64_t pcie0 = m_->pcieWriteBytes();
@@ -416,17 +420,15 @@ GpDb::run(TxnKind kind)
     r.pcie_write_bytes = m_->pcieWriteBytes() - pcie0;
     r.persisted_payload = m_->persistPayloadBytes() - pay0;
 
-    // Functional check against the mirror.
-    const std::uint64_t live =
-        m_->pool().load<std::uint64_t>(meta_.offset + kRowCountOff);
-    if (inKernelPersistence(m_->kind()) ||
-        m_->kind() == PlatformKind::GpmNdp) {
-        r.verified = std::memcmp(m_->pool().visible() + table_.offset,
-                                 mirror_.data(),
-                                 live * GpDbParams::kRowBytes) == 0;
-    } else {
-        r.verified = true;  // mirror *is* the volatile table under CAP
-    }
+    // Functional check: the durable row count and table equal the
+    // mirror on every platform (under CAP the mirror is also the
+    // volatile table the persists copied from).
+    WorkloadSpan verify("verify", key);
+    const std::uint64_t live = durableRowCount();
+    r.verified = live == mirrorRowCount() &&
+                 std::memcmp(m_->pool().durable() + table_.offset,
+                             mirror_.data(),
+                             live * GpDbParams::kRowBytes) == 0;
     return r;
 }
 

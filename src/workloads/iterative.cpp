@@ -14,11 +14,12 @@ IterativeApp::run(Machine &m, const IterativeParams &p)
         r.supported = false;
         return r;
     }
-    init();
-    GpmCheckpoint cp = GpmCheckpoint::create(m, name() + ".cp",
-                                             stateBytes(),
-                                             /*elements=*/16,
-                                             /*groups=*/1);
+    GpmCheckpoint cp = [&] {
+        WorkloadSpan span("setup", name());
+        init();
+        return GpmCheckpoint::create(m, name() + ".cp", stateBytes(),
+                                     /*elements=*/16, /*groups=*/1);
+    }();
     registerState(cp);
 
     const SimNs t0 = m.now();

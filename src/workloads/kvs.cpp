@@ -352,7 +352,10 @@ GpKvs::run()
         r.supported = false;
         return r;
     }
-    setup();
+    {
+        WorkloadSpan span("setup", "kvs");
+        setup();
+    }
 
     const SimNs t0 = m_->now();
     const std::uint64_t pcie0 = m_->pcieWriteBytes();
@@ -383,50 +386,18 @@ GpKvs::run()
     r.pcie_write_bytes = m_->pcieWriteBytes() - pcie0;
     r.persisted_payload = m_->persistPayloadBytes() - pay0;
 
-    // Functional check: the visible store holds each batch's writes,
-    // and the last batch's GETs returned what an in-order reference
-    // execution would have observed.
-    std::vector<KvPair> mirror(std::uint64_t(p_.n_sets) *
-                               GpKvsParams::kWays);
-    for (std::uint32_t b = 0; b + 1 < p_.batches; ++b)
-        applyBatchReference(mirror, b);
-    bool gets_ok = true;
-    {
-        const std::vector<Op> &last = makeBatch(p_.batches - 1);
-        for (std::uint32_t i = 0; i < last.size(); ++i) {
-            const Op &op = last[i];
-            if (op.is_get) {
-                std::uint64_t expected = 0;
-                const std::uint32_t set = static_cast<std::uint32_t>(
-                    hashKey(op.key) % p_.n_sets);
-                for (std::uint32_t w = 0; w < GpKvsParams::kWays;
-                     ++w) {
-                    const KvPair &pair =
-                        mirror[std::uint64_t(set) *
-                               GpKvsParams::kWays + w];
-                    if (pair.key == op.key)
-                        expected = pair.value;
-                }
-                gets_ok = gets_ok && get_results_[i] == expected;
-                continue;
-            }
-            KvPair *base = &mirror[std::uint64_t(hashKey(op.key) %
-                                                 p_.n_sets) *
-                                   GpKvsParams::kWays];
-            const std::uint32_t way = chooseWay(base, op.key);
-            if (way != kNoWay)
-                base[way] = KvPair{op.key, op.value};
-        }
-    }
-    if (inKernelPersistence(m_->kind()) ||
-        m_->kind() == PlatformKind::GpmNdp) {
-        r.verified = std::memcmp(m_->pool().visible() + store_.offset,
-                                 mirror.data(), p_.storeBytes()) == 0;
-    } else {
-        r.verified = std::memcmp(host_copy_.data(), mirror.data(),
-                                 p_.storeBytes()) == 0;
-    }
-    r.verified = r.verified && gets_ok;
+    // Functional check: the durable store (and CAP's device copy)
+    // holds each batch's writes, and the last batch's GETs returned
+    // what an in-order reference execution would have observed.
+    WorkloadSpan verify("verify", "kvs");
+    bool gets_ok = false;
+    const ExpectedStore want = expectedStore(&gets_ok);
+    r.verified =
+        gets_ok &&
+        storeMatches(want, m_->pool().durable() + store_.offset) &&
+        (host_copy_.empty() ||
+         storeMatches(want, reinterpret_cast<const std::uint8_t *>(
+                                host_copy_.data())));
     return r;
 }
 
@@ -1040,21 +1011,103 @@ GpKvs::durableEqualsVar(const std::vector<KvPair> &reference,
     return live == serve_heap_->durableAllocatedOffsets();
 }
 
+template <typename SetAt, typename OnGet>
 void
-GpKvs::applyBatchReference(std::vector<KvPair> &mirror,
-                           std::uint32_t batch) const
+GpKvs::replayBatch(std::uint32_t batch, SetAt &&setAt,
+                   OnGet &&onGet) const
 {
-    for (const Op &op : makeBatch(batch)) {
-        if (op.is_get)
+    const std::vector<Op> &ops = makeBatch(batch);
+    for (std::uint32_t i = 0; i < ops.size(); ++i) {
+        const Op &op = ops[i];
+        if (op.is_get) {
+            onGet(i, op);
             continue;
-        const std::uint32_t set = static_cast<std::uint32_t>(
-            hashKey(op.key) % p_.n_sets);
-        KvPair *base = &mirror[std::uint64_t(set) * GpKvsParams::kWays];
+        }
+        KvPair *base = setAt(setOf(op.key));
         const std::uint32_t way = chooseWay(base, op.key);
         if (way == kNoWay)
             continue;  // SET failed: the set is full
         base[way] = KvPair{op.key, op.value};
     }
+}
+
+void
+GpKvs::applyBatchReference(std::vector<KvPair> &mirror,
+                           std::uint32_t batch) const
+{
+    replayBatch(
+        batch,
+        [&](std::uint32_t set) {
+            return &mirror[std::uint64_t(set) * GpKvsParams::kWays];
+        },
+        [](std::uint32_t, const Op &) {});
+}
+
+GpKvs::ExpectedStore
+GpKvs::expectedStore(bool *gets_ok) const
+{
+    ExpectedStore want;
+    want.slot.assign(p_.n_sets, 0);
+    // Room for the worst case, so growing never copies the ways.
+    want.ways.reserve(std::min<std::uint64_t>(
+                          std::uint64_t(p_.batches) * p_.batch_ops,
+                          p_.n_sets) *
+                      GpKvsParams::kWays);
+    // A set's ways are allocated at its first SET.
+    const auto setAt = [&](std::uint32_t set) {
+        if (want.slot[set] == 0) {
+            want.ways.resize(want.ways.size() + GpKvsParams::kWays);
+            want.slot[set] = static_cast<std::uint32_t>(
+                want.ways.size() / GpKvsParams::kWays);
+        }
+        return &want.ways[std::uint64_t(want.slot[set] - 1) *
+                          GpKvsParams::kWays];
+    };
+    bool ok = true;
+    for (std::uint32_t b = 0; b < p_.batches; ++b) {
+        const bool check = gets_ok && b + 1 == p_.batches;
+        replayBatch(b, setAt, [&](std::uint32_t i, const Op &op) {
+            if (!check)
+                return;
+            std::uint64_t expected = 0;
+            if (const KvPair *base = want.find(setOf(op.key))) {
+                for (std::uint32_t w = 0; w < GpKvsParams::kWays; ++w) {
+                    if (base[w].key == op.key)
+                        expected = base[w].value;
+                }
+            }
+            ok = ok && i < get_results_.size() &&
+                 get_results_[i] == expected;
+        });
+    }
+    if (gets_ok)
+        *gets_ok = ok;
+    return want;
+}
+
+bool
+GpKvs::storeMatches(const ExpectedStore &want,
+                    const std::uint8_t *store) const
+{
+    constexpr std::uint64_t kSetBytes =
+        GpKvsParams::kWays * sizeof(KvPair);
+    // Sets [first, end) are all zero?
+    const auto allZero = [&](std::uint64_t first, std::uint64_t end) {
+        const std::uint8_t *p = store + first * kSetBytes;
+        const std::uint64_t n = (end - first) * kSetBytes;
+        return n == 0 || (p[0] == 0 && std::memcmp(p, p + 1, n - 1) == 0);
+    };
+    std::uint64_t untouched = 0;  // first set of the current zero run
+    for (std::uint32_t set = 0; set < p_.n_sets; ++set) {
+        const KvPair *ways = want.find(set);
+        if (!ways)
+            continue;
+        if (!allZero(untouched, set) ||
+            std::memcmp(store + set * kSetBytes, ways, kSetBytes) != 0)
+            return false;
+        untouched = set + 1;
+    }
+    return allZero(untouched, p_.n_sets);
 }
 
 } // namespace gpm

@@ -203,6 +203,40 @@ class GpKvs
     void applyBatchReference(std::vector<KvPair> &mirror,
                              std::uint32_t batch) const;
 
+    /** Expected store after every batch: the ways of only the sets
+     *  some SET touched (at most batches x batch_ops of them), found
+     *  through a 4 B slot per set. */
+    struct ExpectedStore {
+        /** Per set: 0 when no SET touched it, else 1 + its index
+         *  among the touched sets. */
+        std::vector<std::uint32_t> slot;
+        std::vector<KvPair> ways;  ///< kWays pairs per touched set
+
+        /** The ways of touched set @p set, or nullptr. */
+        const KvPair *
+        find(std::uint32_t set) const
+        {
+            return slot[set]
+                ? &ways[std::uint64_t(slot[set] - 1) * GpKvsParams::kWays]
+                : nullptr;
+        }
+    };
+
+    /**
+     * Replay every batch into an ExpectedStore. With @p gets_ok, also
+     * report whether the last run()'s GET results equal what the
+     * in-order replay of its last batch observes.
+     */
+    ExpectedStore expectedStore(bool *gets_ok = nullptr) const;
+
+    /**
+     * run()'s store check: does @p store, storeBytes() bytes laid out
+     * like the PM store, hold exactly @p want? Every touched set must
+     * equal its reference ways and every other set must be all zero.
+     */
+    bool storeMatches(const ExpectedStore &want,
+                      const std::uint8_t *store) const;
+
     static std::uint64_t hashKey(std::uint64_t key);
 
     /** chooseWay result when the target set is full (the SET fails). */
@@ -319,6 +353,14 @@ class GpKvs
 
     static std::uint32_t chooseWay(const KvPair *set_base,
                                    std::uint64_t key);
+
+    /** Apply batch @p batch's SETs, in op order and with the kernel's
+     *  placement policy, to the ways setAt(set) points at, and hand
+     *  each GET to onGet(op index, op). The one replay body behind
+     *  applyBatchReference, crashReference and expectedStore. */
+    template <typename SetAt, typename OnGet>
+    void replayBatch(std::uint32_t batch, SetAt &&setAt,
+                     OnGet &&onGet) const;
 
     /** GPM-family batch: in-kernel logging + persistence. A set
      *  @p crash arms the batch kernel (runCrashPoint's doomed batch):

@@ -233,7 +233,10 @@ GpPrefixSum::run()
         r.supported = false;  // per-thread writes deadlock GPUfs
         return r;
     }
-    setup();
+    {
+        WorkloadSpan span("setup", "ps");
+        setup();
+    }
 
     if (m_->kind() == PlatformKind::Gpm)
         gpmPersistBegin(*m_);
@@ -250,6 +253,7 @@ GpPrefixSum::run()
     if (m_->kind() == PlatformKind::Gpm)
         gpmPersistEnd(*m_);
 
+    WorkloadSpan verify("verify", "ps");
     const std::vector<std::uint64_t> ref = referencePrefix();
     r.verified = true;
     for (std::uint64_t i = 0; i < ref.size(); i += 997) {

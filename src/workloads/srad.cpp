@@ -245,7 +245,10 @@ WorkloadResult
 GpSrad::run()
 {
     WorkloadResult r;
-    setup();
+    {
+        WorkloadSpan span("setup", "srad");
+        setup();
+    }
 
     if (m_->kind() == PlatformKind::Gpm)
         gpmPersistBegin(*m_);
@@ -262,6 +265,7 @@ GpSrad::run()
     if (m_->kind() == PlatformKind::Gpm)
         gpmPersistEnd(*m_);
 
+    WorkloadSpan verify("verify", "srad");
     const std::vector<float> ref = referenceImage();
     r.verified = host_img_ == ref;
     r.ops_done = static_cast<double>(p_.pixels()) * p_.iterations;

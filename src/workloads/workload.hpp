@@ -12,10 +12,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
 #include "platform/machine.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace gpm {
 
@@ -96,6 +98,22 @@ struct WorkloadResult {
     mops() const
     {
         return op_ns > 0 ? ops_done * 1e3 / op_ns : 0.0;
+    }
+};
+
+/**
+ * A `workload` span over one host-side phase of a workload's run()
+ * that the launches do not cover: "setup" (mapping regions, loading
+ * initial state) or "verify" (the functional output check), with the
+ * workload's key as its `workload` arg.
+ */
+class WorkloadSpan : public telemetry::Span
+{
+  public:
+    WorkloadSpan(const char *phase, std::string_view workload)
+        : telemetry::Span("workload", phase)
+    {
+        arg("workload", workload);
     }
 };
 

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/hash.hpp"
 #include "crash_hash_grid.hpp"
 #include "workloads/kvs.hpp"
@@ -161,6 +163,57 @@ TEST(GpKvs, GpmFasterThanCap)
     GpKvsParams p = sparseParams();
     GpKvs a(gpm_m, p), b(capfs_m, p);
     EXPECT_LT(a.run().op_ns, b.run().op_ns);
+}
+
+TEST(GpKvsStoreCheck, AcceptsTheRunImageAndRejectsEachCorruption)
+{
+    SimConfig cfg;
+    const GpKvsParams p = sparseParams();
+    Machine m(cfg, PlatformKind::Gpm, 64_MiB);
+    GpKvs kvs(m, p);
+    ASSERT_TRUE(kvs.run().verified);
+    const std::uint64_t off = m.pool().region("gpkvs.data").offset;
+    const GpKvs::ExpectedStore want = kvs.expectedStore();
+    EXPECT_TRUE(kvs.storeMatches(want, m.pool().durable() + off));
+    EXPECT_TRUE(kvs.storeMatches(want, m.pool().visible() + off));
+
+    // The reference holds only the sets a SET touched, so the store
+    // has sets outside it: the first and the last one are checked.
+    const std::uint64_t n_touched =
+        want.ways.size() / GpKvsParams::kWays;
+    ASSERT_LT(n_touched, p.n_sets / 2);
+    const auto touched = [&](std::uint32_t s) {
+        return want.find(s) != nullptr;
+    };
+    std::uint32_t first_untouched = 0, last_untouched = p.n_sets - 1;
+    std::uint32_t some_touched = p.n_sets / 2;
+    while (touched(first_untouched))
+        ++first_untouched;
+    while (touched(last_untouched))
+        --last_untouched;
+    while (!touched(some_touched))
+        ++some_touched;
+
+    const std::uint8_t *durable = m.pool().durable() + off;
+    const std::vector<std::uint8_t> image(durable,
+                                          durable + p.storeBytes());
+    constexpr std::uint64_t kSetBytes =
+        GpKvsParams::kWays * sizeof(KvPair);
+    for (const std::uint32_t set :
+         {first_untouched, last_untouched, some_touched}) {
+        for (const std::uint64_t byte : {std::uint64_t(0), kSetBytes - 1}) {
+            std::vector<std::uint8_t> bad = image;
+            bad[set * kSetBytes + byte] ^= 0x40;
+            EXPECT_FALSE(kvs.storeMatches(want, bad.data()))
+                << "set " << set << " byte " << byte;
+        }
+    }
+
+    // A durable image missing the last batch is rejected, next to a
+    // visible image that holds it.
+    const CrashReference ref = GpKvs::crashReference(p, p.batches - 1);
+    EXPECT_FALSE(kvs.storeMatches(want, ref.pre_crash.bytes.data()));
+    EXPECT_TRUE(kvs.storeMatches(want, ref.committed.bytes.data()));
 }
 
 class GpKvsCrash : public ::testing::TestWithParam<std::tuple<int, int>>

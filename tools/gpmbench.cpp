@@ -25,7 +25,8 @@
  * common (benchFromKey/platformFromKey, parseSweepJobs,
  * parseMediaConfig) and are shared with the other CLIs.
  *
- * Exit codes: 0 success, 1 a failed recovery check, 2 usage error.
+ * Exit codes: 0 success, 1 a supported cell failed its output check
+ * (run, matrix) or recovery check (crash), 2 usage error.
  */
 #include <cstdio>
 #include <cstring>
@@ -42,13 +43,15 @@ using namespace gpm::bench;
 
 namespace {
 
-void
+/** Print one cell's row; returns false when a supported cell failed
+ *  its output check. */
+bool
 printResult(Bench b, PlatformKind kind, const WorkloadResult &r)
 {
     if (!r.supported) {
         std::printf("%-14s %-9s unsupported\n",
                     benchName(b).c_str(), platformName(kind).c_str());
-        return;
+        return true;
     }
     std::printf("%-14s %-9s %10.3f ms  %8.2f Mops/s  "
                 "%8.2f MiB persisted  %7.2f MiB PM traffic  %s\n",
@@ -57,6 +60,7 @@ printResult(Bench b, PlatformKind kind, const WorkloadResult &r)
                 r.persisted_payload / (1024.0 * 1024.0),
                 r.pcie_write_bytes / (1024.0 * 1024.0),
                 r.verified ? "verified" : "VERIFY-FAILED");
+    return r.verified;
 }
 
 /** Print @p msg and the usage text to stderr; returns exit code 2. */
@@ -76,7 +80,8 @@ usageError(const std::string &msg)
         "default 1)\n"
         "--media M: PM media backend (%s);\n"
         "           default from GPM_MEDIA, else nvm\n"
-        "exit: 0 ok, 1 recovery check failed, 2 usage error\n",
+        "exit: 0 ok, 1 a cell failed its output or recovery check, "
+        "2 usage error\n",
         msg.c_str(), mediaUsage());
     return 2;
 }
@@ -147,8 +152,9 @@ main(int argc, char **argv)
         const std::optional<std::uint64_t> seed = seedArg(2);
         if (!seed)
             return usageError("invalid seed '" + args[2] + "'");
-        printResult(*b, *kind, runBench(*b, *kind, cfg, *seed));
-        return 0;
+        return printResult(*b, *kind, runBench(*b, *kind, cfg, *seed))
+                   ? 0
+                   : 1;
     }
 
     if (cmd == "crash") {
@@ -189,9 +195,10 @@ main(int argc, char **argv)
         // Rows print in canonical cell order whatever finished first.
         const std::vector<WorkloadResult> results =
             runBenchCells(cells, cfg, jobs.value_or(1));
+        bool ok = true;
         for (std::size_t i = 0; i < cells.size(); ++i)
-            printResult(cells[i].b, cells[i].kind, results[i]);
-        return 0;
+            ok = printResult(cells[i].b, cells[i].kind, results[i]) && ok;
+        return ok ? 0 : 1;
     }
 
     return usageError("unknown command '" + cmd + "'");
