@@ -782,6 +782,30 @@ TEST(PmPoolRecycling, SuccessorWithAnotherLayoutInheritsEveryPage)
     EXPECT_EQ(firstNonZero(next), -1);
 }
 
+TEST(PmPoolRecycling, IdenticalLayoutKeepsPagesResident)
+{
+    constexpr std::size_t cap = 2_MiB + 5 * kPage;
+    const std::vector<std::uint8_t> buf(16 * kPage, 0x22);
+    for (int round = 0; round < 3; ++round) {
+        telemetry::ScopedSession session;
+        {
+            PmPool pool(cap, PersistDomain::McDurable);
+            mapLayout(pool);
+            pool.deviceWrite(0, pool.region("data").offset, buf.data(),
+                             buf.size());
+            pool.persistOwner(0);
+        }
+        // Every round rewrites the same pages, so the mapping's
+        // resident set stays at the first round's 16 pool pages.
+        EXPECT_EQ(session->metrics.snapshot().counter("pool.pages_kept"),
+                  16u)
+            << "round " << round;
+    }
+    PmPool next(cap, PersistDomain::McDurable);
+    EXPECT_EQ(residentPages(next), 2 * 16u);
+    EXPECT_EQ(firstNonZero(next), -1);
+}
+
 TEST(PmPoolRecycling, MovedFromPoolRecyclesNothing)
 {
     constexpr std::size_t cap = 2_MiB + 6 * kPage;
