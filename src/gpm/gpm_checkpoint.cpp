@@ -156,38 +156,25 @@ GpmCheckpoint::flipHost(std::uint32_t group)
     m_->cpuWritePersist(metaAddr(group), &mt, sizeof(mt), 1);
 }
 
-void
-GpmCheckpoint::checkpointGpm(std::uint32_t group, std::uint64_t dst,
-                             std::uint64_t bytes)
+KernelDesc
+GpmCheckpoint::copyKernel(const char *name, std::uint64_t dst,
+                          std::uint64_t bytes, bool fence) const
 {
-    // Copy kernel: each warp streams one contiguous, aligned 4 KiB
-    // chunk (lane l writes words l, l+32, ...), so every warp's store
-    // stream coalesces into back-to-back 128 B transactions and the
-    // media sees aligned sequential runs.
+    // Lane l of a warp writes words l, l+32, ... of the warp's chunk,
+    // so every warp's store stream coalesces into back-to-back 128 B
+    // transactions and the media sees aligned sequential runs.
     const std::uint64_t words = ceilDiv(bytes, 4);
     const std::uint32_t warp = m_->config().warp_size;
     const std::uint32_t words_per_thread = 32;
-    const std::uint64_t threads_needed =
-        ceilDiv(words, words_per_thread);
     const std::uint32_t tpb = 256;
-    const std::uint32_t blocks = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, ceilDiv(threads_needed, tpb)));
 
-    const std::uint8_t *src = staging_.data();
+    const std::vector<std::uint8_t> &staging = staging_;
     KernelDesc copy;
-    copy.name = "gpmcp_checkpoint";
-    copy.blocks = blocks;
+    copy.name = name;
+    copy.blocks = static_cast<std::uint32_t>(std::max<std::uint64_t>(
+        1, ceilDiv(ceilDiv(words, words_per_thread), tpb)));
     copy.block_threads = tpb;
-    if (crash_point_ && !crash_in_flip_) {
-        copy.crash = *crash_point_;
-        crash_point_.reset();
-    } else if (crash_frac_ >= 0.0) {
-        copy.crash = CrashPoint{static_cast<std::uint64_t>(
-            crash_frac_ * static_cast<double>(std::uint64_t(blocks) *
-                                              tpb))};
-        crash_frac_ = -1.0;
-    }
-    copy.phases.push_back([=, this](ThreadCtx &ctx) {
+    copy.phases.push_back([=, &staging](ThreadCtx &ctx) {
         const std::uint64_t chunk_words =
             std::uint64_t(warp) * words_per_thread;
         const std::uint64_t base = ctx.globalWarp() * chunk_words;
@@ -198,16 +185,34 @@ GpmCheckpoint::checkpointGpm(std::uint32_t group, std::uint64_t dst,
             if (w >= words)
                 break;
             std::uint32_t v = 0;
-            std::memcpy(&v, src + w * 4,
-                        std::min<std::uint64_t>(4, staging_.size() -
+            std::memcpy(&v, staging.data() + w * 4,
+                        std::min<std::uint64_t>(4, staging.size() -
                                                        w * 4));
             ctx.pmStore(dst + w * 4, v);
             ctx.hbmTraffic(4);
             wrote = true;
         }
-        if (wrote)
+        if (wrote && fence)
             ctx.threadfenceSystem();
     });
+    return copy;
+}
+
+void
+GpmCheckpoint::checkpointGpm(std::uint32_t group, std::uint64_t dst,
+                             std::uint64_t bytes)
+{
+    KernelDesc copy = copyKernel("gpmcp_checkpoint", dst, bytes,
+                                 /*fence=*/true);
+    if (crash_point_ && !crash_in_flip_) {
+        copy.crash = *crash_point_;
+        crash_point_.reset();
+    } else if (crash_frac_ >= 0.0) {
+        copy.crash = CrashPoint{static_cast<std::uint64_t>(
+            crash_frac_ * static_cast<double>(std::uint64_t(copy.blocks) *
+                                              copy.block_threads))};
+        crash_frac_ = -1.0;
+    }
     m_->runKernel(copy);
 
     // Atomic flip: one thread persists the new valid index + sequence.
@@ -270,58 +275,20 @@ GpmCheckpoint::checkpoint(std::uint32_t group)
       case PlatformKind::GpmEadr:
         checkpointGpm(group, dst, bytes);
         break;
-      case PlatformKind::GpmNdp: {
+      case PlatformKind::GpmNdp:
         // The kernel stores directly to PM but cannot persist; the
         // CPU flushes afterwards and flips.
-        const std::uint64_t words = ceilDiv(bytes, 4);
-        const std::uint8_t *src = staging_.data();
-        KernelDesc copy;
-        copy.name = "gpmcp_checkpoint_ndp";
-        copy.blocks = static_cast<std::uint32_t>(
-            std::max<std::uint64_t>(1, ceilDiv(words, 256 * 32)));
-        copy.block_threads = 256;
-        const std::uint32_t warp = m_->config().warp_size;
-        copy.phases.push_back([=, this](ThreadCtx &ctx) {
-            const std::uint64_t chunk = std::uint64_t(warp) * 32;
-            const std::uint64_t base = ctx.globalWarp() * chunk;
-            for (std::uint32_t i = 0; i < 32; ++i) {
-                const std::uint64_t w =
-                    base + std::uint64_t(i) * warp + ctx.lane();
-                if (w >= words)
-                    break;
-                std::uint32_t v = 0;
-                std::memcpy(&v, src + w * 4,
-                            std::min<std::uint64_t>(
-                                4, staging_.size() - w * 4));
-                ctx.pmStore(dst + w * 4, v);
-                ctx.hbmTraffic(4);
-            }
-        });
-        m_->runKernel(copy);
+        m_->runKernel(copyKernel("gpmcp_checkpoint_ndp", dst, bytes,
+                                 /*fence=*/false));
         m_->cpuPersistRange(dst, alignUp(bytes, 4), 32);
         flipHost(group);
         break;
-      }
-      case PlatformKind::CapFs:
-        m_->capFsPersist(dst, staging_.data(), bytes, 1);
-        flipHost(group);
-        break;
-      case PlatformKind::CapMm:
-      case PlatformKind::CapEadr:
-        m_->capMmPersist(dst, staging_.data(), bytes, 32);
-        flipHost(group);
-        break;
-      case PlatformKind::Gpufs: {
-        GPM_REQUIRE(m_->gpufsSupported(bytes),
-                    "GPUfs cannot hold files of ", bytes, " bytes");
-        const std::uint64_t calls =
-            std::max<std::uint64_t>(1, ceilDiv(bytes, 1_MiB));
-        m_->gpufsWrite(dst, staging_.data(), bytes, calls);
-        flipHost(group);
-        break;
-      }
       case PlatformKind::CpuOnly:
         m_->cpuWritePersist(dst, staging_.data(), bytes, 32);
+        flipHost(group);
+        break;
+      default:
+        m_->capPersist(dst, staging_.data(), bytes, 32);
         flipHost(group);
         break;
     }

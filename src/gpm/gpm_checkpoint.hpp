@@ -146,6 +146,14 @@ class GpmCheckpoint
     std::uint64_t metaAddr(std::uint32_t group) const;
     GpmCpGroupMeta meta(std::uint32_t group) const;
 
+    /**
+     * The staging buffer's copy kernel into @p dst: each warp streams
+     * one contiguous 4 KiB chunk. With @p fence every writing thread
+     * ends on a system-scope fence (GPM); without, the stores wait for
+     * the CPU's flush (GPM-NDP).
+     */
+    KernelDesc copyKernel(const char *name, std::uint64_t dst,
+                          std::uint64_t bytes, bool fence) const;
     /** GPU copy kernel + in-kernel persistence + GPU flip. */
     void checkpointGpm(std::uint32_t group, std::uint64_t dst,
                        std::uint64_t bytes);

@@ -189,12 +189,6 @@ Machine::dmaDeviceToHost(std::uint64_t bytes)
 }
 
 void
-Machine::dmaHostToDevice(std::uint64_t bytes)
-{
-    advance(pcie_.dmaTime(bytes));
-}
-
-void
 Machine::cpuWritePersist(std::uint64_t pm_addr, const void *src,
                          std::uint64_t size, int threads)
 {
@@ -257,6 +251,29 @@ Machine::cpuPmRead(std::uint64_t bytes, int threads)
 }
 
 void
+Machine::capPersist(std::uint64_t pm_addr, const void *src,
+                    std::uint64_t bytes, int threads)
+{
+    switch (kind_) {
+      case PlatformKind::CapFs:
+        capFsPersist(pm_addr, src, bytes);
+        return;
+      case PlatformKind::CapMm:
+      case PlatformKind::CapEadr:
+        capMmPersist(pm_addr, src, bytes, threads);
+        return;
+      case PlatformKind::Gpufs:
+        GPM_REQUIRE(supports(WriteGrain::Block, bytes),
+                    "GPUfs cannot hold files of ", bytes, " bytes");
+        gpufsWrite(pm_addr, src, bytes);
+        return;
+      default:
+        fatal("capPersist on ", platformName(kind_),
+              ", whose kernels persist on their own");
+    }
+}
+
+void
 Machine::capMmPersist(std::uint64_t pm_addr, const void *src,
                       std::uint64_t size, int threads)
 {
@@ -267,7 +284,7 @@ Machine::capMmPersist(std::uint64_t pm_addr, const void *src,
 
 void
 Machine::capFsPersist(std::uint64_t pm_addr, const void *src,
-                      std::uint64_t size, std::uint64_t write_calls)
+                      std::uint64_t size)
 {
     telemetry::Span span("cap", "persist");
     dmaDeviceToHost(size);
@@ -276,7 +293,7 @@ Machine::capFsPersist(std::uint64_t pm_addr, const void *src,
     pool_.persistRange(pm_addr, size);  // fsync makes it durable
     media_->recordRun(pm_addr, size,
                    std::max<std::uint64_t>(1, size / cfg_.fs_block_bytes));
-    advance(fs_.writeFsyncTime(size, write_calls));
+    advance(fs_.writeFsyncTime(size, 1));
     persist_payload_ += size;
 }
 
@@ -284,9 +301,12 @@ void
 Machine::capPersistChunks(std::uint64_t region_base,
                           const void *host_base,
                           const std::vector<std::uint64_t> &chunk_idx,
-                          std::uint64_t chunk_bytes, int threads,
-                          bool via_fs)
+                          std::uint64_t chunk_bytes, int threads)
 {
+    GPM_REQUIRE(kind_ == PlatformKind::CapFs ||
+                    kind_ == PlatformKind::CapMm ||
+                    kind_ == PlatformKind::CapEadr,
+                "capPersistChunks on ", platformName(kind_));
     if (chunk_idx.empty())
         return;
     telemetry::Span span("cap", "persist");
@@ -308,7 +328,7 @@ Machine::capPersistChunks(std::uint64_t region_base,
                                                    cfg_.cache_line));
     }
     const SimNs media_ns = media_->writeTime(media_->bytes() - before);
-    if (via_fs) {
+    if (kind_ == PlatformKind::CapFs) {
         advance(fs_.writeFsyncTime(total, 1));
     } else {
         const SimNs flush_ns =
@@ -323,10 +343,10 @@ Machine::capPersistChunks(std::uint64_t region_base,
 
 void
 Machine::gpufsWrite(std::uint64_t pm_addr, const void *src,
-                    std::uint64_t size, std::uint64_t calls)
+                    std::uint64_t size)
 {
-    GPM_REQUIRE(kind_ == PlatformKind::Gpufs,
-                "gpufsWrite outside the GPUfs platform");
+    const std::uint64_t calls =
+        std::max<std::uint64_t>(1, ceilDiv(size, 1_MiB));
     const OwnerId owner = next_cpu_owner_++;
     pool_.cpuWrite(owner, pm_addr, src, size);
     pool_.persistRange(pm_addr, size);  // the host OS persists
@@ -335,7 +355,7 @@ Machine::gpufsWrite(std::uint64_t pm_addr, const void *src,
     pcie_write_bytes_ += size;
     advance(static_cast<double>(calls) * cfg_.gpufs_call_ns +
             pcie_.bulkTime(size) +
-            fs_.writeFsyncTime(size, std::max<std::uint64_t>(1, calls)));
+            fs_.writeFsyncTime(size, calls));
     persist_payload_ += size;
 }
 

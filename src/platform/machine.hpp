@@ -38,6 +38,13 @@
 
 namespace gpm {
 
+/** Who calls a file-API platform's write: one thread, or a whole
+ *  threadblock (or the host, copying a device buffer in bulk). */
+enum class WriteGrain {
+    Thread,
+    Block,
+};
+
 /** A complete simulated system under one persistence platform. */
 class Machine
 {
@@ -109,23 +116,20 @@ class Machine
     /** DMA a device buffer to host DRAM (CAP step 1). */
     void dmaDeviceToHost(std::uint64_t bytes);
 
-    /** DMA host data to the device. */
-    void dmaHostToDevice(std::uint64_t bytes);
-
     /**
-     * CAP-mm persist: DMA @p size bytes device-to-host, CPU-store them
-     * into PM at @p pm_addr, then flush+drain with @p threads CPU
-     * threads. Functionally durable on return.
+     * Host-side persist of a device buffer on this platform's path:
+     * CAP-fs DMAs it to DRAM and write()+fsync()s it into a DAX file
+     * at @p pm_addr in one syscall; CAP-mm and CAP-eADR DMA it, CPU-store
+     * it into PM and flush+drain with @p threads CPU threads (no
+     * flushes under eADR); GPUfs gwrite()s it in one RPC per MiB.
+     * Functionally durable on return.
+     *
+     * @throws FatalError on a platform whose kernels persist on their
+     *         own (GPM, GPM-NDP, GPM-eADR, CPU-only), or on GPUfs for a
+     *         file supports() rejects.
      */
-    void capMmPersist(std::uint64_t pm_addr, const void *src,
-                      std::uint64_t size, int threads);
-
-    /**
-     * CAP-fs persist: DMA device-to-host, then write()+fsync() into a
-     * DAX file backed at @p pm_addr using @p write_calls syscalls.
-     */
-    void capFsPersist(std::uint64_t pm_addr, const void *src,
-                      std::uint64_t size, std::uint64_t write_calls);
+    void capPersist(std::uint64_t pm_addr, const void *src,
+                    std::uint64_t bytes, int threads);
 
     /**
      * CAP persist of a dirty-chunk set: the kernel reports which
@@ -139,14 +143,13 @@ class Machine
      * @param host_base    Device-volatile copy of the structure.
      * @param chunk_idx    Indices of dirty chunks.
      * @param chunk_bytes  Chunk granularity.
-     * @param threads      CPU flush threads (ignored for via_fs).
-     * @param via_fs       CAP-fs (write+fsync) vs CAP-mm (flush).
+     * @param threads      CPU flush threads (ignored on CAP-fs, which
+     *                     writes and fsyncs the set in one call).
      */
     void capPersistChunks(std::uint64_t region_base,
                           const void *host_base,
                           const std::vector<std::uint64_t> &chunk_idx,
-                          std::uint64_t chunk_bytes, int threads,
-                          bool via_fs);
+                          std::uint64_t chunk_bytes, int threads);
 
     /**
      * CPU store + flush of CPU-generated data (CPU-only baselines and
@@ -175,22 +178,29 @@ class Machine
 
     // ---- GPUfs comparator ----------------------------------------------------
 
-    /** True when GPUfs can host a file of @p file_bytes (2 GB limit). */
+    /**
+     * True when this platform can persist a workload whose writers
+     * have grain @p grain into files of up to @p file_bytes. Only GPUfs
+     * ever says no (section 6.1, Fig 9's "*"): its gwrite() is a
+     * per-threadblock call, so per-thread writers deadlock, and its
+     * files stop at SimConfig::gpufs_max_file_bytes (2 GB).
+     */
     bool
-    gpufsSupported(std::uint64_t file_bytes) const
+    supports(WriteGrain grain, std::uint64_t file_bytes = 0) const
     {
-        return file_bytes <= cfg_.gpufs_max_file_bytes;
+        return kind_ != PlatformKind::Gpufs ||
+               (grain == WriteGrain::Block &&
+                file_bytes <= cfg_.gpufs_max_file_bytes);
     }
 
-    /**
-     * gwrite() from GPU kernels: @p calls per-threadblock RPCs moving
-     * @p size bytes total into the file at @p pm_addr, persisted by
-     * the host OS.
-     */
-    void gpufsWrite(std::uint64_t pm_addr, const void *src,
-                    std::uint64_t size, std::uint64_t calls);
-
   private:
+    void capMmPersist(std::uint64_t pm_addr, const void *src,
+                      std::uint64_t size, int threads);
+    void capFsPersist(std::uint64_t pm_addr, const void *src,
+                      std::uint64_t size);
+    void gpufsWrite(std::uint64_t pm_addr, const void *src,
+                    std::uint64_t size);
+
     SimNs fenceLatency() const;
     double effectiveGpuRate(std::uint64_t threads) const;
 

@@ -7,7 +7,7 @@
  * Disabled-by-default discipline: no session is installed unless a
  * tool or test explicitly creates one (gpmtrace, test_telemetry), so
  * every instrumentation site costs exactly one null-check on the hot
- * path — the overhead asserted < 2% by bench/telemetry_overhead.
+ * path — the overhead asserted < 2% by bench/overhead_guards.
  * Defining GPM_TELEMETRY_DISABLED at compile time turns current()
  * into a constant nullptr and the compiler removes the sites outright.
  *

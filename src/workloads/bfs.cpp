@@ -220,8 +220,7 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
         record.push_back(static_cast<std::uint32_t>(next.size()));
         record.insert(record.end(), next.begin(), next.end());
         record.insert(record.end(), next.size(), level + 1);
-        switch (m_->kind()) {
-          case PlatformKind::GpmNdp: {
+        if (m_->kind() == PlatformKind::GpmNdp) {
             // Sweep the scattered cost lines + the queue.
             m_->cpuPersistScattered(marked * m_->config().cache_line +
                                         next.size() * 4, p_.cap_threads);
@@ -235,29 +234,16 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
                                 meta_and_queue.data(),
                                 meta_and_queue.size() * 4,
                                 p_.cap_threads);
-            break;
-          }
-          case PlatformKind::CapFs:
-            // Two files: the queue and the cost record (2 fsyncs).
-            m_->capFsPersist(cap_stage_.offset, record.data(),
-                             (2 + next.size()) * 4, 1);
+        } else {
+            // Two files: the queue and the cost record (2 fsyncs on
+            // CAP-fs).
+            m_->capPersist(cap_stage_.offset, record.data(),
+                           (2 + next.size()) * 4, p_.cap_threads);
             if (!next.empty()) {
-                m_->capFsPersist(
-                    cap_stage_.offset + (2 + next.size()) * 4,
-                    record.data() + 2 + next.size(), next.size() * 4,
-                    1);
+                m_->capPersist(cap_stage_.offset + (2 + next.size()) * 4,
+                               record.data() + 2 + next.size(),
+                               next.size() * 4, p_.cap_threads);
             }
-            break;
-          default:
-            m_->capMmPersist(cap_stage_.offset, record.data(),
-                             (2 + next.size()) * 4, p_.cap_threads);
-            if (!next.empty()) {
-                m_->capMmPersist(
-                    cap_stage_.offset + (2 + next.size()) * 4,
-                    record.data() + 2 + next.size(), next.size() * 4,
-                    p_.cap_threads);
-            }
-            break;
         }
     }
     return next;
@@ -279,7 +265,7 @@ WorkloadResult
 GpBfs::run()
 {
     WorkloadResult r;
-    if (m_->kind() == PlatformKind::Gpufs) {
+    if (!m_->supports(WriteGrain::Thread)) {
         r.supported = false;  // fine-grain writes deadlock GPUfs
         return r;
     }

@@ -78,7 +78,7 @@ WorkloadResult
 GpBinomial::run()
 {
     WorkloadResult r;
-    if (m_->kind() == PlatformKind::Gpufs) {
+    if (!m_->supports(WriteGrain::Thread)) {
         r.supported = false;
         return r;
     }
@@ -129,16 +129,8 @@ GpBinomial::run()
     m_->runKernel(k);
 
     if (!gpu_direct) {
-        switch (m_->kind()) {
-          case PlatformKind::CapFs:
-            m_->capFsPersist(out_.offset, prices.data(),
-                             prices.size() * 4, 1);
-            break;
-          default:
-            m_->capMmPersist(out_.offset, prices.data(),
-                             prices.size() * 4, p_.cap_threads);
-            break;
-        }
+        m_->capPersist(out_.offset, prices.data(), prices.size() * 4,
+                       p_.cap_threads);
     } else if (m_->kind() == PlatformKind::GpmNdp) {
         m_->cpuPersistRange(out_.offset, prices.size() * 4,
                             p_.cap_threads);

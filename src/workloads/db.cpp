@@ -328,12 +328,8 @@ GpDb::runInsertCap(std::uint32_t batch)
     const std::uint64_t chunked = alignUp(bytes, p_.cap_chunk_bytes);
     std::vector<std::uint8_t> staged(chunked, 0);
     std::memcpy(staged.data(), rows.data(), bytes);
-    if (m_->kind() == PlatformKind::CapFs) {
-        m_->capFsPersist(rowAddr(old_count), staged.data(), chunked, 1);
-    } else {
-        m_->capMmPersist(rowAddr(old_count), staged.data(), chunked,
-                         p_.cap_threads);
-    }
+    m_->capPersist(rowAddr(old_count), staged.data(), chunked,
+                   p_.cap_threads);
     const std::uint64_t new_count = old_count + p_.insert_rows;
     m_->cpuWritePersist(meta_.offset + kRowCountOff, &new_count, 8, 1);
 }
@@ -364,19 +360,15 @@ GpDb::runUpdateCap(std::uint32_t batch)
     // Updated rows are scattered and unknown to the host: the whole
     // live table is transferred and persisted (Table 4's ~20x).
     const std::uint64_t bytes = count * GpDbParams::kRowBytes;
-    if (m_->kind() == PlatformKind::CapFs) {
-        m_->capFsPersist(table_.offset, mirror_.data(), bytes, 1);
-    } else {
-        m_->capMmPersist(table_.offset, mirror_.data(), bytes,
-                         p_.cap_threads);
-    }
+    m_->capPersist(table_.offset, mirror_.data(), bytes,
+                   p_.cap_threads);
 }
 
 WorkloadResult
 GpDb::run(TxnKind kind)
 {
     WorkloadResult r;
-    if (m_->kind() == PlatformKind::Gpufs) {
+    if (!m_->supports(WriteGrain::Thread)) {
         r.supported = false;
         return r;
     }

@@ -8,8 +8,7 @@ WorkloadResult
 IterativeApp::run(Machine &m, const IterativeParams &p)
 {
     WorkloadResult r;
-    if (m.kind() == PlatformKind::Gpufs &&
-        !m.gpufsSupported(paperStateBytes())) {
+    if (!m.supports(WriteGrain::Block, paperStateBytes())) {
         // BLK and HS exceed GPUfs's 2 GB file limit (section 6.1).
         r.supported = false;
         return r;

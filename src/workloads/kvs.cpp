@@ -326,28 +326,15 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
         if (dirty[c])
             chunks.push_back(c);
     }
-    switch (m_->kind()) {
-      case PlatformKind::CapFs:
-        m_->capPersistChunks(store_.offset, host_copy_.data(), chunks,
-                             p_.cap_chunk_bytes, p_.cap_threads,
-                             /*via_fs=*/true);
-        break;
-      case PlatformKind::CapMm:
-      case PlatformKind::CapEadr:
-        m_->capPersistChunks(store_.offset, host_copy_.data(), chunks,
-                             p_.cap_chunk_bytes, p_.cap_threads,
-                             /*via_fs=*/false);
-        break;
-      default:
-        panic("runBatchCap on ", platformName(m_->kind()));
-    }
+    m_->capPersistChunks(store_.offset, host_copy_.data(), chunks,
+                         p_.cap_chunk_bytes, p_.cap_threads);
 }
 
 WorkloadResult
 GpKvs::run()
 {
     WorkloadResult r;
-    if (m_->kind() == PlatformKind::Gpufs) {
+    if (!m_->supports(WriteGrain::Thread)) {
         // Fine-grain per-thread writes deadlock GPUfs (section 6.1).
         r.supported = false;
         return r;

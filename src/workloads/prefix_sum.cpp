@@ -125,16 +125,8 @@ GpPrefixSum::partialSumsKernel(const std::optional<CrashPoint> &crash)
 
     if (!gpu_direct) {
         // CAP: partial sums leave the device in bulk after the kernel.
-        switch (m_->kind()) {
-          case PlatformKind::CapFs:
-            m_->capFsPersist(psums_.offset, sums.data(),
-                             total_threads * 8, 1);
-            break;
-          default:
-            m_->capMmPersist(psums_.offset, sums.data(),
-                             total_threads * 8, p_.cap_threads);
-            break;
-        }
+        m_->capPersist(psums_.offset, sums.data(), total_threads * 8,
+                       p_.cap_threads);
     } else if (m_->kind() == PlatformKind::GpmNdp) {
         m_->cpuPersistRange(psums_.offset, total_threads * 8,
                             p_.cap_threads);
@@ -211,15 +203,8 @@ GpPrefixSum::finalKernel()
     m_->runKernel(k);
 
     if (!gpu_direct) {
-        switch (m_->kind()) {
-          case PlatformKind::CapFs:
-            m_->capFsPersist(out_.offset, final_vals.data(), n * 8, 1);
-            break;
-          default:
-            m_->capMmPersist(out_.offset, final_vals.data(), n * 8,
-                             p_.cap_threads);
-            break;
-        }
+        m_->capPersist(out_.offset, final_vals.data(), n * 8,
+                       p_.cap_threads);
     } else if (m_->kind() == PlatformKind::GpmNdp) {
         m_->cpuPersistRange(out_.offset, n * 8, p_.cap_threads);
     }
@@ -229,7 +214,7 @@ WorkloadResult
 GpPrefixSum::run()
 {
     WorkloadResult r;
-    if (m_->kind() == PlatformKind::Gpufs) {
+    if (!m_->supports(WriteGrain::Thread)) {
         r.supported = false;  // per-thread writes deadlock GPUfs
         return r;
     }

@@ -211,30 +211,13 @@ GpSrad::runIteration(std::uint32_t iter,
         });
         m_->runKernel(commit);
     } else {
-        switch (m_->kind()) {
-          case PlatformKind::GpmNdp:
+        if (m_->kind() == PlatformKind::GpmNdp) {
             m_->cpuPersistScattered(n * 8, p_.cap_threads);
-            break;
-          case PlatformKind::CapFs:
-            m_->capFsPersist(imgAddr(dst_buf, 0), host_img_.data(),
-                             n * 4, 1);
-            m_->capFsPersist(coefAddr(0), host_coef_.data(), n * 4, 1);
-            break;
-          case PlatformKind::Gpufs: {
-            const std::uint64_t calls =
-                std::max<std::uint64_t>(1, ceilDiv(n * 4, 1_MiB));
-            m_->gpufsWrite(imgAddr(dst_buf, 0), host_img_.data(),
-                           n * 4, calls);
-            m_->gpufsWrite(coefAddr(0), host_coef_.data(), n * 4,
-                           calls);
-            break;
-          }
-          default:
-            m_->capMmPersist(imgAddr(dst_buf, 0), host_img_.data(),
-                             n * 4, p_.cap_threads);
-            m_->capMmPersist(coefAddr(0), host_coef_.data(), n * 4,
-                             p_.cap_threads);
-            break;
+        } else {
+            m_->capPersist(imgAddr(dst_buf, 0), host_img_.data(), n * 4,
+                           p_.cap_threads);
+            m_->capPersist(coefAddr(0), host_coef_.data(), n * 4,
+                           p_.cap_threads);
         }
         const std::uint32_t done = iter + 1;
         m_->cpuWritePersist(meta_.offset, &done, 4, 1);

@@ -136,11 +136,4 @@ chargeGpuCompute(Machine &m, double ops, std::uint64_t hbm_bytes,
               std::max(compute, mem));
 }
 
-/** Charge CPU computation executed functionally host-side. */
-inline void
-chargeCpuCompute(Machine &m, double ops, int threads)
-{
-    m.cpuCompute(ops, threads);
-}
-
 } // namespace gpm

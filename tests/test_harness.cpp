@@ -82,6 +82,28 @@ TEST(Harness, Figure9DirectionsHold)
     }
 }
 
+TEST(Harness, Figure9GpufsColumnMatchesPaper)
+{
+    // Fig 9's GPUfs column: only the bulk writers (DNN, CFD, SRAD) run;
+    // per-thread writers deadlock GPUfs and BLK/HS exceed its 2 GB
+    // file limit — the paper's "*" entries.
+    std::vector<BenchCell> cells;
+    for (const Bench b : kAllBenches)
+        cells.push_back({b, PlatformKind::Gpufs});
+    const std::vector<WorkloadResult> results =
+        runBenchCells(cells, SimConfig{}, 2);
+    ASSERT_EQ(results.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const Bench b = cells[i].b;
+        const bool runs =
+            b == Bench::Dnn || b == Bench::Cfd || b == Bench::Srad;
+        EXPECT_EQ(results[i].supported, runs) << benchName(b);
+        if (runs) {
+            EXPECT_TRUE(results[i].verified) << benchName(b);
+        }
+    }
+}
+
 TEST(Harness, Figure10DirectionsHold)
 {
     SimConfig cfg;

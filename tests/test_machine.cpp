@@ -109,7 +109,7 @@ TEST(Machine, CapMmPersistIsFunctionalAndCharged)
     const PmRegion r = m.pool().map("buf", 1_MiB, true);
     std::vector<std::uint8_t> src(1_MiB, 0x7e);
     const SimNs t0 = m.now();
-    m.capMmPersist(r.offset, src.data(), src.size(), 16);
+    m.capPersist(r.offset, src.data(), src.size(), 16);
     EXPECT_GT(m.now(), t0);
     EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(r.offset + 12345),
               0x7e);
@@ -125,8 +125,8 @@ TEST(Machine, CapFsSlowerThanCapMmForSamePayload)
     const PmRegion rf = fs.pool().map("buf", 1_MiB, true);
     const PmRegion rm = mm.pool().map("buf", 1_MiB, true);
     std::vector<std::uint8_t> src(1_MiB, 1);
-    fs.capFsPersist(rf.offset, src.data(), src.size(), 1);
-    mm.capMmPersist(rm.offset, src.data(), src.size(), 16);
+    fs.capPersist(rf.offset, src.data(), src.size(), 16);
+    mm.capPersist(rm.offset, src.data(), src.size(), 16);
     EXPECT_GT(fs.now(), mm.now());
 }
 
@@ -136,7 +136,7 @@ TEST(Machine, CapPersistChunksOnlyMovesDirtyChunks)
     Machine m(cfg, PlatformKind::CapMm, 16_MiB);
     const PmRegion r = m.pool().map("buf", 64_KiB, true);
     std::vector<std::uint8_t> host(64_KiB, 0x11);
-    m.capPersistChunks(r.offset, host.data(), {1, 3}, 4096, 8, false);
+    m.capPersistChunks(r.offset, host.data(), {1, 3}, 4096, 8);
     EXPECT_EQ(m.persistPayloadBytes(), 2u * 4096);
     // Chunk 1 durable, chunk 0 untouched.
     EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(r.offset + 4096),
@@ -144,7 +144,7 @@ TEST(Machine, CapPersistChunksOnlyMovesDirtyChunks)
     EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(r.offset), 0x00);
     // No chunks: free and silent.
     const SimNs t = m.now();
-    m.capPersistChunks(r.offset, host.data(), {}, 4096, 8, false);
+    m.capPersistChunks(r.offset, host.data(), {}, 4096, 8);
     EXPECT_DOUBLE_EQ(m.now(), t);
 }
 
@@ -164,13 +164,14 @@ TEST(Machine, GpufsWriteRequiresGpufsPlatform)
     Machine m(cfg, PlatformKind::Gpm, 16_MiB);
     const PmRegion r = m.pool().map("f", 4096, true);
     std::uint8_t b[16] = {};
-    EXPECT_THROW(m.gpufsWrite(r.offset, b, 16, 1), FatalError);
+    EXPECT_THROW(m.capPersist(r.offset, b, 16, 1), FatalError);
+    EXPECT_THROW(m.capPersistChunks(r.offset, b, {0}, 16, 1), FatalError);
 
     Machine g(cfg, PlatformKind::Gpufs, 16_MiB);
-    EXPECT_TRUE(g.gpufsSupported(1_GiB));
-    EXPECT_FALSE(g.gpufsSupported(3_GiB));
+    EXPECT_TRUE(g.supports(WriteGrain::Block, 1_GiB));
+    EXPECT_FALSE(g.supports(WriteGrain::Block, 3_GiB));
     const PmRegion rg = g.pool().map("f", 4096, true);
-    g.gpufsWrite(rg.offset, b, 16, 1);
+    g.capPersist(rg.offset, b, 16, 1);
     EXPECT_EQ(g.pool().pendingExtents(), 0u);  // OS persisted it
 }
 
