@@ -8,6 +8,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include "gpm/gpm_checkpoint.hpp"
 #include "gpm/gpm_log.hpp"
 #include "gpm/gpm_runtime.hpp"
 #include "gpusim/kernel.hpp"
@@ -119,6 +120,24 @@ BM_KernelLaunchSmall(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_KernelLaunchSmall);
+
+void
+BM_GpmCheckpoint4MiB(benchmark::State &state)
+{
+    // libGPM's checkpoint copy: one 4 B pmStore per lane and one fence
+    // per thread, then the flip. 4 MiB is 1 Mi stores, and items count
+    // stores, so the reported rate inverts to host ns per store.
+    SimConfig cfg;
+    Machine m(cfg, PlatformKind::Gpm, 32_MiB);
+    gpmPersistBegin(m);
+    GpmCheckpoint cp = GpmCheckpoint::create(m, "cp", 4_MiB, 1, 1);
+    std::vector<std::uint8_t> data(4_MiB, 7);
+    cp.registerData(0, data.data(), data.size());
+    for (auto _ : state)
+        cp.checkpoint(0);
+    state.SetItemsProcessed(state.iterations() * (4_MiB / 4));
+}
+BENCHMARK(BM_GpmCheckpoint4MiB)->Unit(benchmark::kMillisecond);
 
 void
 BM_SiteTableManySites(benchmark::State &state)

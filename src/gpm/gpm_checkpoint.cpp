@@ -184,10 +184,9 @@ GpmCheckpoint::copyKernel(const char *name, std::uint64_t dst,
                                     ctx.lane();
             if (w >= words)
                 break;
-            std::uint32_t v = 0;
-            std::memcpy(&v, staging.data() + w * 4,
-                        std::min<std::uint64_t>(4, staging.size() -
-                                                       w * 4));
+            // staging_ is padded to whole words, so word w is there.
+            std::uint32_t v;
+            std::memcpy(&v, staging.data() + w * 4, 4);
             ctx.pmStore(dst + w * 4, v);
             ctx.hbmTraffic(4);
             wrote = true;

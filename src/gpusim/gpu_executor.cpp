@@ -1,6 +1,7 @@
 #include "gpusim/gpu_executor.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "pmem/pm_events.hpp"
 #include "telemetry/telemetry.hpp"
@@ -22,12 +23,11 @@ ThreadCtx::pmWriteStream(std::uint64_t stream, std::uint64_t addr,
                          std::source_location loc)
 {
     exec_->pool_->deviceWrite(globalId(), addr, src, size);
-    exec_->block_stats_.pm_payload_bytes += size;
+    stats_->pm_payload_bytes += size;
     const SiteId site = siteOf(loc);
     warp_->accesses.push_back(WarpAccess{site, exec_->sites_.next(site),
-                                         addr,
                                          static_cast<std::uint32_t>(size),
-                                         stream});
+                                         addr, stream, lane_});
     exec_->noteStore(exec_->executed_);
 }
 
@@ -35,53 +35,43 @@ void
 ThreadCtx::pmRead(std::uint64_t addr, void *dst, std::uint64_t size)
 {
     exec_->pool_->read(addr, dst, size);
-    exec_->block_stats_.pm_read_bytes += size;
+    stats_->pm_read_bytes += size;
 }
 
 bool
 ThreadCtx::threadfenceSystem()
 {
-    ++exec_->block_stats_.fences;
+    ++stats_->fences;
     exec_->noteFenceBefore(exec_->executed_);
     const bool persisted = exec_->pool_->persistOwner(globalId());
     exec_->noteFenceAfter(exec_->executed_);
     return persisted;
 }
 
-void
-ThreadCtx::work(double ops)
-{
-    exec_->block_stats_.work_ops += ops;
-}
-
-void
-ThreadCtx::hbmTraffic(std::uint64_t bytes)
-{
-    exec_->block_stats_.hbm_bytes += bytes;
-}
-
 // ---- SiteTable -----------------------------------------------------------
 
 std::uint32_t
-SiteTable::next(SiteId site)
+SiteTable::probe(SiteId site)
 {
     if (live_ * 2 >= slots_.size())
         grow();
     const std::size_t mask = slots_.size() - 1;
     std::uint64_t h = site * 0x9e3779b97f4a7c15ull;
     std::size_t i = (h ^ (h >> 32)) & mask;
-    for (;;) {
+    for (;; i = (i + 1) & mask) {
         Slot &s = slots_[i];
         if (s.epoch != epoch_) {
             s.site = site;
             s.epoch = epoch_;
             s.count = 1;
             ++live_;
+            last_ = i;
             return 0;
         }
-        if (s.site == site)
+        if (s.site == site) {
+            last_ = i;
             return s.count++;
-        i = (i + 1) & mask;
+        }
     }
 }
 
@@ -91,6 +81,7 @@ SiteTable::grow()
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
     live_ = 0;
+    last_ = kNoSlot;
     const std::size_t mask = slots_.size() - 1;
     for (const Slot &s : old) {
         if (s.epoch != epoch_)
@@ -140,28 +131,104 @@ WarpFlushScratch::coalesce(std::uint64_t granule, std::uint64_t global_warp,
     std::vector<WarpAccess> &acc = warp.accesses;
     if (acc.empty())
         return;
+    const std::size_t n = acc.size();
+    const int shift = std::countr_zero(granule);
 
     // Keep the load factor under 1/2 so every probe terminates; the
     // group count is bounded by the access count.
-    if (slots.size() < acc.size() * 2 + 2) {
-        std::size_t n = slots.size();
-        while (n < acc.size() * 2 + 2)
-            n *= 2;
-        slots.assign(n, Slot{});
+    if (slots.size() < n * 2 + 2) {
+        std::size_t cap = slots.size();
+        while (cap < n * 2 + 2)
+            cap *= 2;
+        slots.assign(cap, Slot{});
     }
     ++epoch;
 
     // Pass 1: assign each access its (site, occurrence, stream) group
     // in first-appearance order — the SIMT instruction stream of the
-    // warp.
-    group_of.clear();
+    // warp. The first lane's accesses seed the hash; access j of a
+    // later lane reuses the group of the first lane's access j when
+    // their keys match. The warp is strided when every lane ran the
+    // first lane's stores exactly: group g is then accesses g,
+    // g + first, g + 2 * first, ...
+    group_of.resize(n);
     std::uint32_t ngroups = 0;
-    for (const WarpAccess &a : acc) {
+    const auto probe = [&](const WarpAccess &a) {
         const std::uint32_t g =
             groupOf(a.site, a.occurrence, a.stream, ngroups);
-        if (g == ngroups)
-            ++ngroups;
-        group_of.push_back(g);
+        ngroups += g == ngroups;
+        return g;
+    };
+    std::size_t first = 1;
+    while (first < n && acc[first].lane == acc[0].lane)
+        ++first;
+    for (std::size_t i = 0; i < first; ++i)
+        group_of[i] = probe(acc[i]);
+    bool strided = ngroups == first;
+    std::size_t j = first;  // index of acc[i] within its lane
+    for (std::size_t i = first; i < n; ++i, ++j) {
+        const WarpAccess &a = acc[i];
+        if (a.lane != acc[i - 1].lane) {
+            strided = strided && j == first;
+            j = 0;
+        }
+        if (j < first) {
+            const WarpAccess &p = acc[j];
+            if (p.site == a.site && p.occurrence == a.occurrence &&
+                p.stream == a.stream) {
+                group_of[i] = group_of[j];
+                continue;
+            }
+        }
+        strided = false;
+        group_of[i] = probe(a);
+    }
+    strided = strided && j == first;
+
+    // Pass 3 emits one transaction per touched coalescing line of each
+    // group, in ascending address order (lane order on real hardware).
+    // Lines arrive mostly ascending, so addLines dedups them as they
+    // are pushed and emitGroup sorts only a group whose lines arrived
+    // out of order.
+    bool ordered = true;
+    const auto addLines = [&](const WarpAccess &a) {
+        const std::uint64_t lo = a.addr >> shift;
+        const std::uint64_t hi = (a.addr + a.size - 1) >> shift;
+        for (std::uint64_t l = lo; l <= hi; ++l) {
+            if (!lines.empty() && l <= lines.back()) {
+                if (l == lines.back())
+                    continue;
+                ordered = false;
+            }
+            lines.push_back(l);
+        }
+    };
+    const auto emitGroup = [&](const WarpAccess &lead) {
+        const std::uint64_t stream =
+            lead.stream != 0 ? lead.stream : global_warp;
+        if (!ordered) {
+            std::sort(lines.begin(), lines.end());
+            lines.erase(std::unique(lines.begin(), lines.end()),
+                        lines.end());
+        }
+        for (const std::uint64_t line : lines)
+            out.push_back(LineTxn{stream, line << shift});
+        stats.pm_line_txns += lines.size();
+        stats.pm_line_bytes += lines.size() * granule;
+        lines.clear();
+        ordered = true;
+    };
+
+    // A strided warp needs no scatter: pass 3 walks each group lane by
+    // lane.
+    if (strided) {
+        for (std::size_t g = 0; g < first; ++g) {
+            for (std::size_t i = g; i < n; i += first)
+                addLines(acc[i]);
+            emitGroup(acc[g]);
+        }
+        acc.clear();
+        return;
     }
 
     // Pass 2: counting scatter so each group's accesses land
@@ -172,36 +239,18 @@ WarpFlushScratch::coalesce(std::uint64_t granule, std::uint64_t global_warp,
     group_start.assign(ngroups + 1, 0);
     for (std::uint32_t g = 0; g < ngroups; ++g)
         group_start[g + 1] = group_start[g] + cursor[g];
-    grouped.resize(acc.size());
+    grouped.resize(n);
     std::fill(cursor.begin(), cursor.end(), 0u);
-    for (std::size_t i = 0; i < acc.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t g = group_of[i];
         grouped[group_start[g] + cursor[g]++] = &acc[i];
     }
 
-    // Pass 3: per group, one transaction per touched coalescing line
-    // in ascending address order (lane order on real hardware).
+    // Pass 3.
     for (std::uint32_t g = 0; g < ngroups; ++g) {
-        const WarpAccess *first = grouped[group_start[g]];
-        const std::uint64_t stream =
-            first->stream != 0 ? first->stream : global_warp;
-        lines.clear();
-        for (std::uint32_t i = group_start[g]; i < group_start[g + 1];
-             ++i) {
-            const WarpAccess *a = grouped[i];
-            const std::uint64_t lo = a->addr / granule;
-            const std::uint64_t hi = (a->addr + a->size - 1) / granule;
-            for (std::uint64_t l = lo; l <= hi; ++l)
-                lines.push_back(l);
-        }
-        std::sort(lines.begin(), lines.end());
-        lines.erase(std::unique(lines.begin(), lines.end()),
-                    lines.end());
-        for (const std::uint64_t line : lines) {
-            out.push_back(LineTxn{stream, line * granule});
-            ++stats.pm_line_txns;
-            stats.pm_line_bytes += granule;
-        }
+        for (std::uint32_t i = group_start[g]; i < group_start[g + 1]; ++i)
+            addLines(*grouped[i]);
+        emitGroup(*grouped[group_start[g]]);
     }
     acc.clear();
 }
@@ -270,8 +319,9 @@ GpuExecutor::runBlock(const KernelDesc &kernel, std::uint32_t block,
             if (executed_ == crash_at)
                 throw KernelCrashed{executed_};
             sites_.beginThread();
-            ThreadCtx ctx(*this, warps_[t / warp_size], block, t,
-                          kernel.block_threads, kernel.blocks, warp_size);
+            ThreadCtx ctx(*this, block_stats_, warps_[t / warp_size],
+                          block, t, kernel.block_threads, kernel.blocks,
+                          warp_size);
             kernel.phases[p](ctx);
             ++executed_;
         }
@@ -322,6 +372,9 @@ GpuExecutor::launch(const KernelDesc &kernel)
                 "kernel '", kernel.name, "' has an empty grid");
     GPM_REQUIRE(!kernel.phases.empty(),
                 "kernel '", kernel.name, "' has no phases");
+    GPM_REQUIRE(std::has_single_bit(cfg_->coalesce_bytes),
+                "coalescing granule ", cfg_->coalesce_bytes,
+                " is not a power of two");
 
     cur_ = LaunchStats{};
     cur_.blocks = kernel.blocks;

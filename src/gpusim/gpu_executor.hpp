@@ -40,7 +40,9 @@ struct LineTxn {
 /**
  * Per-thread occurrence counters for static access sites, O(1) per
  * lookup via open addressing. Epoch stamping makes beginThread() O(1):
- * slots from earlier threads are simply stale, never cleared.
+ * slots from earlier threads are simply stale, never cleared. A store
+ * loop hits one site over and over, so the last site's slot is
+ * remembered and skips the probe.
  */
 class SiteTable
 {
@@ -51,23 +53,34 @@ class SiteTable
     {
         ++epoch_;
         live_ = 0;
+        last_ = kNoSlot;
     }
 
     /** 0-based occurrence of @p site within the current thread. */
-    std::uint32_t next(SiteId site);
+    std::uint32_t
+    next(SiteId site)
+    {
+        if (last_ != kNoSlot && slots_[last_].site == site)
+            return slots_[last_].count++;
+        return probe(site);
+    }
 
   private:
+    static constexpr std::size_t kNoSlot = ~std::size_t(0);
+
     struct Slot {
         SiteId site = 0;
         std::uint64_t epoch = 0;
         std::uint32_t count = 0;
     };
 
+    std::uint32_t probe(SiteId site);
     void grow();
 
     std::vector<Slot> slots_ = std::vector<Slot>(64);
     std::uint64_t epoch_ = 0;
     std::size_t live_ = 0;
+    std::size_t last_ = kNoSlot;  ///< slot of the last site this thread
 };
 
 /**
@@ -75,6 +88,12 @@ class SiteTable
  * accesses by (site, occurrence, stream) in first-appearance order and
  * dedups touched coalescing lines per group in ascending address
  * order, without a node allocation per access.
+ *
+ * Lanes of a warp mostly run the same stores in the same order, so
+ * access j of each lane first tries the group of the first lane's
+ * access j; only a mismatch (a lane that skipped, added or reordered
+ * stores) probes the hash. Both routes give the same group, so one
+ * algorithm serves convergent and divergent warps.
  */
 struct WarpFlushScratch {
     struct Slot {
@@ -96,7 +115,8 @@ struct WarpFlushScratch {
     /**
      * Coalesce @p warp's buffered accesses: append one LineTxn per
      * (group, touched line) to @p out and account pm_line_* in
-     * @p stats. Clears the recorder for the next phase.
+     * @p stats. Clears the recorder for the next phase. @p granule
+     * must be a power of two.
      */
     void coalesce(std::uint64_t granule, std::uint64_t global_warp,
                   WarpRecorder &warp, LaunchStats &stats,

@@ -60,10 +60,12 @@ struct LaunchStats {
 struct WarpAccess {
     SiteId site;
     std::uint32_t occurrence;
-    std::uint64_t addr;
     std::uint32_t size;
+    std::uint64_t addr;
     std::uint64_t stream = 0;  ///< media-stream override (0 = warp)
+    std::uint32_t lane = 0;    ///< issuing lane within the warp
 };
+static_assert(sizeof(WarpAccess) == 40, "one access record stays 40 B");
 
 /** Per-warp access buffer for the running phase. */
 struct WarpRecorder {

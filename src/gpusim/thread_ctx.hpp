@@ -56,7 +56,7 @@ class ThreadCtx
     }
 
     /** Lane within the warp. */
-    std::uint32_t lane() const { return thread_ % warp_size_; }
+    std::uint32_t lane() const { return lane_; }
 
     /** Warp index within the block. */
     std::uint32_t warpInBlock() const { return thread_ / warp_size_; }
@@ -125,20 +125,21 @@ class ThreadCtx
     // ---- timing-model hooks -----------------------------------------------
 
     /** Account @p ops abstract ALU operations for this thread. */
-    void work(double ops);
+    void work(double ops) { stats_->work_ops += ops; }
 
     /** Account @p bytes of device-memory (HBM) traffic. */
-    void hbmTraffic(std::uint64_t bytes);
+    void hbmTraffic(std::uint64_t bytes) { stats_->hbm_bytes += bytes; }
 
   private:
     friend class GpuExecutor;
 
-    ThreadCtx(GpuExecutor &exec, WarpRecorder &warp, std::uint32_t block,
-              std::uint32_t thread, std::uint32_t block_dim,
-              std::uint32_t grid_dim, std::uint32_t warp_size)
-        : exec_(&exec), warp_(&warp), block_(block),
+    ThreadCtx(GpuExecutor &exec, LaunchStats &stats, WarpRecorder &warp,
+              std::uint32_t block, std::uint32_t thread,
+              std::uint32_t block_dim, std::uint32_t grid_dim,
+              std::uint32_t warp_size)
+        : exec_(&exec), stats_(&stats), warp_(&warp), block_(block),
           thread_(thread), block_dim_(block_dim), grid_dim_(grid_dim),
-          warp_size_(warp_size)
+          warp_size_(warp_size), lane_(thread % warp_size)
     {
     }
 
@@ -146,12 +147,14 @@ class ThreadCtx
     // site-occurrence table (it begins a fresh thread epoch before each
     // phase invocation).
     GpuExecutor *exec_;
+    LaunchStats *stats_;  ///< the running block's accounting
     WarpRecorder *warp_;
     std::uint32_t block_;
     std::uint32_t thread_;
     std::uint32_t block_dim_;
     std::uint32_t grid_dim_;
     std::uint32_t warp_size_;
+    std::uint32_t lane_;
 };
 
 } // namespace gpm

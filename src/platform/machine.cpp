@@ -189,20 +189,28 @@ Machine::dmaDeviceToHost(std::uint64_t bytes)
 }
 
 void
+Machine::hostStorePersist(OwnerId owner, std::uint64_t pm_addr,
+                          const void *src, std::uint64_t size,
+                          std::uint64_t record_bytes)
+{
+    pool_.cpuWrite(owner, pm_addr, src, size);
+    pool_.persistRange(pm_addr, size);
+    media_->recordRun(pm_addr, size,
+                      std::max<std::uint64_t>(1, size / record_bytes));
+    persist_payload_ += size;
+}
+
+void
 Machine::cpuWritePersist(std::uint64_t pm_addr, const void *src,
                          std::uint64_t size, int threads)
 {
-    const OwnerId owner = next_cpu_owner_++;
-    pool_.cpuWrite(owner, pm_addr, src, size);
-    pool_.persistRange(pm_addr, size);
-
     // Each flushing thread sweeps a contiguous chunk in line-sized
     // transactions; the flush path, not the media, is usually the
     // bottleneck (Fig 3a), so charge the slower of the two.
     media_->closeRuns();
     const NvmTierBytes before = media_->bytes();
-    media_->recordRun(pm_addr, size,
-                   std::max<std::uint64_t>(1, size / cfg_.cache_line));
+    hostStorePersist(next_cpu_owner_++, pm_addr, src, size,
+                     cfg_.cache_line);
     // Under eADR no flushes are needed (CAP-eADR, section 6.1); the
     // store stream still drains through the media.
     const SimNs flush_ns = pool_.domain() == PersistDomain::LlcDurable
@@ -210,7 +218,6 @@ Machine::cpuWritePersist(std::uint64_t pm_addr, const void *src,
         : cpu_persist_.persistTime(size, threads);
     const SimNs media_ns = media_->writeTime(media_->bytes() - before);
     advance(cpu_persist_.copyTime(size) + std::max(flush_ns, media_ns));
-    persist_payload_ += size;
 }
 
 void
@@ -288,13 +295,10 @@ Machine::capFsPersist(std::uint64_t pm_addr, const void *src,
 {
     telemetry::Span span("cap", "persist");
     dmaDeviceToHost(size);
-    const OwnerId owner = next_cpu_owner_++;
-    pool_.cpuWrite(owner, pm_addr, src, size);
-    pool_.persistRange(pm_addr, size);  // fsync makes it durable
-    media_->recordRun(pm_addr, size,
-                   std::max<std::uint64_t>(1, size / cfg_.fs_block_bytes));
+    // fsync makes it durable.
+    hostStorePersist(next_cpu_owner_++, pm_addr, src, size,
+                     cfg_.fs_block_bytes);
     advance(fs_.writeFsyncTime(size, 1));
-    persist_payload_ += size;
 }
 
 void
@@ -318,14 +322,10 @@ Machine::capPersistChunks(std::uint64_t region_base,
     const NvmTierBytes before = media_->bytes();
     for (const std::uint64_t c : chunk_idx) {
         const std::uint64_t off = c * chunk_bytes;
-        pool_.cpuWrite(owner, region_base + off,
-                       static_cast<const std::uint8_t *>(host_base) +
-                           off, chunk_bytes);
-        pool_.persistRange(region_base + off, chunk_bytes);
-        media_->recordRun(region_base + off, chunk_bytes,
-                       std::max<std::uint64_t>(1,
-                                               chunk_bytes /
-                                                   cfg_.cache_line));
+        hostStorePersist(owner, region_base + off,
+                         static_cast<const std::uint8_t *>(host_base) +
+                             off,
+                         chunk_bytes, cfg_.cache_line);
     }
     const SimNs media_ns = media_->writeTime(media_->bytes() - before);
     if (kind_ == PlatformKind::CapFs) {
@@ -338,7 +338,6 @@ Machine::capPersistChunks(std::uint64_t region_base,
         advance(cpu_persist_.copyTime(total) +
                 std::max(flush_ns, media_ns));
     }
-    persist_payload_ += total;
 }
 
 void
@@ -347,16 +346,13 @@ Machine::gpufsWrite(std::uint64_t pm_addr, const void *src,
 {
     const std::uint64_t calls =
         std::max<std::uint64_t>(1, ceilDiv(size, 1_MiB));
-    const OwnerId owner = next_cpu_owner_++;
-    pool_.cpuWrite(owner, pm_addr, src, size);
-    pool_.persistRange(pm_addr, size);  // the host OS persists
-    media_->recordRun(pm_addr, size,
-                   std::max<std::uint64_t>(1, size / cfg_.fs_block_bytes));
+    // The host OS persists.
+    hostStorePersist(next_cpu_owner_++, pm_addr, src, size,
+                     cfg_.fs_block_bytes);
     pcie_write_bytes_ += size;
     advance(static_cast<double>(calls) * cfg_.gpufs_call_ns +
             pcie_.bulkTime(size) +
             fs_.writeFsyncTime(size, calls));
-    persist_payload_ += size;
 }
 
 } // namespace gpm

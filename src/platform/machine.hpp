@@ -194,6 +194,16 @@ class Machine
     }
 
   private:
+    /**
+     * The host store-and-persist sequence every host path shares:
+     * store [pm_addr, pm_addr+size) as CPU owner @p owner, persist the
+     * range, record it as one media run of @p record_bytes-sized
+     * transactions, and count it as persisted payload. Time is the
+     * caller's to charge.
+     */
+    void hostStorePersist(OwnerId owner, std::uint64_t pm_addr,
+                          const void *src, std::uint64_t size,
+                          std::uint64_t record_bytes);
     void capMmPersist(std::uint64_t pm_addr, const void *src,
                       std::uint64_t size, int threads);
     void capFsPersist(std::uint64_t pm_addr, const void *src,

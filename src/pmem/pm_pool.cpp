@@ -82,6 +82,32 @@ forEachRun(const std::vector<std::uint64_t> &bits, std::size_t size,
     }
 }
 
+/** memcpy whose common store widths compile to fixed-size moves. */
+inline void
+copyBytes(std::uint8_t *dst, const void *src, std::uint64_t n)
+{
+    switch (n) {
+      case 4:
+        std::memcpy(dst, src, 4);
+        return;
+      case 8:
+        std::memcpy(dst, src, 8);
+        return;
+      case 16:
+        std::memcpy(dst, src, 16);
+        return;
+      default:
+        std::memcpy(dst, src, n);
+    }
+}
+
+inline std::size_t
+ownerHash(OwnerId owner)
+{
+    const std::uint64_t h = owner * 0x9e3779b97f4a7c15ull;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
 std::uint64_t
 popcount(const std::vector<std::uint64_t> &bits)
 {
@@ -198,11 +224,19 @@ PmPool::PmPool(std::size_t capacity, PersistDomain domain,
 {
 }
 
+std::vector<std::pair<std::string, PmRegion>>::const_iterator
+PmPool::regionAt(const std::string &name) const
+{
+    return std::lower_bound(
+        regions_.begin(), regions_.end(), name,
+        [](const auto &r, const std::string &n) { return r.first < n; });
+}
+
 PmRegion
 PmPool::map(const std::string &name, std::uint64_t size, bool create)
 {
-    auto it = regions_.find(name);
-    if (it != regions_.end()) {
+    const auto it = regionAt(name);
+    if (it != regions_.end() && it->first == name) {
         GPM_REQUIRE(size == 0 || size == it->second.size,
                     "region '", name, "' exists with size ",
                     it->second.size, ", not ", size);
@@ -217,21 +251,23 @@ PmPool::map(const std::string &name, std::uint64_t size, bool create)
                 " bytes at ", offset, " of ", images_.size(), ")");
     alloc_cursor_ = offset + size;
     PmRegion r{offset, size};
-    regions_.emplace(name, r);
+    regions_.emplace(it, name, r);
     return r;
 }
 
 bool
 PmPool::hasRegion(const std::string &name) const
 {
-    return regions_.count(name) != 0;
+    const auto it = regionAt(name);
+    return it != regions_.end() && it->first == name;
 }
 
 PmRegion
 PmPool::region(const std::string &name) const
 {
-    auto it = regions_.find(name);
-    GPM_REQUIRE(it != regions_.end(), "no region named '", name, "'");
+    const auto it = regionAt(name);
+    GPM_REQUIRE(it != regions_.end() && it->first == name,
+                "no region named '", name, "'");
     return it->second;
 }
 
@@ -251,35 +287,40 @@ PmPool::writeCommon(OwnerId owner, std::uint64_t addr, const void *src,
     if (recorder_)
         recorder_->store(domain_, owner, addr, size);
     images_.markDirty(addr, size);
-    std::memcpy(images_.visible() + addr, src, size);
+    copyBytes(images_.visible() + addr, src, size);
     if (domain_ == PersistDomain::LlcDurable) {
         // eADR: the LLC is inside the persistence domain.
-        std::memcpy(images_.durable() + addr, src, size);
-    } else {
-        std::vector<Extent> &pend = pending_[owner];
-        if (!pend.empty()) {
-            // Coalesce with the owner's most recent extent when the
-            // new store abuts or overlaps it: a contiguous append
-            // stream (or a rewritten word) stays one extent, so
-            // persistOwner/crash scale with distinct dirty ranges,
-            // not raw store count. Only the *last* extent is eligible
-            // — insertion order is preserved, so crash()'s per-line
-            // RNG enumeration is unchanged for non-contiguous
-            // streams.
-            Extent &last = pend.back();
-            if (addr <= last.addr + last.size &&
-                addr + size >= last.addr) {
-                const std::uint64_t lo = std::min(last.addr, addr);
-                const std::uint64_t hi =
-                    std::max(last.addr + last.size, addr + size);
-                last.addr = lo;
-                last.size = hi - lo;
-                ++stats_.extents_merged;
-                return;
-            }
-        }
-        pend.push_back({addr, size});
+        copyBytes(images_.durable() + addr, src, size);
+        return;
     }
+    OwnerSlot &o = owners_[claimOwner(owner)];
+    if (o.tail != kNone) {
+        // Coalesce with the owner's most recent extent when the new
+        // store abuts or overlaps it: a contiguous append stream (or a
+        // rewritten word) stays one extent, so persistOwner/crash
+        // scale with distinct dirty ranges, not raw store count. Only
+        // the *last* extent is eligible — insertion order is
+        // preserved, so crash()'s per-line RNG enumeration is
+        // unchanged for non-contiguous streams.
+        LogEntry &last = log_[o.tail];
+        if (addr <= last.addr + last.size && addr + size >= last.addr) {
+            const std::uint64_t lo = std::min(last.addr, addr);
+            const std::uint64_t hi =
+                std::max(last.addr + last.size, addr + size);
+            last.addr = lo;
+            last.size = hi - lo;
+            ++stats_.extents_merged;
+            return;
+        }
+    }
+    const auto i = static_cast<std::uint32_t>(log_.size());
+    log_.push_back({addr, size, owner, kNone});
+    if (o.tail == kNone)
+        o.head = i;
+    else
+        log_[o.tail].next = i;
+    o.tail = i;
+    ++live_;
 }
 
 void
@@ -306,11 +347,118 @@ PmPool::read(std::uint64_t addr, void *dst, std::uint64_t size) const
 }
 
 void
-PmPool::drain(const Extent &e)
+PmPool::drain(std::uint64_t addr, std::uint64_t size)
 {
-    std::memcpy(images_.durable() + e.addr, images_.visible() + e.addr,
-                e.size);
+    copyBytes(images_.durable() + addr, images_.visible() + addr, size);
     ++stats_.extents_drained;
+}
+
+std::uint64_t
+PmPool::drainEntry(std::uint32_t i)
+{
+    LogEntry &e = log_[i];
+    drain(e.addr, e.size);
+    e.next = kDrained;
+    --live_;
+    return e.size;
+}
+
+std::uint32_t
+PmPool::findOwner(OwnerId owner)
+{
+    if (last_slot_ != kNone && owners_[last_slot_].owner == owner)
+        return last_slot_;
+    return probeOwner(owner, false);
+}
+
+std::uint32_t
+PmPool::claimOwner(OwnerId owner)
+{
+    if (last_slot_ != kNone && owners_[last_slot_].owner == owner)
+        return last_slot_;
+    return probeOwner(owner, true);
+}
+
+std::uint32_t
+PmPool::probeOwner(OwnerId owner, bool claim)
+{
+    std::size_t mask = owners_.size() - 1;
+    std::size_t i = ownerHash(owner) & mask;
+    for (; owners_[i].epoch == epoch_; i = (i + 1) & mask)
+        if (owners_[i].owner == owner)
+            return last_slot_ = static_cast<std::uint32_t>(i);
+    if (!claim)
+        return kNone;
+    // Keep the load under 1/2 so every probe terminates.
+    if ((owners_used_ + 1) * 2 > owners_.size()) {
+        rehashOwners();
+        mask = owners_.size() - 1;
+        i = ownerHash(owner) & mask;
+        while (owners_[i].epoch == epoch_)
+            i = (i + 1) & mask;
+    }
+    owners_[i] = OwnerSlot{owner, epoch_, kNone, kNone};
+    ++owners_used_;
+    return last_slot_ = static_cast<std::uint32_t>(i);
+}
+
+void
+PmPool::rehashOwners()
+{
+    // Owners whose chains persists emptied give up their slots here;
+    // the table grows only for owners that still have extents.
+    std::size_t pending_owners = 0;
+    for (const OwnerSlot &s : owners_)
+        pending_owners += s.epoch == epoch_ && s.head != kNone;
+    std::size_t n = owners_.size();
+    while (n < (pending_owners + 1) * 4)
+        n *= 2;
+    std::vector<OwnerSlot> old =
+        std::exchange(owners_, std::vector<OwnerSlot>(n));
+    const std::size_t mask = n - 1;
+    for (const OwnerSlot &s : old) {
+        if (s.epoch != epoch_ || s.head == kNone)
+            continue;
+        std::size_t i = ownerHash(s.owner) & mask;
+        while (owners_[i].epoch == epoch_)
+            i = (i + 1) & mask;
+        owners_[i] = s;
+    }
+    owners_used_ = pending_owners;
+    last_slot_ = kNone;
+}
+
+void
+PmPool::compactLog()
+{
+    for (OwnerSlot &s : owners_)
+        s.head = s.tail = kNone;
+    std::uint32_t kept = 0;
+    for (const LogEntry &e : log_) {
+        if (e.next == kDrained)
+            continue;
+        OwnerSlot &o = owners_[findOwner(e.owner)];
+        if (o.tail == kNone)
+            o.head = kept;
+        else
+            log_[o.tail].next = kept;
+        o.tail = kept;
+        log_[kept++] = {e.addr, e.size, e.owner, kNone};
+    }
+    log_.resize(kept);
+}
+
+void
+PmPool::settleLog()
+{
+    if (live_ == 0) {
+        log_.clear();
+        ++epoch_;
+        owners_used_ = 0;
+        last_slot_ = kNone;
+    } else if (log_.size() > 2 * live_ + 64) {
+        compactLog();
+    }
 }
 
 bool
@@ -330,13 +478,16 @@ PmPool::persistOwner(OwnerId owner)
         break;
     }
     std::uint64_t drained = 0;
-    auto it = pending_.find(owner);
-    if (it != pending_.end()) {
-        for (const Extent &e : it->second) {
-            drain(e);
-            drained += e.size;
+    const std::uint32_t slot = live_ ? findOwner(owner) : kNone;
+    if (slot != kNone) {
+        OwnerSlot &o = owners_[slot];
+        for (std::uint32_t i = o.head; i != kNone;) {
+            const std::uint32_t next = log_[i].next;
+            drained += drainEntry(i);
+            i = next;
         }
-        pending_.erase(it);
+        o.head = o.tail = kNone;
+        settleLog();
     }
     if (recorder_)
         recorder_->fence(domain_, owner, drained);
@@ -348,21 +499,18 @@ PmPool::persistRange(std::uint64_t addr, std::uint64_t size)
 {
     checkRange(addr, size);
     const std::uint64_t lo = addr, hi = addr + size;
+    const std::size_t live_before = live_;
     std::uint64_t drained = 0;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-        auto &extents = it->second;
-        std::size_t kept = 0;
-        for (Extent &e : extents) {
-            if (e.addr < hi && e.addr + e.size > lo) {
-                drain(e);
-                drained += e.size;
-            } else {
-                extents[kept++] = e;
-            }
-        }
-        extents.resize(kept);
-        it = extents.empty() ? pending_.erase(it) : std::next(it);
+    for (std::uint32_t i = 0; i < log_.size(); ++i) {
+        const LogEntry &e = log_[i];
+        if (e.next != kDrained && e.addr < hi && e.addr + e.size > lo)
+            drained += drainEntry(i);
     }
+    // A drained extent may sit inside a chain: relink them all.
+    if (live_ == 0)
+        settleLog();
+    else if (live_ != live_before)
+        compactLog();
     if (recorder_)
         recorder_->flushRange(domain_, addr, size, drained);
 }
@@ -371,13 +519,10 @@ void
 PmPool::persistAll()
 {
     std::uint64_t drained = 0;
-    for (const auto &[owner, extents] : pending_) {
-        for (const Extent &e : extents) {
-            drain(e);
-            drained += e.size;
-        }
-    }
-    pending_.clear();
+    for (std::uint32_t i = 0; i < log_.size(); ++i)
+        if (log_[i].next != kDrained)
+            drained += drainEntry(i);
+    settleLog();
     if (recorder_)
         recorder_->persistAll(domain_, drained);
 }
@@ -399,24 +544,33 @@ PmPool::crash(double survive_prob)
         // pending the two images are already equal.
         persistAll();
     } else {
+        // Lines roll owner-ascending, then in insertion order: owner by
+        // owner, each down its chain. The owner table is emptied
+        // afterwards, so its pending slots are sorted in place.
+        std::size_t pending_owners = 0;
+        for (const OwnerSlot &o : owners_)
+            if (o.epoch == epoch_ && o.head != kNone)
+                owners_[pending_owners++] = o;
+        std::sort(owners_.begin(), owners_.begin() + pending_owners,
+                  [](const OwnerSlot &a, const OwnerSlot &b) {
+                      return a.owner < b.owner;
+                  });
         // Survival is decided per 128 B cache line, not per pending
         // extent: an extent spanning lines can be torn, with some of
         // its lines evicted to the media before the failure and the
         // rest lost. Line boundaries come from alignDown so tearing is
         // address-stable regardless of how stores were batched.
-        for (const auto &[owner, extents] : pending_) {
-            for (const Extent &e : extents) {
+        for (std::size_t k = 0; k < pending_owners; ++k) {
+            for (std::uint32_t i = owners_[k].head; i != kNone;
+                 i = log_[i].next) {
+                const LogEntry &e = log_[i];
                 const std::uint64_t end = e.addr + e.size;
                 std::uint64_t lo = alignDown(e.addr, kCrashLineBytes);
                 for (; lo < end; lo += kCrashLineBytes) {
-                    const Extent sub{
-                        std::max(lo, e.addr),
-                        std::min(lo + kCrashLineBytes, end) -
-                            std::max(lo, e.addr)};
+                    const std::uint64_t a = std::max(lo, e.addr);
                     ++stats_.crash_sub_extents;
-                    if (survive_prob > 0.0 &&
-                        rng_.chance(survive_prob)) {
-                        drain(sub);
+                    if (survive_prob > 0.0 && rng_.chance(survive_prob)) {
+                        drain(a, std::min(lo + kCrashLineBytes, end) - a);
                         ++stats_.crash_survivors;
                     }
                 }
@@ -427,14 +581,15 @@ PmPool::crash(double survive_prob)
         // extents, so restoring those is the whole reset. It is a
         // second pass: restoring one extent before an overlapping
         // extent's surviving line was drained would lose that line.
-        for (const auto &[owner, extents] : pending_) {
-            for (const Extent &e : extents) {
-                std::memcpy(images_.visible() + e.addr,
-                            images_.durable() + e.addr, e.size);
-                restored_bytes += e.size;
-            }
+        for (const LogEntry &e : log_) {
+            if (e.next == kDrained)
+                continue;
+            std::memcpy(images_.visible() + e.addr,
+                        images_.durable() + e.addr, e.size);
+            restored_bytes += e.size;
         }
-        pending_.clear();
+        live_ = 0;
+        settleLog();
     }
     if (recorder_)
         recorder_->crash(domain_, survive_prob,
@@ -450,18 +605,15 @@ PmPool::crash(double survive_prob)
 std::size_t
 PmPool::pendingExtents() const
 {
-    std::size_t n = 0;
-    for (const auto &[owner, extents] : pending_)
-        n += extents.size();
-    return n;
+    return live_;
 }
 
 std::uint64_t
 PmPool::pendingBytes() const
 {
     std::uint64_t n = 0;
-    for (const auto &[owner, extents] : pending_)
-        for (const Extent &e : extents)
+    for (const LogEntry &e : log_)
+        if (e.next != kDrained)
             n += e.size;
     return n;
 }
@@ -511,7 +663,9 @@ PmPool::loadDurable(const std::string &path, PersistDomain domain,
         is.read(name.data(), static_cast<std::streamsize>(len));
         PmRegion r;
         is.read(reinterpret_cast<char *>(&r), sizeof(r));
-        pool.regions_.emplace(std::move(name), r);
+        const auto at = pool.regionAt(name);
+        if (at == pool.regions_.end() || at->first != name)
+            pool.regions_.emplace(at, std::move(name), r);
     }
     pool.images_.markDirty(0, cap);
     is.read(reinterpret_cast<char *>(pool.images_.durable()),

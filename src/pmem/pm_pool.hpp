@@ -27,12 +27,17 @@
  * failure. Arbitrary subsets of unpersisted writes surviving is the
  * adversarial reordering that undo logging must tolerate; recovery
  * tests sweep many eviction seeds (the NVBitFI analog of section 6.2).
+ *
+ * Pending-log invariant: pending extents live in one append-order log,
+ * chained per owner. A store merges only into its owner's last extent,
+ * and crash() rolls lines owner-ascending, then in insertion order, so
+ * the eviction RNG sees the extents in the same order whatever the
+ * interleaving of owners.
  */
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -304,29 +309,84 @@ class PmPool
                               std::uint64_t seed = 1);
 
   private:
-    struct Extent {
+    /** Index into log_; kNone ends an owner's chain or marks "no slot". */
+    static constexpr std::uint32_t kNone = ~std::uint32_t(0);
+    /** LogEntry::next of an extent a persist drained. */
+    static constexpr std::uint32_t kDrained = kNone - 1;
+
+    /** One pending extent, in the append-order log. */
+    struct LogEntry {
         std::uint64_t addr;
         std::uint64_t size;
+        OwnerId owner;
+        std::uint32_t next;  ///< owner's next extent, kNone, or kDrained
+    };
+
+    /** An owner's pending chain, in the open-addressed owner table.
+     *  Slots stamped with an older epoch are empty. */
+    struct OwnerSlot {
+        OwnerId owner = 0;
+        std::uint64_t epoch = 0;
+        std::uint32_t head = kNone;
+        std::uint32_t tail = kNone;  ///< the owner's last extent
     };
 
     void checkRange(std::uint64_t addr, std::uint64_t size) const;
     void writeCommon(OwnerId owner, std::uint64_t addr, const void *src,
                      std::uint64_t size);
-    void drain(const Extent &e);
+    void drain(std::uint64_t addr, std::uint64_t size);
+    std::uint64_t drainEntry(std::uint32_t i);
+
+    /** @p owner's table slot, or kNone when it has none this epoch. */
+    std::uint32_t findOwner(OwnerId owner);
+    /** @p owner's table slot, claimed when it has none. */
+    std::uint32_t claimOwner(OwnerId owner);
+    /** The table probe behind findOwner (and claimOwner when
+     *  @p claim) once the last-owner check missed. */
+    std::uint32_t probeOwner(OwnerId owner, bool claim);
+    /** Re-insert only the owners with a pending chain, into a table
+     *  that holds them at a load of at most 1/4. */
+    void rehashOwners();
+    /** Drop drained entries from the log and relink every chain. */
+    void compactLog();
+    /** After a persist: an empty log restarts (a new owner-table
+     *  epoch), a mostly drained one is compacted. */
+    void settleLog();
+
+    /** First region whose name is not less than @p name. */
+    std::vector<std::pair<std::string, PmRegion>>::const_iterator
+    regionAt(const std::string &name) const;
 
     // Invariant: the visible and durable images differ only inside
     // pending extents. writeCommon records an extent covering every
     // visible-only store (eADR stores write both images), drain makes
-    // an extent's bytes equal before it leaves pending_, and
+    // an extent's bytes equal before it stops being pending, and
     // loadDurable starts from equal images. crash() relies on it to
     // restore just the pending extents instead of the whole image.
     // It also means writeCommon and loadDurable are the only places
     // new bytes enter either image, so they alone mark dirty pages.
     PmImages images_;
     PmEventRecorder *recorder_ = nullptr;
-    // std::map for deterministic crash-survival iteration order.
-    std::map<OwnerId, std::vector<Extent>> pending_;
-    std::map<std::string, PmRegion> regions_;
+
+    // The pending extents. log_ holds them in append order; each
+    // owner's live extents form a chain through LogEntry::next, in
+    // that same order, from its owners_ slot. A store merges only into
+    // its owner's tail. persistOwner drains a chain and leaves its
+    // entries marked kDrained; persistRange drains whole overlapping
+    // extents of any owner and compacts, so a chain never holds a
+    // drained entry. crash() rolls lines owner-ascending, then in
+    // insertion order: it sorts the pending owners, then walks each
+    // chain. When nothing is pending the log is cleared and a new
+    // epoch empties the owner table, both O(1), so steady state
+    // allocates nothing.
+    std::vector<LogEntry> log_;
+    std::vector<OwnerSlot> owners_ = std::vector<OwnerSlot>(16);
+    std::uint64_t epoch_ = 1;
+    std::size_t owners_used_ = 0;  ///< slots stamped this epoch
+    std::size_t live_ = 0;         ///< pending extents in log_
+    std::uint32_t last_slot_ = kNone;  ///< slot of the last owner seen
+    /** Sorted by name, the order saveDurable writes them in. */
+    std::vector<std::pair<std::string, PmRegion>> regions_;
     std::uint64_t alloc_cursor_ = 0;
     PersistDomain domain_;
     Rng rng_;

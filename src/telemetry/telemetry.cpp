@@ -23,8 +23,12 @@ Span::arg(std::string_view key, double v)
 void
 Span::arg(std::string_view key, std::string_view v)
 {
-    if (s_)
-        rawArg(key, "\"" + JsonWriter::escape(v) + "\"");
+    if (s_) {
+        std::string quoted(1, '"');
+        quoted += JsonWriter::escape(v);
+        quoted += '"';
+        rawArg(key, quoted);
+    }
 }
 
 } // namespace gpm::telemetry

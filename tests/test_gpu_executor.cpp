@@ -6,8 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <tuple>
 
+#include "common/rng.hpp"
 #include "gpusim/gpu_executor.hpp"
 #include "gpusim/kernel.hpp"
 #include "memsim/nvm_model.hpp"
@@ -262,6 +265,148 @@ TEST(GpuExecutor, NvmTierDeltaIsPerLaunch)
     // Each launch writes one aligned 2 KiB run.
     EXPECT_EQ(s1.nvm.total(), 2048u);
     EXPECT_EQ(s2.nvm.total(), 2048u);
+}
+
+/**
+ * The coalescing rule written out plainly: accesses group by (site,
+ * occurrence, stream) in first-appearance order, and each group
+ * emits one transaction per distinct touched line, ascending.
+ */
+std::vector<LineTxn>
+referenceCoalesce(const std::vector<WarpAccess> &acc, std::uint64_t granule,
+                  std::uint64_t global_warp, LaunchStats &stats)
+{
+    std::map<std::tuple<SiteId, std::uint32_t, std::uint64_t>, std::size_t>
+        group;
+    std::vector<std::set<std::uint64_t>> lines;
+    std::vector<std::uint64_t> streams;
+    for (const WarpAccess &a : acc) {
+        const auto [it, fresh] = group.emplace(
+            std::tuple{a.site, a.occurrence, a.stream}, lines.size());
+        if (fresh) {
+            lines.emplace_back();
+            streams.push_back(a.stream != 0 ? a.stream : global_warp);
+        }
+        for (std::uint64_t l = a.addr / granule;
+             l <= (a.addr + a.size - 1) / granule; ++l)
+            lines[it->second].insert(l);
+    }
+    std::vector<LineTxn> out;
+    for (std::size_t g = 0; g < lines.size(); ++g) {
+        for (const std::uint64_t l : lines[g]) {
+            out.push_back(LineTxn{streams[g], l * granule});
+            ++stats.pm_line_txns;
+            stats.pm_line_bytes += granule;
+        }
+    }
+    return out;
+}
+
+/** One store of a random warp program. */
+struct ProgStore {
+    SiteId site;
+    std::uint64_t addr;    ///< lane 0's address
+    std::uint64_t stride;  ///< added per lane
+    std::uint32_t size;
+    std::uint64_t stream;
+};
+
+/**
+ * A random warp: every lane runs one shared program whose sites repeat
+ * (so occurrences go past 0). In a divergent warp a lane may skip a
+ * store, add its own, or swap two neighbours, and some lanes store
+ * nothing at all; in an early-exit warp each lane runs a prefix of the
+ * program, as lanes leaving a loop at different trip counts do. Stores
+ * may be unaligned and span lines, and some carry a pmWriteStream
+ * stream.
+ */
+std::vector<WarpAccess>
+randomWarp(Rng &rng)
+{
+    std::vector<ProgStore> prog(rng.between(1, 12));
+    for (ProgStore &p : prog) {
+        p.site = 1 + rng.below(5);
+        p.addr = rng.below(1u << 16);
+        p.stride = rng.chance(0.7) ? 4 * rng.between(1, 4)
+                                   : rng.below(1024);
+        p.size = static_cast<std::uint32_t>(
+            rng.chance(0.8) ? 4u << rng.below(3) : rng.between(1, 300));
+        p.stream = rng.chance(0.8) ? 0 : 1 + rng.below(3);
+    }
+    enum Shape { Convergent, Divergent, EarlyExit };
+    const auto shape = static_cast<Shape>(rng.below(3));
+    const double diverge = shape == Divergent ? 0.2 : 0.0;
+    std::vector<WarpAccess> acc;
+    for (std::uint32_t lane = 0; lane < 32; ++lane) {
+        if (rng.chance(diverge))
+            continue;  // this lane stores nothing
+        std::vector<ProgStore> mine;
+        if (shape == EarlyExit) {
+            mine.assign(prog.begin(),
+                        prog.begin() + rng.between(1, prog.size()));
+        } else {
+            for (const ProgStore &p : prog) {
+                if (rng.chance(diverge))
+                    continue;  // skipped store
+                mine.push_back(p);
+                if (rng.chance(diverge)) {  // an extra store of its own
+                    ProgStore extra = p;
+                    extra.site = 1 + rng.below(7);
+                    extra.addr = rng.below(1u << 16);
+                    mine.push_back(extra);
+                }
+            }
+            if (mine.size() > 1 && rng.chance(diverge))
+                std::swap(mine[0], mine[1 + rng.below(mine.size() - 1)]);
+        }
+        std::map<SiteId, std::uint32_t> occurrence;
+        for (const ProgStore &p : mine)
+            acc.push_back(WarpAccess{p.site, occurrence[p.site]++, p.size,
+                                     p.addr + lane * p.stride, p.stream,
+                                     lane});
+    }
+    return acc;
+}
+
+TEST(GpuExecutor, CoalescerMatchesBruteForceOnRandomWarps)
+{
+    // One scratch across every warp, as the executor keeps it.
+    WarpFlushScratch flush;
+    Rng rng(2024);
+    std::uint64_t divergent = 0, repeated = 0, spanning = 0, streamed = 0;
+    for (int w = 0; w < 4000; ++w) {
+        SCOPED_TRACE(::testing::Message() << "warp " << w);
+        const std::uint64_t granule = std::uint64_t(64) << rng.below(3);
+        WarpRecorder rec;
+        rec.accesses = randomWarp(rng);
+        if (rec.accesses.empty())
+            continue;
+        for (const WarpAccess &a : rec.accesses) {
+            repeated += a.occurrence > 0;
+            spanning += a.addr / granule != (a.addr + a.size - 1) / granule;
+            streamed += a.stream != 0;
+        }
+        divergent += rec.accesses.size() % 32 != 0;
+
+        LaunchStats want, got;
+        const std::vector<LineTxn> expect =
+            referenceCoalesce(rec.accesses, granule, 1000 + w, want);
+        std::vector<LineTxn> out;
+        flush.coalesce(granule, 1000 + w, rec, got, out);
+        ASSERT_EQ(out.size(), expect.size());
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            ASSERT_EQ(out[i].stream, expect[i].stream) << "txn " << i;
+            ASSERT_EQ(out[i].addr, expect[i].addr) << "txn " << i;
+        }
+        EXPECT_EQ(got.pm_line_txns, want.pm_line_txns);
+        EXPECT_EQ(got.pm_line_bytes, want.pm_line_bytes);
+        EXPECT_TRUE(rec.accesses.empty());
+    }
+    // The generator reached every shape it is meant to.
+    EXPECT_GT(divergent, 1000u);
+    EXPECT_GT(repeated, 1000u);
+    EXPECT_GT(spanning, 1000u);
+    EXPECT_GT(streamed, 1000u);
 }
 
 } // namespace

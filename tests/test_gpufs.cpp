@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include "gpm/gpm_checkpoint.hpp"
+#include "gpm/gpm_runtime.hpp"
 #include "platform/machine.hpp"
 
 namespace gpm {
@@ -118,15 +120,30 @@ TEST(Gpufs, WriteBeyondEofIsUserError)
 TEST(Gpufs, RpcCostsMakeItSlowerThanGpmPersists)
 {
     SimConfig cfg;
+    std::vector<std::uint8_t> buf(4_MiB, 1);
+
     // 4 MiB persisted from the host side costs one RPC per MiB on top
     // of the OS write path.
     Machine g(cfg, PlatformKind::Gpufs, 16_MiB);
     const PmRegion r = g.pool().map("data", 4_MiB, true);
-    std::vector<std::uint8_t> buf(4_MiB, 1);
+    const SimNs gpufs_start = g.now();
     g.capPersist(r.offset, buf.data(), buf.size(), 1);
-    EXPECT_GE(g.now(), 4 * cfg.gpufs_call_ns);
+    const SimNs gpufs_ns = g.now() - gpufs_start;
+    EXPECT_GE(gpufs_ns, 4 * cfg.gpufs_call_ns);
     EXPECT_EQ(g.persistPayloadBytes(), 4_MiB);
     EXPECT_EQ(g.pcieWriteBytes(), 4_MiB);
+
+    // GPM persists the same bytes from inside a kernel: a gpmcp
+    // checkpoint's copy stores plus fences, then the flip.
+    Machine m(cfg, PlatformKind::Gpm, 16_MiB);
+    gpmPersistBegin(m);
+    GpmCheckpoint cp = GpmCheckpoint::create(m, "cp", 4_MiB, 1, 1);
+    cp.registerData(0, buf.data(), buf.size());
+    const SimNs gpm_start = m.now();
+    cp.checkpoint(0);
+    const SimNs gpm_ns = m.now() - gpm_start;
+    EXPECT_GT(gpm_ns, 0.0);
+    EXPECT_GT(gpufs_ns, gpm_ns);
 }
 
 } // namespace

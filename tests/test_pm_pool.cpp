@@ -482,7 +482,23 @@ expectSameStats(const PmPoolStats &a, const PmPoolStats &b)
     EXPECT_EQ(a.extents_merged, b.extents_merged);
 }
 
-TEST(PmPool, ExtentRestoreMatchesWholeImageResetOnRandomStreams)
+/** How a random stream draws owners and operations. */
+struct StreamMix {
+    std::uint64_t owners;  ///< owner ids drawn from [0, owners)
+    std::uint64_t steps;   ///< operations per seed
+    // Cumulative per-mille thresholds: write, persistOwner,
+    // persistRange, persistAll, setDomain; the rest crash.
+    std::uint64_t write, owner, range, all, domain;
+    std::uint64_t max_range;  ///< widest persistRange
+};
+
+/**
+ * Drive a PmPool and the ReferencePool with one random stream per
+ * seed and compare both images and every stat after each crash.
+ * Returns {crashes, most extents ever pending at once}.
+ */
+std::pair<std::uint64_t, std::size_t>
+compareRandomStreams(const StreamMix &mix, std::uint64_t seeds)
 {
     constexpr std::size_t kCap = 16_KiB;
     constexpr PersistDomain kDomains[] = {PersistDomain::McDurable,
@@ -490,7 +506,8 @@ TEST(PmPool, ExtentRestoreMatchesWholeImageResetOnRandomStreams)
                                           PersistDomain::LlcDurable};
     constexpr double kSurvive[] = {0.0, 0.5, 1.0};
     std::uint64_t crashes = 0;
-    for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    std::size_t peak_pending = 0;
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
         SCOPED_TRACE(::testing::Message() << "seed " << seed);
         Rng ops(seed * 7919);
         const PersistDomain start = kDomains[seed % 3];
@@ -500,9 +517,9 @@ TEST(PmPool, ExtentRestoreMatchesWholeImageResetOnRandomStreams)
         std::vector<std::pair<std::uint64_t, std::uint64_t>> history{{0, 1}};
         std::uint8_t buf[640];
 
-        for (int step = 0; step < 600; ++step) {
-            const std::uint64_t op = ops.below(100);
-            if (op < 60) {
+        for (std::uint64_t step = 0; step < mix.steps; ++step) {
+            const std::uint64_t op = ops.below(1000);
+            if (op < mix.write) {
                 const auto [pa, ps] = history.back();
                 const auto [oa, os] = history[ops.below(history.size())];
                 std::uint64_t addr;
@@ -526,7 +543,7 @@ TEST(PmPool, ExtentRestoreMatchesWholeImageResetOnRandomStreams)
                                             kCap - addr);
                 for (std::uint64_t i = 0; i < size; ++i)
                     buf[i] = static_cast<std::uint8_t>(ops.next());
-                const OwnerId who = ops.below(4);
+                const OwnerId who = ops.below(mix.owners);
                 if (ops.chance(0.3)) {
                     pool.cpuWrite(who, addr, buf, size);
                     ref.write(kCpuOwnerBase | who, addr, buf, size);
@@ -535,20 +552,22 @@ TEST(PmPool, ExtentRestoreMatchesWholeImageResetOnRandomStreams)
                     ref.write(who, addr, buf, size);
                 }
                 history.emplace_back(addr, size);
-            } else if (op < 72) {
-                const OwnerId who =
-                    ops.below(4) | (ops.chance(0.3) ? kCpuOwnerBase : 0);
+                peak_pending = std::max(peak_pending, pool.pendingExtents());
+            } else if (op < mix.owner) {
+                const OwnerId who = ops.below(mix.owners) |
+                                    (ops.chance(0.3) ? kCpuOwnerBase : 0);
                 pool.persistOwner(who);
                 ref.persistOwner(who);
-            } else if (op < 82) {
+            } else if (op < mix.range) {
                 const std::uint64_t lo = ops.below(kCap);
-                const std::uint64_t size = ops.between(1, kCap - lo);
+                const std::uint64_t size =
+                    ops.between(1, std::min(mix.max_range, kCap - lo));
                 pool.persistRange(lo, size);
                 ref.persistRange(lo, lo + size);
-            } else if (op < 85) {
+            } else if (op < mix.all) {
                 pool.persistAll();
                 ref.persistAll();
-            } else if (op < 92) {
+            } else if (op < mix.domain) {
                 const PersistDomain d = kDomains[ops.below(3)];
                 pool.setDomain(d);
                 ref.domain = d;
@@ -557,23 +576,43 @@ TEST(PmPool, ExtentRestoreMatchesWholeImageResetOnRandomStreams)
                 pool.crash(p);
                 ref.crash(p);
                 ++crashes;
-                ASSERT_EQ(std::memcmp(pool.visible(), ref.visible.data(),
+                EXPECT_EQ(std::memcmp(pool.visible(), ref.visible.data(),
                                       kCap),
                           0)
                     << "visible image diverged at step " << step;
-                ASSERT_EQ(std::memcmp(pool.durable(), ref.durable.data(),
+                EXPECT_EQ(std::memcmp(pool.durable(), ref.durable.data(),
                                       kCap),
                           0)
                     << "durable image diverged at step " << step;
-                ASSERT_EQ(std::memcmp(pool.visible(), pool.durable(), kCap),
+                EXPECT_EQ(std::memcmp(pool.visible(), pool.durable(), kCap),
                           0)
                     << "visible != durable after crash at step " << step;
                 expectSameStats(pool.stats(), ref.stats);
                 EXPECT_EQ(pool.pendingExtents(), 0u);
+                if (::testing::Test::HasFailure())
+                    return {crashes, peak_pending};
             }
         }
     }
+    return {crashes, peak_pending};
+}
+
+TEST(PmPool, ExtentRestoreMatchesWholeImageResetOnRandomStreams)
+{
+    // Few owners, frequent persists and crashes.
+    const auto [crashes, peak] = compareRandomStreams(
+        StreamMix{4, 600, 600, 720, 820, 850, 920, 16_KiB}, 48);
     EXPECT_GT(crashes, 1000u);
+
+    // Hundreds of GPU owners and CPU-tagged owners interleaved in
+    // random, non-ascending order, with rare crashes and narrow
+    // flushes, so hundreds of extents pend at once: the owner table
+    // grows and rehashes, the log compacts, and a crash must still
+    // roll owner-ascending, then in insertion order.
+    const auto [wide_crashes, wide_peak] = compareRandomStreams(
+        StreamMix{400, 4000, 880, 940, 970, 972, 997, 512}, 24);
+    EXPECT_GT(wide_crashes, 100u);
+    EXPECT_GT(wide_peak, 200u);
 }
 
 std::uint64_t

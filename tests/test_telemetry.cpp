@@ -256,9 +256,11 @@ TEST(TelemetryMetrics, RegistryIsThreadSafe)
     std::vector<std::thread> pool;
     for (int t = 0; t < 4; ++t) {
         pool.emplace_back([&r, t] {
+            const std::string own = std::string("t").append(
+                std::to_string(t));
             for (int i = 0; i < 1000; ++i) {
                 r.add("shared.counter", 1);
-                r.add("t" + std::to_string(t), 1);
+                r.add(own, 1);
                 r.observe("shared.hist", i);
             }
         });
