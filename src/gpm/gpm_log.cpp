@@ -338,6 +338,22 @@ GpmLog::clearAll()
     m_->cpuWritePersist(tailsOffset(), zeros.data(), n * 4, 1);
 }
 
+void
+GpmLog::prefetchInsert(std::uint64_t gtid) const
+{
+    if (hdr_.type != Hcl ||
+        gtid >= std::uint64_t(hdr_.blocks) * hdr_.block_threads)
+        return;
+    PmPool &pool = m_->pool();
+    std::uint32_t tail = 0;
+    std::memcpy(&tail, pool.visible() + tailAddr(gtid), sizeof(tail));
+    if (tail >= hdr_.max_entries)
+        return;
+    for (std::uint32_t k = 0; k < chunksPerEntry(); ++k)
+        pool.prefetch(chunkAddr(gtid, tail, k), 4);
+    pool.prefetch(tailAddr(gtid), sizeof(tail));
+}
+
 std::uint32_t
 GpmLog::tailOf(std::uint64_t gtid) const
 {

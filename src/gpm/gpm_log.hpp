@@ -113,6 +113,16 @@ class GpmLog
     /** HCL: current tail (entry count) of global thread @p gtid. */
     std::uint32_t tailOf(std::uint64_t gtid) const;
 
+    /**
+     * Host-only hint (DESIGN.md decision #10): warm, in both pool
+     * images, the lines the next insert() of global thread @p gtid
+     * touches — its entry row and its tail. The tail is peeked from
+     * the visible image, so no recorder event is emitted. Does nothing
+     * on a conventional log, for a thread outside the grid or with a
+     * full row.
+     */
+    void prefetchInsert(std::uint64_t gtid) const;
+
     /** HCL: total entries across all threads. */
     std::uint64_t entryCount() const;
 

@@ -303,7 +303,7 @@ Machine::capFsPersist(std::uint64_t pm_addr, const void *src,
 
 void
 Machine::capPersistChunks(std::uint64_t region_base,
-                          const void *host_base,
+                          const void *host_base, std::uint64_t bytes,
                           const std::vector<std::uint64_t> &chunk_idx,
                           std::uint64_t chunk_bytes, int threads)
 {
@@ -314,7 +314,14 @@ Machine::capPersistChunks(std::uint64_t region_base,
     if (chunk_idx.empty())
         return;
     telemetry::Span span("cap", "persist");
-    const std::uint64_t total = chunk_idx.size() * chunk_bytes;
+    const auto chunkSize = [&](std::uint64_t c) {
+        GPM_REQUIRE(c < ceilDiv(bytes, chunk_bytes), "chunk ", c,
+                    " past a structure of ", bytes, " bytes");
+        return std::min(chunk_bytes, bytes - c * chunk_bytes);
+    };
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : chunk_idx)
+        total += chunkSize(c);
     dmaDeviceToHost(total);
 
     const OwnerId owner = next_cpu_owner_++;
@@ -325,7 +332,7 @@ Machine::capPersistChunks(std::uint64_t region_base,
         hostStorePersist(owner, region_base + off,
                          static_cast<const std::uint8_t *>(host_base) +
                              off,
-                         chunk_bytes, cfg_.cache_line);
+                         chunkSize(c), cfg_.cache_line);
     }
     const SimNs media_ns = media_->writeTime(media_->bytes() - before);
     if (kind_ == PlatformKind::CapFs) {

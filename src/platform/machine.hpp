@@ -141,13 +141,15 @@ class Machine
      *
      * @param region_base  PM address of the structure's start.
      * @param host_base    Device-volatile copy of the structure.
-     * @param chunk_idx    Indices of dirty chunks.
+     * @param bytes        Size of the structure; a last chunk that
+     *                     runs past it moves only the bytes inside.
+     * @param chunk_idx    Indices of dirty chunks, each inside it.
      * @param chunk_bytes  Chunk granularity.
      * @param threads      CPU flush threads (ignored on CAP-fs, which
      *                     writes and fsyncs the set in one call).
      */
     void capPersistChunks(std::uint64_t region_base,
-                          const void *host_base,
+                          const void *host_base, std::uint64_t bytes,
                           const std::vector<std::uint64_t> &chunk_idx,
                           std::uint64_t chunk_bytes, int threads);
 

@@ -82,9 +82,9 @@ forEachRun(const std::vector<std::uint64_t> &bits, std::size_t size,
     }
 }
 
-/** memcpy whose common store widths compile to fixed-size moves. */
+/** memcpy whose common access widths compile to fixed-size moves. */
 inline void
-copyBytes(std::uint8_t *dst, const void *src, std::uint64_t n)
+copyBytes(void *dst, const void *src, std::uint64_t n)
 {
     switch (n) {
       case 4:
@@ -343,7 +343,16 @@ PmPool::read(std::uint64_t addr, void *dst, std::uint64_t size) const
     checkRange(addr, size);
     if (recorder_ && recorder_->inRecovery())
         recorder_->recoveryRead(domain_, addr, size);
-    std::memcpy(dst, images_.visible() + addr, size);
+    copyBytes(dst, images_.visible() + addr, size);
+}
+
+void
+PmPool::prefetch(std::uint64_t addr, std::uint64_t bytes) const
+{
+    if (bytes == 0 || addr + bytes > images_.size() || addr + bytes < addr)
+        return;
+    prefetchHostLines(images_.visible() + addr, bytes);
+    prefetchHostLines(images_.durable() + addr, bytes);
 }
 
 void

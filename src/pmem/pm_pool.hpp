@@ -114,6 +114,19 @@ class PmImages
     std::vector<std::uint64_t> dirty_;     ///< pages this pool wrote
 };
 
+/**
+ * Host-only hint: prefetch, with write intent, the host cache lines of
+ * [p, p + bytes). Changes no simulated state (DESIGN.md decision #10).
+ */
+inline void
+prefetchHostLines(const void *p, std::uint64_t bytes)
+{
+    constexpr std::uintptr_t kLine = 64;
+    const auto lo = reinterpret_cast<std::uintptr_t>(p);
+    for (std::uintptr_t a = lo & ~(kLine - 1); a < lo + bytes; a += kLine)
+        __builtin_prefetch(reinterpret_cast<const void *>(a), /*rw=*/1);
+}
+
 /** Identity of a writer for fence scoping (GPU thread / CPU thread). */
 using OwnerId = std::uint64_t;
 
@@ -204,6 +217,14 @@ class PmPool
 
     /** Load from the visible image. */
     void read(std::uint64_t addr, void *dst, std::uint64_t size) const;
+
+    /**
+     * Host-only hint: warm the host cache lines of [addr, addr+bytes)
+     * in the visible and durable images, ahead of a store and its
+     * drain. No modelled cost, no recorder event, no counter; a zero
+     * or out-of-range request does nothing (DESIGN.md decision #10).
+     */
+    void prefetch(std::uint64_t addr, std::uint64_t bytes) const;
 
     /** Typed convenience load from the visible image. */
     template <typename T>

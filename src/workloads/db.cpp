@@ -159,26 +159,16 @@ GpDb::mirrorInitial()
     mirror_.assign(p_.maxRows(), DbRow{});
     for (std::uint64_t i = 0; i < p_.initial_rows; ++i)
         mirror_[i] = makeRow(i, kInitialVersion);
-}
-
-std::uint64_t
-GpDb::mirrorRowCount() const
-{
-    std::uint64_t count = 0;
-    for (const DbRow &row : mirror_) {
-        if (row.id == 0)
-            break;
-        ++count;
-    }
-    return count;
+    mirror_rows_ = p_.initial_rows;
 }
 
 void
 GpDb::mirrorInsert(std::uint32_t batch)
 {
-    const std::uint64_t count = mirrorRowCount();
+    const std::uint64_t count = mirror_rows_;
     for (std::uint32_t i = 0; i < p_.insert_rows; ++i)
         mirror_[count + i] = makeRow(count + i, insertVersion(batch));
+    mirror_rows_ += p_.insert_rows;
 }
 
 void
@@ -273,6 +263,9 @@ GpDb::runUpdateGpm(std::uint32_t batch, bool ndp,
             return;
         const std::uint64_t row_idx = targets[i];
         ctx.work(40);
+        if (i + kPrefetchAhead < targets.size())
+            m_->pool().prefetch(rowAddr(targets[i + kPrefetchAhead]),
+                                sizeof(DbRow));
         // Same kernel under GPM and GPM-NDP (see kvs.cpp).
         RowLogEntry entry;
         entry.row_idx = row_idx;

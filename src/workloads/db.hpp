@@ -174,7 +174,8 @@ class GpDb
     void mirrorInitial();
     void mirrorInsert(std::uint32_t batch);
     void mirrorUpdate(std::uint32_t batch);
-    std::uint64_t mirrorRowCount() const;
+    /** Rows the mirror holds (kept by mirrorInitial/mirrorInsert). */
+    std::uint64_t mirrorRowCount() const { return mirror_rows_; }
 
     Machine *m_ = nullptr;
     GpDbParams p_;
@@ -183,6 +184,7 @@ class GpDb
     std::vector<GpmLog> log_;
     std::vector<DbRow> mirror_;        ///< expected visible state;
                                        ///< doubles as CAP's volatile copy
+    std::uint64_t mirror_rows_ = 0;    ///< mirror_'s live row count
 };
 
 } // namespace gpm

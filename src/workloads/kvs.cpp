@@ -29,6 +29,11 @@ namespace {
 constexpr std::uint64_t kTxnFlagOff = 0;   ///< u32: transaction active
 constexpr std::uint64_t kBatchIdOff = 4;   ///< u32: batch in flight
 
+/** How many ops ahead runBatchGpm warms the log row of an op's
+ *  expected leader: nearer than kPrefetchAhead, so that op's set,
+ *  whose ways the guess reads, was prefetched a while ago. */
+constexpr std::uint32_t kLogAhead = kPrefetchAhead / 4;
+
 /** Undo record with its batch epoch (see recover()). */
 struct EpochEntry {
     KvLogEntry e;
@@ -82,6 +87,49 @@ GpKvs::pairAddr(std::uint32_t set, std::uint32_t way) const
     return store_.offset +
            (std::uint64_t(set) * GpKvsParams::kWays + way) *
                sizeof(KvPair);
+}
+
+const GpKvs::Probe &
+GpKvs::groupProbe(std::uint64_t gtid, std::uint64_t op_idx,
+                  std::uint64_t key, bool exact)
+{
+    Probe &pr = probe_[op_idx];
+    if (gtid % GpKvsParams::kGroup != 0)
+        return pr;
+    KvPair ways[GpKvsParams::kWays];
+    pr.set = setOf(key);
+    m_->pool().read(pairAddr(pr.set, 0), ways, sizeof(ways));
+    if (exact) {
+        pr.way = kNoWay;
+        for (std::uint32_t w = 0; w < GpKvsParams::kWays; ++w) {
+            if (ways[w].key == key)
+                pr.way = w;
+        }
+    } else {
+        pr.way = chooseWay(ways, key);
+    }
+    if (pr.way != kNoWay)
+        pr.old = ways[pr.way];
+    return pr;
+}
+
+void
+GpKvs::prefetchSet(std::uint64_t key) const
+{
+    m_->pool().prefetch(pairAddr(setOf(key), 0),
+                        GpKvsParams::kWays * sizeof(KvPair));
+}
+
+void
+GpKvs::prefetchLeaderLog(std::uint64_t op_idx, std::uint64_t key) const
+{
+    // A peek at the visible image, not a modelled load.
+    KvPair ways[GpKvsParams::kWays];
+    std::memcpy(ways, m_->pool().visible() + pairAddr(setOf(key), 0),
+                sizeof(ways));
+    const std::uint32_t way = chooseWay(ways, key);
+    if (way != kNoWay)
+        log_.front().prefetchInsert(op_idx * GpKvsParams::kGroup + way);
 }
 
 void
@@ -180,6 +228,7 @@ GpKvs::runBatchGpm(const std::vector<Op> &ops, bool ndp,
     const std::uint32_t tpb = 256;
 
     std::uint64_t sets_written = 0;
+    probe_.resize(ops.size());
     KernelDesc k;
     k.name = "gpkvs_batch";
     k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
@@ -192,17 +241,22 @@ GpKvs::runBatchGpm(const std::vector<Op> &ops, bool ndp,
         if (op_idx >= ops.size())
             return;
         const Op &op = ops[op_idx];
+        const bool first = gtid % GpKvsParams::kGroup == 0;
         ctx.work(40);  // hashing + probe arithmetic
+        if (first && op_idx + kPrefetchAhead < ops.size())
+            prefetchSet(ops[op_idx + kPrefetchAhead].key);
+        if (first && op_idx + kLogAhead < ops.size() &&
+            !ops[op_idx + kLogAhead].is_get)
+            prefetchLeaderLog(op_idx + kLogAhead,
+                              ops[op_idx + kLogAhead].key);
 
         if (op.is_get) {
-            if (gtid % GpKvsParams::kGroup == 0) {
+            if (first) {
                 // Served from the HBM-cached copy of the store.
                 ctx.hbmTraffic(GpKvsParams::kWays * sizeof(KvPair));
                 ctx.work(20);
-                const std::uint32_t gset = static_cast<std::uint32_t>(
-                    hashKey(op.key) % p_.n_sets);
                 KvPair gways[GpKvsParams::kWays];
-                m_->pool().read(pairAddr(gset, 0), gways,
+                m_->pool().read(pairAddr(setOf(op.key), 0), gways,
                                 sizeof(gways));
                 get_results_[op_idx] = 0;
                 for (const KvPair &pair : gways) {
@@ -213,22 +267,19 @@ GpKvs::runBatchGpm(const std::vector<Op> &ops, bool ndp,
             return;
         }
 
-        const std::uint32_t set = static_cast<std::uint32_t>(
-            hashKey(op.key) % p_.n_sets);
-        KvPair ways[GpKvsParams::kWays];
-        m_->pool().read(pairAddr(set, 0), ways, sizeof(ways));
+        const Probe &pr = groupProbe(gtid, op_idx, op.key);
         ctx.hbmTraffic(sizeof(KvPair));  // this thread probes one way
-
-        const std::uint32_t way = chooseWay(ways, op.key);
-        if (gtid % GpKvsParams::kGroup != way)
+        if (gtid % GpKvsParams::kGroup != pr.way)
             return;  // not the leader for this op
+        const std::uint32_t set = pr.set;
+        const std::uint32_t way = pr.way;
 
         // GPM-NDP runs the very same kernel (logging included); only
         // the persistence guarantee moves to the CPU — the fences
         // below complete at the volatile LLC and order without
         // persisting (section 6.1).
         EpochEntry entry;
-        entry.e = KvLogEntry{set, way, ways[way].key, ways[way].value};
+        entry.e = KvLogEntry{set, way, pr.old.key, pr.old.value};
         entry.batch = batch_id;
         // Conventional logs spread ops, not thread ids, over the
         // partitions (leader thread ids cluster on way 0).
@@ -273,47 +324,51 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
     std::vector<bool> dirty(
         ceilDiv(p_.storeBytes(), p_.cap_chunk_bytes), false);
 
+    const auto setWays = [this](std::uint32_t set) {
+        return &host_copy_[std::uint64_t(set) * GpKvsParams::kWays];
+    };
+    probe_.resize(ops.size());
     KernelDesc k;
     k.name = "gpkvs_batch_volatile";
     k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
     k.block_threads = tpb;
-    k.phases.push_back([this, &ops, &dirty](ThreadCtx &ctx) {
+    k.phases.push_back([this, &ops, &dirty, setWays](ThreadCtx &ctx) {
         const std::uint64_t gtid = ctx.globalId();
         const std::uint64_t op_idx = gtid / GpKvsParams::kGroup;
         if (op_idx >= ops.size())
             return;
         const Op &op = ops[op_idx];
+        const bool first = gtid % GpKvsParams::kGroup == 0;
         ctx.work(40);
+        if (first && op_idx + kPrefetchAhead < ops.size())
+            prefetchHostLines(setWays(setOf(ops[op_idx + kPrefetchAhead].key)),
+                              GpKvsParams::kWays * sizeof(KvPair));
         if (op.is_get) {
-            if (gtid % GpKvsParams::kGroup == 0) {
+            if (first) {
                 ctx.hbmTraffic(GpKvsParams::kWays * sizeof(KvPair));
                 ctx.work(20);
-                const std::uint32_t gset = static_cast<std::uint32_t>(
-                    hashKey(op.key) % p_.n_sets);
+                const KvPair *ways = setWays(setOf(op.key));
                 get_results_[op_idx] = 0;
-                for (std::uint32_t w = 0; w < GpKvsParams::kWays;
-                     ++w) {
-                    const KvPair &pair =
-                        host_copy_[std::uint64_t(gset) *
-                                   GpKvsParams::kWays + w];
-                    if (pair.key == op.key)
-                        get_results_[op_idx] = pair.value;
+                for (std::uint32_t w = 0; w < GpKvsParams::kWays; ++w) {
+                    if (ways[w].key == op.key)
+                        get_results_[op_idx] = ways[w].value;
                 }
             }
             return;
         }
-        const std::uint32_t set = static_cast<std::uint32_t>(
-            hashKey(op.key) % p_.n_sets);
-        KvPair *base = &host_copy_[std::uint64_t(set) *
-                                   GpKvsParams::kWays];
+        // The group's first lane probes; the others read its way.
+        Probe &pr = probe_[op_idx];
+        if (first) {
+            pr.set = setOf(op.key);
+            pr.way = chooseWay(setWays(pr.set), op.key);
+        }
         ctx.hbmTraffic(sizeof(KvPair));
-        const std::uint32_t way = chooseWay(base, op.key);
-        if (gtid % GpKvsParams::kGroup != way)
+        if (gtid % GpKvsParams::kGroup != pr.way)
             return;
-        base[way] = KvPair{op.key, op.value};
+        setWays(pr.set)[pr.way] = KvPair{op.key, op.value};
         ctx.hbmTraffic(sizeof(KvPair));
         const std::uint64_t byte_off =
-            (std::uint64_t(set) * GpKvsParams::kWays + way) *
+            (std::uint64_t(pr.set) * GpKvsParams::kWays + pr.way) *
             sizeof(KvPair);
         dirty[byte_off / p_.cap_chunk_bytes] = true;
     });
@@ -326,7 +381,8 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
         if (dirty[c])
             chunks.push_back(c);
     }
-    m_->capPersistChunks(store_.offset, host_copy_.data(), chunks,
+    m_->capPersistChunks(store_.offset, host_copy_.data(),
+                         p_.storeBytes(), chunks,
                          p_.cap_chunk_bytes, p_.cap_threads);
 }
 
@@ -656,22 +712,26 @@ GpKvs::serveBatch(const std::vector<KvRequest> &reqs,
     k.block_threads = tpb;
     if (crash)
         k.crash = *crash;
+    probe_.resize(reqs.size());
     k.phases.push_back([this, &reqs, &results, batch_id](ThreadCtx &ctx) {
         const std::uint64_t gtid = ctx.globalId();
         const std::uint64_t op_idx = gtid / GpKvsParams::kGroup;
         if (op_idx >= reqs.size())
             return;
         const KvRequest &rq = reqs[op_idx];
+        const bool first = gtid % GpKvsParams::kGroup == 0;
         ctx.work(40);  // hashing + probe arithmetic
-        const std::uint32_t set = setOf(rq.key);
+        if (first && op_idx + kPrefetchAhead < reqs.size())
+            prefetchSet(reqs[op_idx + kPrefetchAhead].key);
 
         if (rq.verb == KvVerb::Get) {
-            if (gtid % GpKvsParams::kGroup == 0) {
+            if (first) {
                 // Served from the HBM-cached copy of the store.
                 ctx.hbmTraffic(GpKvsParams::kWays * sizeof(KvPair));
                 ctx.work(20);
                 KvPair ways[GpKvsParams::kWays];
-                m_->pool().read(pairAddr(set, 0), ways, sizeof(ways));
+                m_->pool().read(pairAddr(setOf(rq.key), 0), ways,
+                                sizeof(ways));
                 for (const KvPair &pair : ways) {
                     if (pair.key == rq.key)
                         results[op_idx] =
@@ -683,25 +743,17 @@ GpKvs::serveBatch(const std::vector<KvRequest> &reqs,
             return;
         }
 
-        KvPair ways[GpKvsParams::kWays];
-        m_->pool().read(pairAddr(set, 0), ways, sizeof(ways));
+        // DEL: only an exact key match has a leader.
+        const Probe &pr = groupProbe(gtid, op_idx, rq.key,
+                                     /*exact=*/rq.verb == KvVerb::Del);
         ctx.hbmTraffic(sizeof(KvPair));  // this thread probes one way
-
-        std::uint32_t way = kNoWay;
-        if (rq.verb == KvVerb::Put) {
-            way = chooseWay(ways, rq.key);
-        } else {
-            // DEL: only an exact key match has a leader.
-            for (std::uint32_t w = 0; w < GpKvsParams::kWays; ++w) {
-                if (ways[w].key == rq.key)
-                    way = w;
-            }
-        }
-        if (way == kNoWay || gtid % GpKvsParams::kGroup != way)
+        if (gtid % GpKvsParams::kGroup != pr.way)
             return;  // not the leader (PUT on full set / DEL miss)
+        const std::uint32_t set = pr.set;
+        const std::uint32_t way = pr.way;
 
         EpochEntry entry;
-        entry.e = KvLogEntry{set, way, ways[way].key, ways[way].value};
+        entry.e = KvLogEntry{set, way, pr.old.key, pr.old.value};
         entry.batch = batch_id;
         log_.front().insert(ctx, &entry, sizeof(entry));
         KvPair next{};

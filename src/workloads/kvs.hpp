@@ -384,6 +384,34 @@ class GpKvs
 
     std::uint64_t pairAddr(std::uint32_t set, std::uint32_t way) const;
 
+    /**
+     * One op group's probe of its set. The group's first lane computes
+     * it and the other lanes read it back, as a warp ballot would
+     * share it. Exact because a group's lanes run in lane order and
+     * only the group's own leader writes the set, after which
+     * chooseWay still returns the same way.
+     */
+    struct Probe {
+        std::uint32_t set = 0;
+        std::uint32_t way = kNoWay;  ///< the leader lane, or kNoWay
+        KvPair old;                  ///< that way's pair before the op
+    };
+
+    /** Op @p op_idx's probe of the PM store for @p key: computed when
+     *  @p gtid is the group's first lane, else the one it computed.
+     *  @p exact picks the way holding @p key (a DEL) instead of
+     *  chooseWay's. */
+    const Probe &groupProbe(std::uint64_t gtid, std::uint64_t op_idx,
+                            std::uint64_t key, bool exact = false);
+
+    /** Warm the PM lines of @p key's set (PmPool::prefetch). */
+    void prefetchSet(std::uint64_t key) const;
+
+    /** Warm the log row the leader of SET op @p op_idx on @p key is
+     *  expected to insert into: the leader chooseWay picks from the
+     *  set as it stands now. A stale guess costs only the hint. */
+    void prefetchLeaderLog(std::uint64_t op_idx, std::uint64_t key) const;
+
     Machine *m_ = nullptr;
     GpKvsParams p_;
     PmRegion store_;
@@ -391,6 +419,7 @@ class GpKvs
     std::vector<GpmLog> log_;          ///< one log (vector for lazy init)
     std::vector<KvPair> host_copy_;    ///< CAP's volatile device copy
     std::vector<std::uint64_t> get_results_;  ///< last batch's GETs
+    std::vector<Probe> probe_;  ///< per-op probes, reused across launches
     mutable std::vector<Op> ops_buf_;   ///< makeBatch's reused buffer
     mutable std::vector<Op> first_ops_; ///< cached batch 0 (GET targets)
     mutable std::vector<std::uint32_t> set_scratch_;  ///< dedup check

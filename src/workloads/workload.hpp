@@ -118,6 +118,14 @@ class WorkloadSpan : public telemetry::Span
 };
 
 /**
+ * How many ops (gpKVS) or rows (gpDB update) ahead a transactional
+ * kernel warms the host cache lines its random PM accesses will touch
+ * (PmPool::prefetch). A host-only hint with no modelled effect
+ * (DESIGN.md decision #10), hence a constant and not a parameter.
+ */
+inline constexpr std::uint32_t kPrefetchAhead = 16;
+
+/**
  * Charge the simulated clock for GPU computation performed host-side.
  *
  * Compute-heavy phases (DNN math, stencils) execute functionally in

@@ -214,6 +214,33 @@ TEST(GpDbCrashReference, ImagesEqualCleanRunsToAndPastTheCrashBatch)
     }
 }
 
+TEST(GpDbCrashReference, RowCountsFollowTheBatches)
+{
+    // The mirror keeps its row count instead of scanning for it; the
+    // images' counts (and byte lengths) pin the kept count.
+    GpDbParams p = crashParams();
+    p.insert_batches = 3;
+    p.update_batches = 3;
+    for (std::uint32_t b = 0; b < 3; ++b) {
+        const CrashReference ins =
+            GpDb::crashReference(p, GpDb::TxnKind::Insert, b);
+        const std::uint64_t pre =
+            p.initial_rows + std::uint64_t(b) * p.insert_rows;
+        EXPECT_EQ(ins.pre_crash.rows, pre) << b;
+        EXPECT_EQ(ins.committed.rows, pre + p.insert_rows) << b;
+        EXPECT_EQ(ins.committed.bytes.size(),
+                  (pre + p.insert_rows) * GpDbParams::kRowBytes) << b;
+
+        const CrashReference upd =
+            GpDb::crashReference(p, GpDb::TxnKind::Update, b);
+        EXPECT_EQ(upd.pre_crash.rows, p.initial_rows) << b;
+        EXPECT_EQ(upd.committed.rows, p.initial_rows) << b;
+        EXPECT_EQ(upd.committed.bytes.size(),
+                  std::uint64_t(p.initial_rows) * GpDbParams::kRowBytes)
+            << b;
+    }
+}
+
 TEST(GpDbCrashReference, StateHashIsTheDurableTableFnv)
 {
     const GpDbParams p = crashParams();

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
 
@@ -14,6 +15,7 @@
 #include "gpm/gpm_log.hpp"
 #include "gpm/gpm_runtime.hpp"
 #include "gpusim/kernel.hpp"
+#include "pmem/pm_events.hpp"
 
 namespace gpm {
 namespace {
@@ -216,6 +218,65 @@ TEST(GpmLogHcl, FullThreadLogIsUserError)
         log.insert(ctx, &e, sizeof(e));  // second row does not exist
     });
     EXPECT_THROW(m.runKernel(k), FatalError);
+}
+
+/** Two inserts per thread into a two-row HCL log, with
+ *  GpmLog::prefetchInsert hints around them when @p hint: before each
+ *  insert, once every row is full, past the grid and on a
+ *  conventional log. */
+void
+insertWithHints(Machine &m, bool hint)
+{
+    gpmPersistBegin(m);
+    GpmLog log = GpmLog::createHcl(m, "log", 8, 2, 1, 64);
+    GpmLog conv = GpmLog::createConv(m, "clog", 4_KiB, 2);
+    KernelDesc k;
+    k.name = "hinted_insert";
+    k.blocks = 1;
+    k.block_threads = 64;
+    k.phases.push_back([&](ThreadCtx &ctx) {
+        for (std::uint64_t e = 1; e <= 2; ++e) {
+            if (hint)
+                log.prefetchInsert(ctx.globalId());
+            log.insert(ctx, &e, sizeof(e));
+        }
+    });
+    m.runKernel(k);
+    if (hint) {
+        for (std::uint64_t gtid : {0ull, 63ull, 64ull, ~0ull}) {
+            log.prefetchInsert(gtid);
+            conv.prefetchInsert(gtid);
+        }
+    }
+    gpmPersistEnd(m);
+}
+
+TEST(GpmLogHcl, PrefetchInsertIsInert)
+{
+    SimConfig cfg;
+    PmEventRecorder plain_rec, hinted_rec;  // outlive the pools
+    Machine plain(cfg, PlatformKind::Gpm, 16_MiB);
+    Machine hinted(cfg, PlatformKind::Gpm, 16_MiB);
+    plain.pool().setRecorder(&plain_rec);
+    hinted.pool().setRecorder(&hinted_rec);
+    insertWithHints(plain, false);
+    insertWithHints(hinted, true);
+
+    const std::vector<PmEvent> &a = plain_rec.events();
+    const std::vector<PmEvent> &b = hinted_rec.events();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].kind, b[i].kind) << i;
+        EXPECT_EQ(a[i].addr, b[i].addr) << i;
+        EXPECT_EQ(a[i].size, b[i].size) << i;
+    }
+    EXPECT_EQ(plain.now(), hinted.now());
+    EXPECT_EQ(plain.pool().stats().extents_drained,
+              hinted.pool().stats().extents_drained);
+    EXPECT_EQ(std::memcmp(plain.pool().visible(), hinted.pool().visible(),
+                          16_MiB), 0);
+    EXPECT_EQ(std::memcmp(plain.pool().durable(), hinted.pool().durable(),
+                          16_MiB), 0);
 }
 
 TEST(GpmLogConv, AppendAndSerializationAccounting)

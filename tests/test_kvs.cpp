@@ -131,6 +131,54 @@ TEST(GpKvs, NdpVerifiesAndIsDurableAfterFlush)
     EXPECT_EQ(m.pool().pendingExtents(), 0u);
 }
 
+/** Far more ops than ways: every set fills in batch 0. */
+GpKvsParams
+oversubscribedParams(double get_ratio)
+{
+    GpKvsParams p;
+    p.n_sets = 8;
+    p.batch_ops = 256;
+    p.batches = 3;
+    p.get_ratio = get_ratio;
+    return p;
+}
+
+TEST(GpKvsOversubscribed, FullSetsRejectSetsOnEveryPlatform)
+{
+    // SET-only: batch 0 fills all 64 ways, and every later SET (a
+    // fresh random key) finds its set full and fails with kNoWay.
+    const GpKvsParams full = oversubscribedParams(0.0);
+    const CrashReference first = GpKvs::crashReference(full, 0);
+    const auto *pairs =
+        reinterpret_cast<const KvPair *>(first.committed.bytes.data());
+    for (std::uint64_t i = 0; i < full.n_sets * GpKvsParams::kWays; ++i)
+        EXPECT_NE(pairs[i].key, 0u) << "way " << i;
+    EXPECT_EQ(GpKvs::crashReference(full, full.batches - 1).committed.bytes,
+              first.committed.bytes);
+
+    for (const double get_ratio : {0.0, 0.95}) {
+        const GpKvsParams p = oversubscribedParams(get_ratio);
+        const CrashReference ref =
+            GpKvs::crashReference(p, p.batches - 1);
+        for (PlatformKind kind :
+             {PlatformKind::Gpm, PlatformKind::GpmEadr,
+              PlatformKind::CapFs, PlatformKind::CapMm}) {
+            SimConfig cfg;
+            Machine m(cfg, kind, 16_MiB);
+            GpKvs kvs(m, p);
+            EXPECT_TRUE(kvs.run().verified)
+                << platformName(kind) << " get_ratio " << get_ratio;
+            if (kind != PlatformKind::Gpm)
+                continue;
+            const std::uint8_t *img =
+                m.pool().durable() + m.pool().region("gpkvs.data").offset;
+            EXPECT_EQ(std::vector<std::uint8_t>(img, img + p.storeBytes()),
+                      ref.committed.bytes)
+                << "get_ratio " << get_ratio;
+        }
+    }
+}
+
 /** Params where the store dwarfs per-batch updates, as in Table 1. */
 GpKvsParams
 sparseParams()

@@ -136,7 +136,8 @@ TEST(Machine, CapPersistChunksOnlyMovesDirtyChunks)
     Machine m(cfg, PlatformKind::CapMm, 16_MiB);
     const PmRegion r = m.pool().map("buf", 64_KiB, true);
     std::vector<std::uint8_t> host(64_KiB, 0x11);
-    m.capPersistChunks(r.offset, host.data(), {1, 3}, 4096, 8);
+    m.capPersistChunks(r.offset, host.data(), host.size(), {1, 3}, 4096,
+                       8);
     EXPECT_EQ(m.persistPayloadBytes(), 2u * 4096);
     // Chunk 1 durable, chunk 0 untouched.
     EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(r.offset + 4096),
@@ -144,8 +145,28 @@ TEST(Machine, CapPersistChunksOnlyMovesDirtyChunks)
     EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(r.offset), 0x00);
     // No chunks: free and silent.
     const SimNs t = m.now();
-    m.capPersistChunks(r.offset, host.data(), {}, 4096, 8);
+    m.capPersistChunks(r.offset, host.data(), host.size(), {}, 4096, 8);
     EXPECT_DOUBLE_EQ(m.now(), t);
+}
+
+TEST(Machine, CapPersistChunksClipsTheLastChunkToTheStructure)
+{
+    // A 1 KiB structure in 4 KiB chunks: chunk 0 moves 1 KiB, never
+    // reading past the device copy nor writing past the region.
+    SimConfig cfg;
+    Machine m(cfg, PlatformKind::CapMm, 16_MiB);
+    const PmRegion r = m.pool().map("buf", 1_KiB, true);
+    const PmRegion next = m.pool().map("next", 4_KiB, true);
+    std::vector<std::uint8_t> host(1_KiB, 0x22);
+    m.capPersistChunks(r.offset, host.data(), host.size(), {0}, 4096, 8);
+    EXPECT_EQ(m.persistPayloadBytes(), 1_KiB);
+    EXPECT_EQ(m.pcieWriteBytes(), 1_KiB);
+    EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(r.offset + 1_KiB - 1),
+              0x22);
+    EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(next.offset), 0x00);
+    EXPECT_THROW(m.capPersistChunks(r.offset, host.data(), host.size(),
+                                    {1}, 4096, 8),
+                 FatalError);
 }
 
 TEST(Machine, CpuPersistScatteredDrainsEverything)
@@ -165,7 +186,8 @@ TEST(Machine, GpufsWriteRequiresGpufsPlatform)
     const PmRegion r = m.pool().map("f", 4096, true);
     std::uint8_t b[16] = {};
     EXPECT_THROW(m.capPersist(r.offset, b, 16, 1), FatalError);
-    EXPECT_THROW(m.capPersistChunks(r.offset, b, {0}, 16, 1), FatalError);
+    EXPECT_THROW(m.capPersistChunks(r.offset, b, 16, {0}, 16, 1),
+                 FatalError);
 
     Machine g(cfg, PlatformKind::Gpufs, 16_MiB);
     EXPECT_TRUE(g.supports(WriteGrain::Block, 1_GiB));

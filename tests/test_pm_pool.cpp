@@ -22,6 +22,7 @@
 
 #include "common/rng.hpp"
 #include "harness/sweep.hpp"
+#include "pmem/pm_events.hpp"
 #include "pmem/pm_pool.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -352,6 +353,86 @@ TEST(PmPool, DomainSwitchMidstream)
     // The pre-switch write was drained by the same fence (it was
     // still pending under this owner).
     EXPECT_EQ(pool.loadDurable<std::uint64_t>(0), 3u);
+}
+
+/** One fixed script of stores, fences, a recovery read and a crash.
+ *  With @p hint, PmPool::prefetch calls are interleaved: in range,
+ *  whole pool, zero size, past the end and wrapping around. */
+void
+prefetchScript(PmPool &pool, PmEventRecorder &rec, bool hint)
+{
+    const auto pf = [&](std::uint64_t addr, std::uint64_t bytes) {
+        if (hint)
+            pool.prefetch(addr, bytes);
+    };
+    Rng rng(11);
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        const std::uint64_t addr = rng.below(pool.capacity() / 16) * 16;
+        pf(addr, 128);
+        const std::uint64_t v = rng.next();
+        pool.deviceWrite(i % 4, addr, &v, 8);
+        if (i % 16 == 15) {
+            pf(0, pool.capacity());
+            pool.persistOwner(i % 4);
+        }
+    }
+    pf(0, 0);
+    pf(pool.capacity() - 8, 64);
+    pf(~std::uint64_t(0) - 8, 64);
+    rec.recoveryBegin();
+    std::uint64_t v = 0;
+    pool.read(64, &v, sizeof(v));
+    rec.recoveryEnd();
+    pool.crash(0.5);
+}
+
+TEST(PmPool, PrefetchIsInert)
+{
+    constexpr std::size_t cap = 64_KiB;
+    PmEventRecorder plain_rec, hinted_rec;  // outlive the pools
+    PmPool plain(cap, PersistDomain::McDurable, 5);
+    PmPool hinted(cap, PersistDomain::McDurable, 5);
+    plain.setRecorder(&plain_rec);
+    hinted.setRecorder(&hinted_rec);
+    prefetchScript(plain, plain_rec, false);
+    prefetchScript(hinted, hinted_rec, true);
+
+    const std::vector<PmEvent> &a = plain_rec.events();
+    const std::vector<PmEvent> &b = hinted_rec.events();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].kind, b[i].kind) << i;
+        EXPECT_EQ(a[i].domain, b[i].domain) << i;
+        EXPECT_EQ(a[i].armed, b[i].armed) << i;
+        EXPECT_EQ(a[i].kernel, b[i].kernel) << i;
+        EXPECT_EQ(a[i].launch, b[i].launch) << i;
+        EXPECT_EQ(a[i].phase, b[i].phase) << i;
+        EXPECT_EQ(a[i].ordinal, b[i].ordinal) << i;
+        EXPECT_EQ(a[i].owner, b[i].owner) << i;
+        EXPECT_EQ(a[i].addr, b[i].addr) << i;
+        EXPECT_EQ(a[i].size, b[i].size) << i;
+        EXPECT_EQ(a[i].drained, b[i].drained) << i;
+    }
+    const PmPoolStats &sa = plain.stats(), &sb = hinted.stats();
+    EXPECT_EQ(sa.crashes, sb.crashes);
+    EXPECT_EQ(sa.extents_drained, sb.extents_drained);
+    EXPECT_EQ(sa.crash_sub_extents, sb.crash_sub_extents);
+    EXPECT_EQ(sa.crash_survivors, sb.crash_survivors);
+    EXPECT_EQ(sa.extents_merged, sb.extents_merged);
+    EXPECT_EQ(std::memcmp(plain.visible(), hinted.visible(), cap), 0);
+    EXPECT_EQ(std::memcmp(plain.durable(), hinted.durable(), cap), 0);
+
+    // On a fresh pool, degenerate calls neither throw nor write.
+    PmPool fresh(cap, PersistDomain::McDurable);
+    EXPECT_NO_THROW(fresh.prefetch(0, 0));
+    EXPECT_NO_THROW(fresh.prefetch(cap, 1));
+    EXPECT_NO_THROW(fresh.prefetch(cap - 8, 64));
+    EXPECT_NO_THROW(fresh.prefetch(~std::uint64_t(0), 2));
+    EXPECT_EQ(fresh.pendingExtents(), 0u);
+    EXPECT_EQ(fresh.stats().extents_drained, 0u);
+    for (const std::uint8_t *img : {fresh.visible(), fresh.durable()})
+        EXPECT_TRUE(std::all_of(img, img + cap,
+                                [](std::uint8_t c) { return c == 0; }));
 }
 
 /**
