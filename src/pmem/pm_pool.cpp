@@ -16,18 +16,19 @@ namespace gpm {
 
 namespace {
 
-/** An idle mapping on the free list (see PmImages). */
+/** An idle mapping on the free list (see RecycledImages). */
 struct IdleImages {
     std::uint8_t *base;
     std::size_t size;
+    unsigned count;
     std::vector<std::uint64_t> resident;
 };
 
-/** Process-wide free list of released pool mappings. */
+/** Process-wide free list of released image mappings. */
 struct ImageFreeList {
     std::mutex mu;
     std::vector<IdleImages> idle;  ///< most recently released last
-    std::size_t live = 0;          ///< PmImages holding a mapping
+    std::size_t live = 0;          ///< RecycledImages holding a mapping
     std::size_t peak_live = 0;     ///< bound on idle.size()
 };
 
@@ -43,13 +44,14 @@ freeList()
 std::size_t
 imageStride(std::size_t capacity)
 {
-    return alignUp(capacity, PmImages::kPageBytes);
+    return alignUp(capacity, RecycledImages::kPageBytes);
 }
 
 std::size_t
 pageWords(std::size_t capacity)
 {
-    const std::size_t pages = imageStride(capacity) / PmImages::kPageBytes;
+    const std::size_t pages =
+        imageStride(capacity) / RecycledImages::kPageBytes;
     return (pages + 63) / 64;
 }
 
@@ -74,9 +76,9 @@ forEachRun(const std::vector<std::uint64_t> &bits, std::size_t size,
         std::uint64_t q = p + 1;
         while (q < npages && (bits[q / 64] >> (q % 64) & 1))
             ++q;
-        const std::uint64_t lo = p * PmImages::kPageBytes;
+        const std::uint64_t lo = p * RecycledImages::kPageBytes;
         const std::uint64_t hi =
-            std::min<std::uint64_t>(q * PmImages::kPageBytes, size);
+            std::min<std::uint64_t>(q * RecycledImages::kPageBytes, size);
         fn(lo, hi - lo);
         p = q;
     }
@@ -119,16 +121,17 @@ popcount(const std::vector<std::uint64_t> &bits)
 
 } // namespace
 
-PmImages::PmImages(std::size_t capacity)
-    : size_(capacity), stride_(imageStride(capacity))
+RecycledImages::RecycledImages(std::size_t size, unsigned count)
+    : size_(size), stride_(imageStride(size)), count_(count)
 {
-    GPM_REQUIRE(capacity > 0, "PM pool capacity must be non-zero");
+    GPM_REQUIRE(size > 0 && count > 0,
+                "recycled images need a non-zero size and count");
     ImageFreeList &fl = freeList();
     {
         std::lock_guard<std::mutex> lock(fl.mu);
         // Most recent first: its pages are the likeliest to be hot.
         for (auto it = fl.idle.rbegin(); it != fl.idle.rend(); ++it) {
-            if (it->size != capacity)
+            if (it->size != size || it->count != count)
                 continue;
             base_ = it->base;
             resident_ = std::move(it->resident);
@@ -139,52 +142,52 @@ PmImages::PmImages(std::size_t capacity)
             fl.peak_live = std::max(fl.peak_live, ++fl.live);
     }
     if (!base_) {
-        void *p = ::mmap(nullptr, 2 * stride_, PROT_READ | PROT_WRITE,
+        void *p = ::mmap(nullptr, count * stride_, PROT_READ | PROT_WRITE,
                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        GPM_REQUIRE(p != MAP_FAILED, "PM image allocation of ",
-                    2 * stride_, " bytes failed");
+        GPM_REQUIRE(p != MAP_FAILED, "image allocation of ",
+                    count * stride_, " bytes failed");
         base_ = static_cast<std::uint8_t *>(p);
-        resident_.assign(pageWords(capacity), 0);
+        resident_.assign(pageWords(size), 0);
         std::lock_guard<std::mutex> lock(fl.mu);
         fl.peak_live = std::max(fl.peak_live, ++fl.live);
     }
     dirty_.assign(resident_.size(), 0);
 }
 
-PmImages::PmImages(PmImages &&o) noexcept
+RecycledImages::RecycledImages(RecycledImages &&o) noexcept
     : base_(std::exchange(o.base_, nullptr)), size_(o.size_),
-      stride_(o.stride_), resident_(std::move(o.resident_)),
-      dirty_(std::move(o.dirty_))
+      stride_(o.stride_), count_(o.count_),
+      resident_(std::move(o.resident_)), dirty_(std::move(o.dirty_))
 {
 }
 
-PmImages::~PmImages()
+RecycledImages::~RecycledImages()
 {
     if (base_)
         release();
 }
 
 void
-PmImages::release()
+RecycledImages::release()
 {
-    // Zero what this pool wrote and keep every page resident: the
-    // successor takes the mapping over whatever its layout.
+    // Zero what this owner wrote and keep every page resident: the
+    // successor takes the mapping over whatever it writes where.
     forEachRun(dirty_, size_, [&](std::uint64_t off, std::uint64_t n) {
-        std::memset(base_ + off, 0, n);
-        std::memset(base_ + stride_ + off, 0, n);
+        for (unsigned i = 0; i < count_; ++i)
+            std::memset(image(i) + off, 0, n);
     });
     for (std::size_t w = 0; w < resident_.size(); ++w)
         resident_[w] |= dirty_[w];
     const std::uint64_t kept = popcount(resident_);
 
-    // Only pools of mixed capacities can overfill the list; the oldest
+    // Only owners of mixed sizes can overfill the list; the oldest
     // idle mapping is then unmapped.
     ImageFreeList &fl = freeList();
     std::optional<IdleImages> evicted;
     {
         std::lock_guard<std::mutex> lock(fl.mu);
         --fl.live;
-        fl.idle.push_back({base_, size_, std::move(resident_)});
+        fl.idle.push_back({base_, size_, count_, std::move(resident_)});
         if (fl.idle.size() > fl.peak_live) {
             evicted = std::move(fl.idle.front());
             fl.idle.erase(fl.idle.begin());
@@ -193,7 +196,8 @@ PmImages::release()
     std::uint64_t dropped = 0;
     if (evicted) {
         dropped = popcount(evicted->resident);
-        ::munmap(evicted->base, 2 * imageStride(evicted->size));
+        ::munmap(evicted->base,
+                 evicted->count * imageStride(evicted->size));
     }
     base_ = nullptr;
     telemetry::count("pool.pages_kept", kept);

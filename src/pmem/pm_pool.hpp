@@ -52,48 +52,52 @@ namespace gpm {
 class PmEventRecorder;
 
 /**
- * The visible and durable byte images of one pool, recycled between
- * pools.
+ * Zero-filled byte images, recycled between owners through one
+ * process-wide free list.
  *
- * Both images live in one anonymous private mapping, so a fresh pool
- * is O(1) to build and reads as zero everywhere. What a sweep pays for
- * instead is the first-touch fault on every page a pool writes, twice
- * over (visible and durable), and the munmap that frees those pages
- * again. So a released pool's mapping is not unmapped. The pool zeroes
- * the pages it wrote (markDirty) in both images and hands the mapping,
- * with a bitmap of its resident 4 KiB pages, to a process-wide free
- * list. The next pool of the same capacity takes it over as it is,
- * whatever regions it maps.
+ * The images (one or more, each `size` bytes) live in one anonymous
+ * private mapping, so a fresh instance is O(1) to build and reads as
+ * zero everywhere. What a sweep pays for instead is the first-touch
+ * fault on every page an owner writes, once per image, and the munmap
+ * that frees those pages again. So a released mapping is not
+ * unmapped. The owner zeroes the pages it wrote (markDirty) in every
+ * image and hands the mapping, with a bitmap of its resident 4 KiB
+ * pages, to the free list. The next instance of the same size and
+ * image count takes it over as it is, whatever it writes where.
  *
  * Every byte a successor can see is zero; only where the pages live
  * differs. Pages follow addresses, not layouts: a mapping keeps at
  * most the union of the pages ever written through it, so it never
- * holds more than the widest footprint its pools had at each offset.
+ * holds more than the widest footprint its owners had at each offset.
  *
  * The free list holds at most as many idle mappings as the peak number
- * of pools ever live at once. A moved-from instance recycles nothing.
+ * of instances ever live at once. A moved-from instance recycles
+ * nothing.
  */
-class PmImages
+class RecycledImages
 {
   public:
     /** Dirty/resident tracking granularity: the common host page. */
     static constexpr std::uint64_t kPageBytes = 4096;
 
-    explicit PmImages(std::size_t capacity);
-    PmImages(PmImages &&o) noexcept;
-    PmImages(const PmImages &) = delete;
-    PmImages &operator=(const PmImages &) = delete;
-    PmImages &operator=(PmImages &&) = delete;
-    ~PmImages();
+    /** @p count zero-filled images of @p size bytes each. */
+    RecycledImages(std::size_t size, unsigned count);
+    RecycledImages(RecycledImages &&o) noexcept;
+    RecycledImages(const RecycledImages &) = delete;
+    RecycledImages &operator=(const RecycledImages &) = delete;
+    RecycledImages &operator=(RecycledImages &&) = delete;
+    ~RecycledImages();
 
     std::size_t size() const { return size_; }
-    std::uint8_t *visible() { return base_; }
-    const std::uint8_t *visible() const { return base_; }
-    std::uint8_t *durable() { return base_ + stride_; }
-    const std::uint8_t *durable() const { return base_ + stride_; }
+    std::uint8_t *image(unsigned i) { return base_ + i * stride_; }
+    const std::uint8_t *
+    image(unsigned i) const
+    {
+        return base_ + i * stride_;
+    }
 
     /** Note that [addr, addr+size) may now hold non-zero bytes in
-     *  either image. Every byte that enters an image must be covered. */
+     *  any image. Every byte that enters an image must be covered. */
     void
     markDirty(std::uint64_t addr, std::uint64_t size)
     {
@@ -109,9 +113,28 @@ class PmImages
 
     std::uint8_t *base_ = nullptr;
     std::size_t size_ = 0;
-    std::size_t stride_ = 0;               ///< durable image offset
+    std::size_t stride_ = 0;               ///< offset between images
+    unsigned count_ = 0;                   ///< images in the mapping
     std::vector<std::uint64_t> resident_;  ///< zero pages kept resident
-    std::vector<std::uint64_t> dirty_;     ///< pages this pool wrote
+    std::vector<std::uint64_t> dirty_;     ///< pages this owner wrote
+};
+
+/**
+ * The visible and durable byte images of one pool: a recycled pair, so
+ * a released pool's mapping goes to the next pool of the same capacity
+ * whatever regions it maps. One markDirty covers both images.
+ */
+class PmImages : public RecycledImages
+{
+  public:
+    explicit PmImages(std::size_t capacity) : RecycledImages(capacity, 2)
+    {
+    }
+
+    std::uint8_t *visible() { return image(0); }
+    const std::uint8_t *visible() const { return image(0); }
+    std::uint8_t *durable() { return image(1); }
+    const std::uint8_t *durable() const { return image(1); }
 };
 
 /**

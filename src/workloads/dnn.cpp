@@ -65,13 +65,29 @@ void
 DnnApp::forward(const float *x, std::vector<float> &h,
                 std::vector<float> &probs) const
 {
-    h.assign(p_.hidden, 0.0f);
-    for (std::uint32_t j = 0; j < p_.hidden; ++j) {
-        float acc = b1_[j];
-        const float *row = &w1_[std::size_t(j) * p_.input];
-        for (std::uint32_t i = 0; i < p_.input; ++i)
-            acc += row[i] * x[i];
-        h[j] = acc > 0.0f ? acc : 0.0f;  // ReLU
+    h.resize(p_.hidden);
+    // kRows hidden rows at a time, so their dependent add chains
+    // overlap. Each accumulator still adds in ascending i order, so
+    // every h[j] has the bits of a row-at-a-time dot product.
+    constexpr std::uint32_t kRows = 8;
+    for (std::uint32_t j0 = 0; j0 < p_.hidden; j0 += kRows) {
+        const std::uint32_t n = std::min(kRows, p_.hidden - j0);
+        float acc[kRows];
+        const float *row[kRows];
+        for (std::uint32_t r = 0; r < kRows; ++r) {
+            // Rows past the end repeat the last one; their sums are
+            // discarded.
+            const std::uint32_t j = j0 + std::min(r, n - 1);
+            acc[r] = b1_[j];
+            row[r] = &w1_[std::size_t(j) * p_.input];
+        }
+        for (std::uint32_t i = 0; i < p_.input; ++i) {
+#pragma GCC unroll 8
+            for (std::uint32_t r = 0; r < kRows; ++r)
+                acc[r] += row[r][i] * x[i];
+        }
+        for (std::uint32_t r = 0; r < n; ++r)
+            h[j0 + r] = acc[r] > 0.0f ? acc[r] : 0.0f;  // ReLU
     }
     probs.assign(p_.classes, 0.0f);
     float maxlogit = -1e30f;
@@ -113,20 +129,24 @@ DnnApp::computeIteration(Machine &m, std::uint32_t iter)
             const float dlogit =
                 (probs[c] - (c == label ? 1.0f : 0.0f)) /
                 static_cast<float>(p_.minibatch);
+            // lr * dlogit * h[j] associates left, so the hoisted
+            // step leaves every bit as it was.
+            const float step = p_.lr * dlogit;
             float *row = &w2_[std::size_t(c) * p_.hidden];
             for (std::uint32_t j = 0; j < p_.hidden; ++j) {
                 dh[j] += dlogit * row[j];
-                row[j] -= p_.lr * dlogit * h[j];
+                row[j] -= step * h[j];
             }
-            b2_[c] -= p_.lr * dlogit;
+            b2_[c] -= step;
         }
         for (std::uint32_t j = 0; j < p_.hidden; ++j) {
             if (h[j] <= 0.0f)
                 continue;
+            const float step = p_.lr * dh[j];
             float *row = &w1_[std::size_t(j) * p_.input];
             for (std::uint32_t i = 0; i < p_.input; ++i)
-                row[i] -= p_.lr * dh[j] * x[i];
-            b1_[j] -= p_.lr * dh[j];
+                row[i] -= step * x[i];
+            b1_[j] -= step;
         }
     }
     last_loss_ = loss / p_.minibatch;

@@ -205,8 +205,8 @@ GpKvs::setup()
                                               p_.conv_partitions));
         }
     } else {
-        host_copy_.assign(std::uint64_t(p_.n_sets) * GpKvsParams::kWays,
-                          KvPair{});
+        // emplace releases any previous copy before taking one.
+        host_copy_.emplace(p_.storeBytes(), 1);
     }
 }
 
@@ -324,15 +324,12 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
     std::vector<bool> dirty(
         ceilDiv(p_.storeBytes(), p_.cap_chunk_bytes), false);
 
-    const auto setWays = [this](std::uint32_t set) {
-        return &host_copy_[std::uint64_t(set) * GpKvsParams::kWays];
-    };
     probe_.resize(ops.size());
     KernelDesc k;
     k.name = "gpkvs_batch_volatile";
     k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
     k.block_threads = tpb;
-    k.phases.push_back([this, &ops, &dirty, setWays](ThreadCtx &ctx) {
+    k.phases.push_back([this, &ops, &dirty](ThreadCtx &ctx) {
         const std::uint64_t gtid = ctx.globalId();
         const std::uint64_t op_idx = gtid / GpKvsParams::kGroup;
         if (op_idx >= ops.size())
@@ -341,13 +338,13 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
         const bool first = gtid % GpKvsParams::kGroup == 0;
         ctx.work(40);
         if (first && op_idx + kPrefetchAhead < ops.size())
-            prefetchHostLines(setWays(setOf(ops[op_idx + kPrefetchAhead].key)),
+            prefetchHostLines(hostWays(setOf(ops[op_idx + kPrefetchAhead].key)),
                               GpKvsParams::kWays * sizeof(KvPair));
         if (op.is_get) {
             if (first) {
                 ctx.hbmTraffic(GpKvsParams::kWays * sizeof(KvPair));
                 ctx.work(20);
-                const KvPair *ways = setWays(setOf(op.key));
+                const KvPair *ways = hostWays(setOf(op.key));
                 get_results_[op_idx] = 0;
                 for (std::uint32_t w = 0; w < GpKvsParams::kWays; ++w) {
                     if (ways[w].key == op.key)
@@ -360,12 +357,12 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
         Probe &pr = probe_[op_idx];
         if (first) {
             pr.set = setOf(op.key);
-            pr.way = chooseWay(setWays(pr.set), op.key);
+            pr.way = chooseWay(hostWays(pr.set), op.key);
         }
         ctx.hbmTraffic(sizeof(KvPair));
         if (gtid % GpKvsParams::kGroup != pr.way)
             return;
-        setWays(pr.set)[pr.way] = KvPair{op.key, op.value};
+        hostWays(pr.set)[pr.way] = KvPair{op.key, op.value};
         ctx.hbmTraffic(sizeof(KvPair));
         const std::uint64_t byte_off =
             (std::uint64_t(pr.set) * GpKvsParams::kWays + pr.way) *
@@ -375,13 +372,18 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
     m_->runKernel(k);
 
     // The updated indices are only known at chunk granularity; every
-    // dirty chunk is transferred and persisted in full.
+    // dirty chunk is transferred and persisted in full, and is what
+    // the device copy zeroes when it is handed back.
     std::vector<std::uint64_t> chunks;
     for (std::uint64_t c = 0; c < dirty.size(); ++c) {
-        if (dirty[c])
-            chunks.push_back(c);
+        if (!dirty[c])
+            continue;
+        chunks.push_back(c);
+        const std::uint64_t off = c * p_.cap_chunk_bytes;
+        host_copy_->markDirty(
+            off, std::min(p_.cap_chunk_bytes, p_.storeBytes() - off));
     }
-    m_->capPersistChunks(store_.offset, host_copy_.data(),
+    m_->capPersistChunks(store_.offset, host_copy_->image(0),
                          p_.storeBytes(), chunks,
                          p_.cap_chunk_bytes, p_.cap_threads);
 }
@@ -438,9 +440,7 @@ GpKvs::run()
     r.verified =
         gets_ok &&
         storeMatches(want, m_->pool().durable() + store_.offset) &&
-        (host_copy_.empty() ||
-         storeMatches(want, reinterpret_cast<const std::uint8_t *>(
-                                host_copy_.data())));
+        (!host_copy_ || storeMatches(want, host_copy_->image(0)));
     return r;
 }
 

@@ -384,6 +384,14 @@ class GpKvs
 
     std::uint64_t pairAddr(std::uint32_t set, std::uint32_t way) const;
 
+    /** The ways of @p set in CAP's device copy. */
+    KvPair *
+    hostWays(std::uint32_t set)
+    {
+        return reinterpret_cast<KvPair *>(host_copy_->image(0)) +
+               std::uint64_t(set) * GpKvsParams::kWays;
+    }
+
     /**
      * One op group's probe of its set. The group's first lane computes
      * it and the other lanes read it back, as a warp ballot would
@@ -417,7 +425,9 @@ class GpKvs
     PmRegion store_;
     PmRegion meta_;   ///< [0]: txn_active flag
     std::vector<GpmLog> log_;          ///< one log (vector for lazy init)
-    std::vector<KvPair> host_copy_;    ///< CAP's volatile device copy
+    /** CAP's volatile device copy of the store: one recycled image,
+     *  so a cell inherits a zeroed, resident predecessor's pages. */
+    std::optional<RecycledImages> host_copy_;
     std::vector<std::uint64_t> get_results_;  ///< last batch's GETs
     std::vector<Probe> probe_;  ///< per-op probes, reused across launches
     mutable std::vector<Op> ops_buf_;   ///< makeBatch's reused buffer

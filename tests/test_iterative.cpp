@@ -9,7 +9,9 @@
 #include <cmath>
 #include <initializer_list>
 #include <memory>
+#include <vector>
 
+#include "common/hash.hpp"
 #include "workloads/blackscholes.hpp"
 #include "workloads/cfd.hpp"
 #include "workloads/dnn.hpp"
@@ -225,6 +227,29 @@ TEST_P(IterativeAllApps, CheckpointingFasterOnGpmThanCap)
     EXPECT_LT(rg.op_ns, rc.op_ns) << a->name();
     // Checkpoints move identical bytes: write amplification is 1.
     EXPECT_EQ(rg.persisted_payload, rc.persisted_payload);
+}
+
+// The fingerprints hash only modelled results, and the checkpoint tests
+// compare an app with itself, so this pins the apps' numerics: a host
+// rewrite of their arithmetic must keep every bit of the state.
+TEST_P(IterativeAllApps, StateAfterCanonicalScheduleIsPinned)
+{
+    // FNV-1a of snapshot() after the Fig 9 schedule (20 iterations,
+    // a checkpoint every 5th) at default params: DNN, CFD, BLK, HS.
+    constexpr std::uint64_t kStateFnv[] = {
+        0x098993a3c05664a2ull, 0xabd79fa273dd0d78ull,
+        0xe9d0de662d494f0aull, 0xe21e4ead3b11fd66ull};
+    auto app = makeApp(GetParam());
+    SimConfig cfg;
+    Machine m(cfg, PlatformKind::Gpm, 64_MiB);
+    IterativeParams p;
+    p.iterations = 20;
+    p.checkpoint_every = 5;
+    app->run(m, p);
+    const std::vector<std::uint8_t> state = app->snapshot();
+    EXPECT_EQ(fnv1a(state.data(), state.size()), kStateFnv[GetParam()])
+        << app->name() << " state fnv " << std::hex
+        << fnv1a(state.data(), state.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, IterativeAllApps,

@@ -9,6 +9,7 @@
 
 #include "common/hash.hpp"
 #include "crash_hash_grid.hpp"
+#include "harness/experiments.hpp"
 #include "workloads/kvs.hpp"
 
 namespace gpm {
@@ -109,6 +110,50 @@ TEST(GpKvs, CapPlatformsVerify)
         const WorkloadResult r = kvs.run();
         EXPECT_TRUE(r.verified) << platformName(kind);
         EXPECT_GT(r.op_ns, 0.0) << platformName(kind);
+    }
+}
+
+void
+expectSameResult(const WorkloadResult &a, const WorkloadResult &b)
+{
+    EXPECT_EQ(a.supported, b.supported);
+    EXPECT_EQ(a.op_ns, b.op_ns);
+    EXPECT_EQ(a.persist_ns, b.persist_ns);
+    EXPECT_EQ(a.recovery_ns, b.recovery_ns);
+    EXPECT_EQ(a.persisted_payload, b.persisted_payload);
+    EXPECT_EQ(a.pcie_write_bytes, b.pcie_write_bytes);
+    EXPECT_EQ(a.ops_done, b.ops_done);
+    EXPECT_EQ(a.verified, b.verified);
+}
+
+TEST(GpKvsDeviceCopy, RecycledCopiesLeaveEveryCellUnchanged)
+{
+    // CAP's device copy goes back to the pool-page free list after a
+    // cell. The second cell inherits the first one's pages, the third
+    // the pages both wrote; at jobs 4 the copies pass between workers.
+    using bench::Bench;
+    const std::vector<bench::BenchCell> cells = {
+        {Bench::Kvs, PlatformKind::CapFs},
+        {Bench::Kvs95, PlatformKind::CapMm},
+        {Bench::Kvs, PlatformKind::CapFs}};
+    SimConfig cfg;
+    std::vector<WorkloadResult> seq;
+    for (const bench::BenchCell &c : cells)
+        seq.push_back(bench::runBench(c.b, c.kind, cfg, c.seed));
+    for (const WorkloadResult &r : seq)
+        EXPECT_TRUE(r.verified);
+    expectSameResult(seq[2], seq[0]);
+
+    const std::vector<WorkloadResult> one =
+        bench::runBenchCells(cells, cfg, 1);
+    const std::vector<WorkloadResult> four =
+        bench::runBenchCells(cells, cfg, 4);
+    ASSERT_EQ(one.size(), cells.size());
+    ASSERT_EQ(four.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "cell " << i);
+        expectSameResult(one[i], seq[i]);
+        expectSameResult(four[i], one[i]);
     }
 }
 

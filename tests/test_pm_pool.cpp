@@ -945,6 +945,38 @@ TEST(PmPoolRecycling, MovedFromPoolRecyclesNothing)
     EXPECT_EQ(firstNonZero(c), -1);
 }
 
+TEST(PmPoolRecycling, SingleImageSuccessorReadsZero)
+{
+    // A single-image buffer (CAP's device copy of a store) recycles
+    // through the pools' free list, by size and image count.
+    constexpr std::size_t size = 2_MiB + 9 * kPage;
+    const std::uint8_t *first = nullptr;
+    {
+        RecycledImages a(size, 1);
+        first = a.image(0);
+        std::memset(a.image(0) + 3 * kPage + 7, 0x6c, 5 * kPage);
+        a.markDirty(3 * kPage + 7, 5 * kPage);
+        a.image(0)[size - 1] = 0x6d;
+        a.markDirty(size - 1, 1);
+    }
+    {
+        RecycledImages b(size, 1);
+        ASSERT_EQ(b.image(0), first) << "the buffer was not recycled";
+        // Pages 3..8 and the last one, checked before reading maps
+        // every page.
+        EXPECT_EQ(residentPages(b.image(0), size), 7u);
+        EXPECT_EQ(std::find_if(b.image(0), b.image(0) + size,
+                               [](std::uint8_t v) { return v != 0; }) -
+                      b.image(0),
+                  static_cast<std::ptrdiff_t>(size));
+    }
+    // A pool of the same byte size needs two images: it must not take
+    // the idle single-image mapping.
+    PmPool pool(size, PersistDomain::McDurable);
+    EXPECT_NE(pool.visible(), first);
+    EXPECT_EQ(firstNonZero(pool), -1);
+}
+
 TEST(PmPoolRecycling, ConcurrentSweepWorkersBuildAndDropPools)
 {
     // The free list is shared by every sweep worker: pools built and
