@@ -124,9 +124,9 @@ BENCHMARK(BM_KernelLaunchSmall);
 void
 BM_GpmCheckpoint4MiB(benchmark::State &state)
 {
-    // libGPM's checkpoint copy: one 4 B pmStore per lane and one fence
-    // per thread, then the flip. 4 MiB is 1 Mi stores, and items count
-    // stores, so the reported rate inverts to host ns per store.
+    // libGPM's checkpoint copy: 16 B lane stores, one fence per thread,
+    // then the flip. The rate is checkpointed bytes per host second, so
+    // it compares across changes to the store width.
     SimConfig cfg;
     Machine m(cfg, PlatformKind::Gpm, 32_MiB);
     gpmPersistBegin(m);
@@ -135,7 +135,7 @@ BM_GpmCheckpoint4MiB(benchmark::State &state)
     cp.registerData(0, data.data(), data.size());
     for (auto _ : state)
         cp.checkpoint(0);
-    state.SetItemsProcessed(state.iterations() * (4_MiB / 4));
+    state.SetBytesProcessed(state.iterations() * 4_MiB);
 }
 BENCHMARK(BM_GpmCheckpoint4MiB)->Unit(benchmark::kMillisecond);
 

@@ -157,41 +157,51 @@ GpmCheckpoint::flipHost(std::uint32_t group)
 }
 
 KernelDesc
-GpmCheckpoint::copyKernel(const char *name, std::uint64_t dst,
-                          std::uint64_t bytes, bool fence) const
+GpmCheckpoint::copyKernel(const char *name, const std::uint8_t *src,
+                          std::uint64_t dst, std::uint64_t bytes,
+                          std::uint32_t warp_size, bool fence)
 {
-    // Lane l of a warp writes words l, l+32, ... of the warp's chunk,
-    // so every warp's store stream coalesces into back-to-back 128 B
-    // transactions and the media sees aligned sequential runs.
+    // Each warp copies a 4 KiB chunk of 1024 words. Lane l's step i is
+    // one 16 B store (st.global.v4) of words base + 4 (32 i + l) ..
+    // + 3, so step i of the warp covers 512 contiguous bytes and the
+    // warp's store stream coalesces into back-to-back transactions.
+    // That is the same line stream, in the same order, as 32 steps of
+    // 4 B word-strided stores (lane l writing words l, l + 32, ...),
+    // given two preconditions: @p dst is aligned to the coalescing
+    // granule (checkpoint buffers are 256 B-aligned, group_capacity is
+    // alignUp(size, 256)), and the granule divides warp_size * 4 B
+    // (the default 128 B granule divides 32 * 4 B), so no line
+    // straddles two steps in either layout. The last quad of the copy may be short;
+    // it is stored from the same call site, so it joins its step's
+    // group. Payload and HBM bytes are the same word count either way.
     const std::uint64_t words = ceilDiv(bytes, 4);
-    const std::uint32_t warp = m_->config().warp_size;
     const std::uint32_t words_per_thread = 32;
     const std::uint32_t tpb = 256;
 
-    const std::vector<std::uint8_t> &staging = staging_;
     KernelDesc copy;
     copy.name = name;
     copy.blocks = static_cast<std::uint32_t>(std::max<std::uint64_t>(
         1, ceilDiv(ceilDiv(words, words_per_thread), tpb)));
     copy.block_threads = tpb;
-    copy.phases.push_back([=, &staging](ThreadCtx &ctx) {
+    copy.phases.push_back([=](ThreadCtx &ctx) {
         const std::uint64_t chunk_words =
-            std::uint64_t(warp) * words_per_thread;
+            std::uint64_t(warp_size) * words_per_thread;
         const std::uint64_t base = ctx.globalWarp() * chunk_words;
-        bool wrote = false;
-        for (std::uint32_t i = 0; i < words_per_thread; ++i) {
-            const std::uint64_t w = base + std::uint64_t(i) * warp +
-                                    ctx.lane();
+        for (std::uint32_t i = 0; i < words_per_thread / 4; ++i) {
+            const std::uint64_t w =
+                base + 4 * (std::uint64_t(i) * warp_size + ctx.lane());
             if (w >= words)
                 break;
-            // staging_ is padded to whole words, so word w is there.
-            std::uint32_t v;
-            std::memcpy(&v, staging.data() + w * 4, 4);
-            ctx.pmStore(dst + w * 4, v);
-            ctx.hbmTraffic(4);
-            wrote = true;
+            // src is padded to whole words, so words w .. w + n - 1
+            // are there.
+            const std::uint64_t n = std::min<std::uint64_t>(4, words - w);
+            ctx.pmWrite(dst + w * 4, src + w * 4, n * 4);
+            ctx.hbmTraffic(n * 4);
         }
-        if (wrote && fence)
+        // A lane fences iff the word-strided layout gave it a word, so
+        // the fence count is the same when the last warp holds fewer
+        // than 128 words.
+        if (fence && base + ctx.lane() < words)
             ctx.threadfenceSystem();
     });
     return copy;
@@ -201,8 +211,9 @@ void
 GpmCheckpoint::checkpointGpm(std::uint32_t group, std::uint64_t dst,
                              std::uint64_t bytes)
 {
-    KernelDesc copy = copyKernel("gpmcp_checkpoint", dst, bytes,
-                                 /*fence=*/true);
+    KernelDesc copy =
+        copyKernel("gpmcp_checkpoint", staging_.data(), dst, bytes,
+                   m_->config().warp_size, /*fence=*/true);
     if (crash_point_ && !crash_in_flip_) {
         copy.crash = *crash_point_;
         crash_point_.reset();
@@ -251,10 +262,12 @@ GpmCheckpoint::checkpoint(std::uint32_t group)
     telemetry::count("checkpoint.bytes", bytes);
 
     // Gather the registered structures into the HBM-side staging
-    // buffer (they are contiguous per registration order).
-    staging_.assign(alignUp(bytes, 4), 0);
+    // buffer (they are contiguous per registration order, so only the
+    // pad up to a whole word needs zeroing).
+    staging_.resize(alignUp(bytes, 4));
     for (const Registration &r : regs_[group])
         std::memcpy(staging_.data() + r.offset, r.data, r.size);
+    std::fill(staging_.begin() + bytes, staging_.end(), 0);
 
     const std::uint32_t working = meta(group).valid_idx ^ 1u;
     const std::uint64_t dst = bufferAddr(group, working);
@@ -277,7 +290,8 @@ GpmCheckpoint::checkpoint(std::uint32_t group)
       case PlatformKind::GpmNdp:
         // The kernel stores directly to PM but cannot persist; the
         // CPU flushes afterwards and flips.
-        m_->runKernel(copyKernel("gpmcp_checkpoint_ndp", dst, bytes,
+        m_->runKernel(copyKernel("gpmcp_checkpoint_ndp", staging_.data(),
+                                 dst, bytes, m_->config().warp_size,
                                  /*fence=*/false));
         m_->cpuPersistRange(dst, alignUp(bytes, 4), 32);
         flipHost(group);

@@ -132,6 +132,18 @@ class GpmCheckpoint
     std::uint64_t bufferAddr(std::uint32_t group,
                              std::uint32_t buf) const;
 
+    /**
+     * The checkpoint's bulk copy of @p bytes from @p src (padded to
+     * whole 4 B words) into PM offset @p dst: each warp streams one
+     * contiguous 4 KiB chunk in 16 B lane stores. With @p fence every
+     * thread that owns a word of the chunk ends on a system-scope
+     * fence (GPM); without, the stores wait for the CPU's flush
+     * (GPM-NDP). Public so tests can launch it against a reference.
+     */
+    static KernelDesc copyKernel(const char *name, const std::uint8_t *src,
+                                 std::uint64_t dst, std::uint64_t bytes,
+                                 std::uint32_t warp_size, bool fence);
+
   private:
     struct Registration {
         void *data;
@@ -146,14 +158,6 @@ class GpmCheckpoint
     std::uint64_t metaAddr(std::uint32_t group) const;
     GpmCpGroupMeta meta(std::uint32_t group) const;
 
-    /**
-     * The staging buffer's copy kernel into @p dst: each warp streams
-     * one contiguous 4 KiB chunk. With @p fence every writing thread
-     * ends on a system-scope fence (GPM); without, the stores wait for
-     * the CPU's flush (GPM-NDP).
-     */
-    KernelDesc copyKernel(const char *name, std::uint64_t dst,
-                          std::uint64_t bytes, bool fence) const;
     /** GPU copy kernel + in-kernel persistence + GPU flip. */
     void checkpointGpm(std::uint32_t group, std::uint64_t dst,
                        std::uint64_t bytes);

@@ -109,6 +109,22 @@ priceOption(float s, float k, float v, float log_sk, Maturity mt,
     call = s * n1 - k_disc * n2;
     put = k_disc * n2_neg - s * n1_neg;
 }
+
+/**
+ * Prices options [0, n) at one maturity. GCC emits one clone of the
+ * loop per listed ISA and the loader binds the widest the host runs.
+ * Every clone computes the baseline's bits: the library compiles with
+ * -ffp-contract=off, so no clone fuses a multiply and an add, and each
+ * remaining operation rounds the same in any vector width.
+ */
+__attribute__((target_clones("avx512f", "avx2", "default"))) void
+priceBook(const float *s, const float *k, const float *v,
+          const float *log_sk, std::uint32_t n, Maturity mt, float *calls,
+          float *puts)
+{
+    for (std::uint32_t i = 0; i < n; ++i)
+        priceOption(s[i], k[i], v[i], log_sk[i], mt, calls[i], puts[i]);
+}
 } // namespace
 
 float
@@ -146,24 +162,20 @@ BlackScholesApp::init()
 void
 BlackScholesApp::computeIteration(Machine &m, std::uint32_t iter)
 {
-    const Maturity mt = maturityAt(iter);
-    const float *s = spot_.data(), *k = strike_.data(), *v = vol_.data();
-    const float *log_sk = log_sk_.data();
-    float *calls = calls_.data(), *puts = puts_.data();
-    for (std::uint32_t i = 0; i < p_.options; ++i)
-        priceOption(s[i], k[i], v[i], log_sk[i], mt, calls[i], puts[i]);
+    priceBook(spot_.data(), strike_.data(), vol_.data(), log_sk_.data(),
+              p_.options, maturityAt(iter), calls_.data(), puts_.data());
 
     chargeGpuCompute(m, static_cast<double>(p_.options) * 60.0,
                      std::uint64_t(p_.options) * 5 * sizeof(float));
 }
 
-float
-BlackScholesApp::referenceCall(std::uint32_t i, std::uint32_t iter) const
+BlackScholesApp::Price
+BlackScholesApp::referencePrice(std::uint32_t i, std::uint32_t iter) const
 {
-    float c = 0, p = 0;
+    Price out;
     priceOption(spot_[i], strike_[i], vol_[i], log_sk_[i], maturityAt(iter),
-                c, p);
-    return c;
+                out.call, out.put);
+    return out;
 }
 
 void

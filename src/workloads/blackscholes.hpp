@@ -45,9 +45,15 @@ class BlackScholesApp final : public IterativeApp
     }
     std::vector<std::uint8_t> snapshot() const override;
 
+    /** Call and put of one option. */
+    struct Price {
+        float call = 0, put = 0;
+    };
+
     /** Reference price of option @p i at iteration @p iter (tests):
-     *  the pricing function computeIteration runs, for one option. */
-    float referenceCall(std::uint32_t i, std::uint32_t iter) const;
+     *  the pricing function computeIteration runs, for one option,
+     *  in the baseline ISA. */
+    Price referencePrice(std::uint32_t i, std::uint32_t iter) const;
 
     /** Time to maturity T, in years, that iteration @p iter prices. */
     static float yearsToMaturity(std::uint32_t iter);

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "gpm/gpm_checkpoint.hpp"
@@ -236,6 +238,125 @@ TEST(GpmCheckpoint, ChargesLessTimeOnGpmThanCapFs)
         return m.now() - t0;
     };
     EXPECT_LT(run(a), run(b));
+}
+
+/**
+ * The 4 B word-strided checkpoint copy: lane l writes words l, l + 32,
+ * ... of its warp's 4 KiB chunk, one 4 B store each, and fences iff it
+ * wrote a word. The reference GpmCheckpoint::copyKernel's 16 B lane
+ * stores must model exactly.
+ */
+KernelDesc
+wordStridedCopy(const std::uint8_t *src, std::uint64_t dst,
+                std::uint64_t bytes, std::uint32_t warp, bool fence)
+{
+    const std::uint64_t words = ceilDiv(bytes, 4);
+    const std::uint32_t words_per_thread = 32;
+    const std::uint32_t tpb = 256;
+    KernelDesc copy;
+    copy.name = "word_strided_copy";
+    copy.blocks = static_cast<std::uint32_t>(std::max<std::uint64_t>(
+        1, ceilDiv(ceilDiv(words, words_per_thread), tpb)));
+    copy.block_threads = tpb;
+    copy.phases.push_back([=](ThreadCtx &ctx) {
+        const std::uint64_t base =
+            ctx.globalWarp() * std::uint64_t(warp) * words_per_thread;
+        bool wrote = false;
+        for (std::uint32_t i = 0; i < words_per_thread; ++i) {
+            const std::uint64_t w =
+                base + std::uint64_t(i) * warp + ctx.lane();
+            if (w >= words)
+                break;
+            std::uint32_t v;
+            std::memcpy(&v, src + w * 4, 4);
+            ctx.pmStore(dst + w * 4, v);
+            ctx.hbmTraffic(4);
+            wrote = true;
+        }
+        if (wrote && fence)
+            ctx.threadfenceSystem();
+    });
+    return copy;
+}
+
+/** What one copy launch leaves behind, modelled and durable. */
+struct CopyOutcome {
+    LaunchStats stats;
+    SimNs now = 0;
+    NvmTierBytes media;
+    std::uint64_t write_txns = 0;
+    std::vector<std::uint8_t> durable;
+};
+
+/** Runs one copy of @p bytes the way GpmCheckpoint::checkpoint does
+ *  on @p kind: in a GPM persistence window, or with the CPU's flush
+ *  after an unfenced kernel on GPM-NDP. */
+CopyOutcome
+runCopy(PlatformKind kind, std::size_t granule, std::uint64_t bytes,
+        bool reference)
+{
+    SimConfig cfg;
+    cfg.coalesce_bytes = granule;
+    Machine m(cfg, kind, 8_MiB);
+    const PmRegion buf = m.pool().map("buf", alignUp(bytes, 256), true);
+    const std::vector<std::uint8_t> src = pattern(alignUp(bytes, 4), 11);
+    const auto warp = static_cast<std::uint32_t>(cfg.warp_size);
+    const bool fence = kind != PlatformKind::GpmNdp;
+    const KernelDesc k =
+        reference ? wordStridedCopy(src.data(), buf.offset, bytes, warp,
+                                    fence)
+                  : GpmCheckpoint::copyKernel("gpmcp_checkpoint",
+                                              src.data(), buf.offset,
+                                              bytes, warp, fence);
+    CopyOutcome out;
+    if (kind == PlatformKind::Gpm)
+        gpmPersistBegin(m);
+    out.stats = m.runKernel(k);
+    if (kind == PlatformKind::GpmNdp)
+        m.cpuPersistRange(buf.offset, alignUp(bytes, 4), 32);
+    if (kind == PlatformKind::Gpm)
+        gpmPersistEnd(m);
+    out.now = m.now();
+    out.media = m.nvm().bytes();
+    out.write_txns = m.nvm().writeTxns();
+    const std::uint8_t *d = m.pool().durable() + buf.offset;
+    out.durable.assign(d, d + alignUp(bytes, 4));
+    return out;
+}
+
+// 16 B lane stores must model exactly what 4 B word-strided stores
+// do: same grid, fences, payload, lines, media stream and durable
+// bytes. Sizes leave the last warp 1-31, 32-127 and >= 128 words, are
+// not multiples of 16 B (212008 B is DNN's state), or span blocks.
+TEST(GpmCheckpoint, WideCopyKernelModelsTheWordStridedCopy)
+{
+    const std::uint64_t sizes[] = {4,    12,    100,   4000,  4100,
+                                   4164, 4496,  5296,  60000, 212008,
+                                   400004};
+    for (PlatformKind kind : {PlatformKind::Gpm, PlatformKind::GpmEadr,
+                              PlatformKind::GpmNdp}) {
+        for (std::size_t granule : {64, 128}) {
+            for (std::uint64_t bytes : sizes) {
+                SCOPED_TRACE(::testing::Message()
+                             << platformName(kind) << ", " << granule
+                             << " B lines, " << bytes << " B");
+                const CopyOutcome want =
+                    runCopy(kind, granule, bytes, /*reference=*/true);
+                const CopyOutcome got =
+                    runCopy(kind, granule, bytes, /*reference=*/false);
+                EXPECT_EQ(got.stats.fences, want.stats.fences);
+                EXPECT_EQ(got.stats.pm_payload_bytes,
+                          want.stats.pm_payload_bytes);
+                EXPECT_EQ(got.stats.pm_line_txns, want.stats.pm_line_txns);
+                EXPECT_TRUE(got.stats == want.stats);  // every field
+                EXPECT_EQ(got.now, want.now);
+                EXPECT_TRUE(got.media == want.media);
+                EXPECT_EQ(got.write_txns, want.write_txns);
+                EXPECT_EQ(got.durable, want.durable);
+                EXPECT_EQ(got.durable, pattern(alignUp(bytes, 4), 11));
+            }
+        }
+    }
 }
 
 } // namespace
