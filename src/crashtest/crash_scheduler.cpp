@@ -45,9 +45,8 @@ CrashSpec::materialize(std::uint64_t total_thread_phases) const
       case Kind::Fraction:
         break;
     }
-    const double f = std::clamp(fraction, 0.0, 1.0);
-    return CrashPoint::afterThreadPhases(static_cast<std::uint64_t>(
-        f * static_cast<double>(total_thread_phases)));
+    return CrashPoint::afterFraction(std::clamp(fraction, 0.0, 1.0),
+                                     total_thread_phases);
 }
 
 CrashGrid

@@ -26,14 +26,13 @@
  */
 #include "crashtest/recovery_invariant.hpp"
 
-#include <exception>
 #include <map>
 #include <vector>
 
 #include "common/hash.hpp"
-#include "common/units.hpp"
 #include "gpm/gpm_runtime.hpp"
 #include "pmheap/gpm_map.hpp"
+#include "workloads/workload.hpp"
 
 namespace gpm {
 
@@ -136,90 +135,59 @@ class PmheapInvariant : public RecoveryInvariant
     run(const DomainSetup &setup, const CrashPoint &point,
         std::uint64_t seed, double survive_prob) const override
     {
-        TortureOutcome o;
-        try {
-            SimConfig cfg;
-            applyMediaConfig(cfg, setup.media);
-            Machine m(cfg, setup.kind, 8_MiB, seed);
-            if (setup.recorder)
-                m.pool().setRecorder(setup.recorder);
-
+        return runScenario(setup, seed, [&](Machine &m) {
             GpmMap map(m, mapParams());
-            map.setup(true);
-            const bool window = setup.open_persist_window &&
-                                m.kind() == PlatformKind::Gpm;
             const std::uint32_t n_groups = map.params().n_groups;
-
-            Oracle model;
-            for (std::uint32_t b = 0; b < kDoomedBatch; ++b) {
-                const std::vector<MapOp> ops = makeOps(b, seed);
-                if (window)
-                    gpmPersistBegin(m);
-                map.runBatch(ops);
-                if (window)
-                    gpmPersistEnd(m);
-                applyOps(model, ops, n_groups);
-            }
-            const Oracle reference = model; // doomed batch rolled back
-            const std::vector<MapOp> doomed =
-                makeOps(kDoomedBatch, seed);
-            Oracle committed = model;
-            applyOps(committed, doomed, n_groups);
-
             // Odd seeds arm the staging launch (record never commits:
             // recovery discards), even seeds the publication launch
             // (record durable: recovery rolls forward).
             const bool stage_armed = (seed % 2) != 0;
-            if (window)
-                gpmPersistBegin(m);
-            try {
-                if (stage_armed)
-                    map.runBatch(doomed, point, {});
-                else
-                    map.runBatch(doomed, {}, point);
-            } catch (const KernelCrashed &) {
-                o.fired = true;
-            }
-            m.pool().crash(survive_prob);
+            Oracle model;  // the batches before the doomed one
+            CrashSteps s;
+            s.workload = CrashWorkload::Pmheap;
+            s.crash_step = kDoomedBatch;
+            s.setup = [&map] { map.setup(true); };
+            s.step = [&](std::uint32_t b,
+                         const std::optional<CrashPoint> &armed) {
+                const std::vector<MapOp> ops = makeOps(b, seed);
+                if (!armed) {
+                    map.runBatch(ops);
+                    applyOps(model, ops, n_groups);
+                } else if (stage_armed) {
+                    map.runBatch(ops, armed, {});
+                } else {
+                    map.runBatch(ops, {}, armed);
+                }
+            };
+            s.in_flight = [] { return true; };  // the record decides
+            s.recover = [&map] { map.recover(); };
+            s.ops_done = [] { return 0.0; };
+            s.check = [&](CrashOutcome &o) {
+                // Exact expected state: a fired staging crash means the
+                // batch never committed; any other path means it did.
+                Oracle expect = model;
+                if (!(o.fired && stage_armed))
+                    applyOps(expect, makeOps(kDoomedBatch, seed), n_groups);
+                const bool mid_ok = map.durableEqualsOracle(asVector(expect));
 
-            // Reboot: recovery configures its own persist window when
-            // the crashed application never opened one.
-            if (!window && m.kind() == PlatformKind::Gpm)
-                gpmPersistBegin(m);
-            map.recover();
-            if (!window && m.kind() == PlatformKind::Gpm)
-                gpmPersistEnd(m);
-            o.recovery_ran = true;
-
-            // Exact expected state: a fired staging crash means the
-            // batch never committed; any other path means it did.
-            const Oracle &mid =
-                (o.fired && stage_armed) ? reference : committed;
-            const bool mid_ok = map.durableEqualsOracle(asVector(mid));
-
-            // Post-recovery service on the rebuilt free lists.
-            Oracle final_model = mid;
-            const std::vector<MapOp> tail =
-                makeOps(kBatches - 1, seed);
-            if (window)
-                gpmPersistBegin(m);
-            map.runBatch(tail);
-            if (window)
-                gpmPersistEnd(m);
-            applyOps(final_model, tail, n_groups);
-            const bool final_ok =
-                map.durableEqualsOracle(asVector(final_model));
-
-            o.strict_ok = mid_ok && final_ok;
-            o.state_hash = map.durableStateHash();
-            const PmPoolStats &st = m.pool().stats();
-            o.crashes = st.crashes;
-            o.crash_sub_extents = st.crash_sub_extents;
-            o.crash_survivors = st.crash_survivors;
-        } catch (const std::exception &e) {
-            o.error = e.what();
-        }
-        return o;
+                // Post-recovery service on the rebuilt free lists.
+                const std::vector<MapOp> tail = makeOps(kBatches - 1, seed);
+                const bool window = setup.open_persist_window &&
+                                    m.kind() == PlatformKind::Gpm;
+                if (window)
+                    gpmPersistBegin(m);
+                map.runBatch(tail);
+                if (window)
+                    gpmPersistEnd(m);
+                applyOps(expect, tail, n_groups);
+                o.strict_ok =
+                    mid_ok && map.durableEqualsOracle(asVector(expect));
+                o.state_hash = map.durableStateHash();
+                return o.strict_ok;
+            };
+            return runCrashSequence(m, s, point, survive_prob,
+                                    setup.open_persist_window, nullptr);
+        });
     }
 };
 

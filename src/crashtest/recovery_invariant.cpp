@@ -1,6 +1,5 @@
 #include "crashtest/recovery_invariant.hpp"
 
-#include <algorithm>
 #include <exception>
 
 #include "common/status.hpp"
@@ -55,12 +54,9 @@ parsePersistDomain(const std::string &name)
           "' (llc-volatile | mc-durable | llc-durable)");
 }
 
-namespace {
-
-/** Shared adapter boilerplate: machine setup, stats, error capture. */
-template <typename Body>
 TortureOutcome
-runScenario(const DomainSetup &setup, std::uint64_t seed, Body &&body)
+runScenario(const DomainSetup &setup, std::uint64_t seed,
+            const std::function<CrashOutcome(Machine &)> &body)
 {
     TortureOutcome o;
     try {
@@ -86,67 +82,127 @@ runScenario(const DomainSetup &setup, std::uint64_t seed, Body &&body)
     return o;
 }
 
-/** gpKVS: undo-log transactional batches, crash batch 1 of 3. */
-class KvsInvariant : public RecoveryInvariant
+namespace {
+
+/** Scenario-scale params, small enough for thousand-cell sweeps. */
+GpKvsParams
+kvsParams()
 {
-  public:
-    std::string name() const override { return "kvs"; }
+    GpKvsParams p;
+    p.n_sets = 1u << 9;
+    p.batch_ops = 512;
+    p.batches = 3;
+    return p;
+}
 
-    std::uint64_t
-    doomedThreadPhases() const override
-    {
-        return std::uint64_t(params().batch_ops) * GpKvsParams::kGroup;
-    }
+GpDbParams
+dbParams()
+{
+    GpDbParams p;
+    p.initial_rows = 4096;
+    p.insert_rows = 1024;
+    p.update_rows = 512;
+    p.insert_batches = 2;
+    p.update_batches = 2;
+    return p;
+}
 
-    TortureOutcome
-    run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) const override
-    {
-        return runScenario(setup, seed, [&](Machine &m) {
-            GpKvs kvs(m, params());
-            return kvs.runCrashPoint(ref_, point, survive_prob,
-                                     setup.open_persist_window);
-        });
-    }
+PsParams
+psParams()
+{
+    PsParams p;
+    p.blocks = 8;
+    p.block_threads = 64;
+    p.elems_per_thread = 4;
+    return p;
+}
 
-  private:
-    static GpKvsParams
-    params()
-    {
-        GpKvsParams p;
-        p.n_sets = 1u << 9;
-        p.batch_ops = 512;
-        p.batches = 3;
-        return p;
-    }
+SradParams
+sradParams()
+{
+    SradParams p;
+    p.width = 64;
+    p.height = 32;
+    p.iterations = 3;
+    return p;
+}
 
-    const CrashReference ref_ = GpKvs::crashReference(params(), 1);
+/** One crash-recoverable workload of the default axis: its doomed
+ *  kernel's thread phases, its reference and its crash entry point. */
+struct WorkloadRow {
+    const char *name;
+    std::uint64_t doomed_phases;
+    CrashReference (*reference)();
+    CrashOutcome (*run)(Machine &m, const CrashReference &ref,
+                        const CrashPoint &point, double survive_prob,
+                        bool window);
 };
 
-/** gpDB INSERT or UPDATE batches, crash batch 1 of 2. */
-class DbInvariant : public RecoveryInvariant
+/** The default axis, in sweep order. gpKVS crashes batch 1 of 3, gpDB
+ *  batch 1 of 2, SRAD iteration 1; prefix-sum crashes its one
+ *  partial-sum kernel and needs no reference. */
+const WorkloadRow kWorkloadRows[] = {
+    {"kvs", GpKvs::doomedThreadPhases(kvsParams()),
+     [] { return GpKvs::crashReference(kvsParams(), 1); },
+     [](Machine &m, const CrashReference &ref, const CrashPoint &point,
+        double survive_prob, bool window) {
+         return GpKvs(m, kvsParams())
+             .runCrashPoint(ref, point, survive_prob, window);
+     }},
+    {"db-insert",
+     GpDb::doomedThreadPhases(dbParams(), GpDb::TxnKind::Insert),
+     [] {
+         return GpDb::crashReference(dbParams(), GpDb::TxnKind::Insert, 1);
+     },
+     [](Machine &m, const CrashReference &ref, const CrashPoint &point,
+        double survive_prob, bool window) {
+         return GpDb(m, dbParams())
+             .runCrashPoint(GpDb::TxnKind::Insert, ref, point,
+                            survive_prob, window);
+     }},
+    {"db-update",
+     GpDb::doomedThreadPhases(dbParams(), GpDb::TxnKind::Update),
+     [] {
+         return GpDb::crashReference(dbParams(), GpDb::TxnKind::Update, 1);
+     },
+     [](Machine &m, const CrashReference &ref, const CrashPoint &point,
+        double survive_prob, bool window) {
+         return GpDb(m, dbParams())
+             .runCrashPoint(GpDb::TxnKind::Update, ref, point,
+                            survive_prob, window);
+     }},
+    {"prefix-sum", GpPrefixSum::doomedThreadPhases(psParams()),
+     [] { return CrashReference{}; },
+     [](Machine &m, const CrashReference &, const CrashPoint &point,
+        double survive_prob, bool window) {
+         return GpPrefixSum(m, psParams())
+             .runCrashPoint(point, survive_prob, window);
+     }},
+    {"srad", GpSrad::doomedThreadPhases(sradParams()),
+     [] { return GpSrad::crashReference(sradParams(), 1); },
+     [](Machine &m, const CrashReference &ref, const CrashPoint &point,
+        double survive_prob, bool window) {
+         return GpSrad(m, sradParams())
+             .runCrashPoint(ref, point, survive_prob, window);
+     }},
+};
+
+/** A kWorkloadRows row adapted to the torture matrix; its reference is
+ *  built once, here, and shared by every scenario. */
+class WorkloadInvariant : public RecoveryInvariant
 {
   public:
-    explicit DbInvariant(GpDb::TxnKind kind)
-        : kind_(kind), ref_(GpDb::crashReference(params(), kind, 1))
+    explicit WorkloadInvariant(const WorkloadRow &row)
+        : row_(row), ref_(row.reference())
     {
     }
 
-    std::string
-    name() const override
-    {
-        return kind_ == GpDb::TxnKind::Insert ? "db-insert"
-                                              : "db-update";
-    }
+    std::string name() const override { return row_.name; }
 
     std::uint64_t
     doomedThreadPhases() const override
     {
-        const GpDbParams p = params();
-        const std::uint32_t rows = kind_ == GpDb::TxnKind::Insert
-                                       ? p.insert_rows
-                                       : p.update_rows;
-        return alignUp(std::uint64_t(rows), 256);
+        return row_.doomed_phases;
     }
 
     TortureOutcome
@@ -154,104 +210,14 @@ class DbInvariant : public RecoveryInvariant
         std::uint64_t seed, double survive_prob) const override
     {
         return runScenario(setup, seed, [&](Machine &m) {
-            GpDb db(m, params());
-            return db.runCrashPoint(kind_, ref_, point, survive_prob,
-                                    setup.open_persist_window);
+            return row_.run(m, ref_, point, survive_prob,
+                            setup.open_persist_window);
         });
     }
 
   private:
-    static GpDbParams
-    params()
-    {
-        GpDbParams p;
-        p.initial_rows = 4096;
-        p.insert_rows = 1024;
-        p.update_rows = 512;
-        p.insert_batches = 2;
-        p.update_batches = 2;
-        return p;
-    }
-
-    const GpDb::TxnKind kind_;
+    const WorkloadRow &row_;
     const CrashReference ref_;
-};
-
-/** Prefix sum: Figure 8's sentinel-ordered native recovery. */
-class PsInvariant : public RecoveryInvariant
-{
-  public:
-    std::string name() const override { return "prefix-sum"; }
-
-    std::uint64_t
-    doomedThreadPhases() const override
-    {
-        const PsParams p = params();
-        // Two phases per thread in the partial-sums kernel.
-        return 2ull * p.blocks * p.block_threads;
-    }
-
-    TortureOutcome
-    run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) const override
-    {
-        return runScenario(setup, seed, [&](Machine &m) {
-            GpPrefixSum ps(m, params());
-            return ps.runCrashPoint(point, survive_prob,
-                                    setup.open_persist_window);
-        });
-    }
-
-  private:
-    static PsParams
-    params()
-    {
-        PsParams p;
-        p.blocks = 8;
-        p.block_threads = 64;
-        p.elems_per_thread = 4;
-        return p;
-    }
-};
-
-/** SRAD: double-buffered iteration counter recovery, crash iter 1. */
-class SradInvariant : public RecoveryInvariant
-{
-  public:
-    std::string name() const override { return "srad"; }
-
-    std::uint64_t
-    doomedThreadPhases() const override
-    {
-        const SradParams p = params();
-        const std::uint64_t blocks = std::max<std::uint64_t>(
-            1, ceilDiv(p.pixels(), std::uint64_t(256) * 15));
-        return blocks * 256;
-    }
-
-    TortureOutcome
-    run(const DomainSetup &setup, const CrashPoint &point,
-        std::uint64_t seed, double survive_prob) const override
-    {
-        return runScenario(setup, seed, [&](Machine &m) {
-            GpSrad srad(m, params());
-            return srad.runCrashPoint(ref_, point, survive_prob,
-                                      setup.open_persist_window);
-        });
-    }
-
-  private:
-    static SradParams
-    params()
-    {
-        SradParams p;
-        p.width = 64;
-        p.height = 32;
-        p.iterations = 3;
-        return p;
-    }
-
-    const CrashReference ref_ = GpSrad::crashReference(params(), 1);
 };
 
 } // namespace
@@ -259,7 +225,10 @@ class SradInvariant : public RecoveryInvariant
 std::vector<std::string>
 registeredInvariants()
 {
-    return {"kvs", "db-insert", "db-update", "prefix-sum", "srad"};
+    std::vector<std::string> names;
+    for (const WorkloadRow &row : kWorkloadRows)
+        names.push_back(row.name);
+    return names;
 }
 
 std::vector<std::string>
@@ -271,16 +240,9 @@ extendedInvariants()
 std::unique_ptr<RecoveryInvariant>
 makeInvariant(const std::string &name)
 {
-    if (name == "kvs")
-        return std::make_unique<KvsInvariant>();
-    if (name == "db-insert")
-        return std::make_unique<DbInvariant>(GpDb::TxnKind::Insert);
-    if (name == "db-update")
-        return std::make_unique<DbInvariant>(GpDb::TxnKind::Update);
-    if (name == "prefix-sum")
-        return std::make_unique<PsInvariant>();
-    if (name == "srad")
-        return std::make_unique<SradInvariant>();
+    for (const WorkloadRow &row : kWorkloadRows)
+        if (name == row.name)
+            return std::make_unique<WorkloadInvariant>(row);
     if (name == "serve")
         return makeServeInvariant();
     if (name == "pmheap")

@@ -3,12 +3,13 @@
  * Per-workload recovery invariants for the crash-torture matrix.
  *
  * A RecoveryInvariant adapts one workload's descriptor-armed crash
- * entry point (GpKvs::runCrashPoint and friends) to a common shape:
- * given a persist-domain setup, a concrete CrashPoint, an eviction
- * seed, and a line-survival probability, run the crash + recovery and
- * report what happened — did the crash fire, did recovery run, does
- * the recovered durable state satisfy the workload's strict
- * invariant, and what do the pool's crash counters say.
+ * entry point (for the default axis, a runCrashPoint built on the
+ * driver runCrashSequence) to a common shape: given a persist-domain
+ * setup, a concrete CrashPoint, an eviction seed, and a line-survival
+ * probability, run the crash + recovery and report what happened —
+ * did the crash fire, did recovery run, does the recovered durable
+ * state satisfy the workload's strict invariant, and what do the
+ * pool's crash counters say.
  *
  * Domain sweep mapping (one PersistDomain axis -> machine setup):
  *
@@ -24,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,7 +36,9 @@
 
 namespace gpm {
 
+class Machine;
 class PmEventRecorder;
+struct CrashOutcome;
 
 /** Machine-level realisation of one PersistDomain under test. */
 struct DomainSetup {
@@ -108,6 +112,13 @@ class RecoveryInvariant
                                std::uint64_t seed,
                                double survive_prob) const = 0;
 };
+
+/** Run @p body on a private 8 MiB-pool Machine for @p setup and
+ *  @p seed; its CrashOutcome and the pool's crash counters fill the
+ *  result, and an exception lands in error. */
+TortureOutcome runScenario(
+    const DomainSetup &setup, std::uint64_t seed,
+    const std::function<CrashOutcome(Machine &)> &body);
 
 /** Names of every registered workload adapter, in sweep order.
  *  Extended adapters ("serve") are reachable via makeInvariant and

@@ -74,6 +74,15 @@ struct CrashPoint {
         return {n, Trigger::ThreadPhases};
     }
 
+    /** After the fraction @p frac of a launch's @p phases thread
+     *  phases (rounded down). */
+    static CrashPoint
+    afterFraction(double frac, std::uint64_t phases)
+    {
+        return afterThreadPhases(static_cast<std::uint64_t>(
+            frac * static_cast<double>(phases)));
+    }
+
     static CrashPoint
     beforeFence(std::uint64_t n)
     {

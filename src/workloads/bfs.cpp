@@ -15,9 +15,18 @@ constexpr std::uint64_t kLevelOff = 0;  ///< u32 last durable level
 constexpr std::uint64_t kSizeOff = 4;   ///< u32 frontier size
 constexpr std::uint64_t kQueueOff = 8;  ///< u32 nodes[]
 constexpr std::uint32_t kLevelTpb = 128; ///< bfs_level block size
+
+/** Threads (one phase each) of bfs_level over @p frontier nodes. */
+std::uint64_t
+levelThreads(std::uint64_t frontier)
+{
+    return std::max<std::uint64_t>(1, ceilDiv(frontier, kLevelTpb)) *
+           kLevelTpb;
+}
 } // namespace
 
-GpBfs::GpBfs(Machine &m, const BfsParams &p) : m_(&m), p_(p)
+GpBfs::GpBfs(Machine &m, const BfsParams &p)
+    : m_(&m), p_(p), graph_(makeRoadGraph(p))
 {
     GPM_REQUIRE(p_.nodes() > 0 && p_.source < p_.nodes(),
                 "bad BFS configuration");
@@ -97,7 +106,6 @@ void
 GpBfs::setup()
 {
     const std::uint32_t n = p_.nodes();
-    graph_ = makeRoadGraph(p_);
 
     cost_ = gpmMap(*m_, "bfs.cost", std::uint64_t(n) * 4, true);
     frontier_ = gpmMap(*m_, "bfs.frontier", 8 + std::uint64_t(n) * 4,
@@ -135,8 +143,8 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
     std::uint64_t marked = 0;
     KernelDesc k;
     k.name = "bfs_level";
-    k.blocks = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, ceilDiv(frontier.size(), tpb)));
+    k.blocks = static_cast<std::uint32_t>(levelThreads(frontier.size()) /
+                                          tpb);
     k.block_threads = tpb;
     k.crash = crash;
     // GPM runs BFS as a persistent kernel: only the first level pays
@@ -170,7 +178,6 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
     m_->runKernel(k);
     if (crash)
         return {};  // a doomed level never persists its frontier
-    ++levels_executed_;
 
     // Next frontier: every node at distance level+1 (idempotent under
     // re-execution; see header comment). The scan runs on-device.
@@ -249,16 +256,14 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
     return next;
 }
 
-void
+std::uint32_t
 GpBfs::traverse(std::vector<std::uint32_t> frontier,
                 std::uint32_t level)
 {
-    bool first = true;
-    while (!frontier.empty()) {
-        frontier = runLevel(frontier, level, first);
-        first = false;
-        ++level;
-    }
+    const std::uint32_t start = level;
+    for (; !frontier.empty(); ++level)
+        frontier = runLevel(frontier, level, level == start);
+    return level - start;
 }
 
 WorkloadResult
@@ -273,7 +278,6 @@ GpBfs::run()
         WorkloadSpan span("setup", "bfs");
         setup();
     }
-    levels_executed_ = 0;
 
     if (m_->kind() == PlatformKind::Gpm)
         gpmPersistBegin(*m_);
@@ -299,71 +303,59 @@ GpBfs::run()
 WorkloadResult
 GpBfs::runWithCrash(double progress_frac, double survive_prob)
 {
-    GPM_REQUIRE(inKernelPersistence(m_->kind()),
-                "BFS resume needs in-kernel persistence");
-    setup();
-    levels_executed_ = 0;
-    if (m_->kind() == PlatformKind::Gpm)
-        gpmPersistBegin(*m_);
-
-    // Run the clean prefix of the traversal.
+    GPM_REQUIRE(progress_frac >= 0.0 && progress_frac <= 1.0,
+                "bad BFS progress fraction");
     const std::vector<std::uint32_t> ref = referenceCosts();
-    const std::uint32_t diameter =
-        *std::max_element(ref.begin(), ref.end());
     const auto crash_level = static_cast<std::uint32_t>(
-        progress_frac * diameter);
+        progress_frac * *std::max_element(ref.begin(), ref.end()));
+    // The doomed level's frontier is every node at distance
+    // crash_level, never empty up to the diameter; its marking kernel
+    // dies half-way through.
+    const CrashPoint point = CrashPoint::afterThreadPhases(
+        levelThreads(static_cast<std::uint64_t>(
+            std::count(ref.begin(), ref.end(), crash_level))) /
+        2);
 
     std::vector<std::uint32_t> frontier{p_.source};
-    std::uint32_t level = 0;
-    bool first = true;
-    while (!frontier.empty() && level < crash_level) {
-        frontier = runLevel(frontier, level, first);
-        first = false;
-        ++level;
-    }
-
-    // Crash half-way through the next level's marking kernel: run it
-    // armed, then power-fail.
-    if (!frontier.empty()) {
-        const std::uint64_t threads =
-            std::max<std::uint64_t>(
-                1, ceilDiv(frontier.size(), kLevelTpb)) *
-            kLevelTpb;
-        try {
-            runLevel(frontier, level, first,
-                     CrashPoint::afterThreadPhases(threads / 2));
-        } catch (const KernelCrashed &) {
-        }
-    }
-    m_->pool().crash(survive_prob);
-
-    // Reboot: reload the durable state and resume from the persisted
-    // frontier/level (no separate recovery kernel — the resumption IS
-    // the recovery, section 5.4).
-    const SimNs r0 = m_->now();
-    host_cost_.assign(p_.nodes(), 0);
-    m_->pool().read(cost_.offset, host_cost_.data(),
-                    std::uint64_t(p_.nodes()) * 4);
-    m_->cpuPmRead(std::uint64_t(p_.nodes()) * 4, p_.cap_threads);
-    const auto durable_level =
-        m_->pool().load<std::uint32_t>(frontier_.offset + kLevelOff);
-    const auto durable_size =
-        m_->pool().load<std::uint32_t>(frontier_.offset + kSizeOff);
-    std::vector<std::uint32_t> resume(durable_size);
-    m_->pool().read(frontier_.offset + kQueueOff, resume.data(),
-                    std::uint64_t(durable_size) * 4);
-
-    // Scrub any half-marked nodes of the crashed level: idempotent
-    // re-execution of the level re-derives them.
+    std::uint32_t durable_level = 0;
+    std::uint32_t resumed = 0;  // levels run after the reboot
     WorkloadResult r;
-    r.recovery_ns = m_->now() - r0;
-
-    const std::uint32_t resumed_at = levels_executed_;
-    traverse(std::move(resume), durable_level);
-    r.ops_done = levels_executed_ - resumed_at;
-
-    r.verified = host_cost_ == ref && durable_level >= crash_level;
-    r.op_ns = m_->now() - r0;
+    CrashSteps s;
+    s.workload = CrashWorkload::Bfs;
+    s.crash_step = crash_level;
+    s.setup = [this] { setup(); };
+    s.step = [this, &frontier](std::uint32_t level,
+                               const std::optional<CrashPoint> &armed) {
+        frontier = runLevel(frontier, level, level == 0, armed);
+    };
+    s.recover = [this, &frontier, &durable_level] {
+        // Reload the durable costs and the persisted frontier (no
+        // separate recovery kernel: the resumption IS the recovery,
+        // section 5.4).
+        const std::uint64_t bytes = std::uint64_t(p_.nodes()) * 4;
+        host_cost_.assign(p_.nodes(), 0);
+        m_->pool().read(cost_.offset, host_cost_.data(), bytes);
+        m_->cpuPmRead(bytes, p_.cap_threads);
+        durable_level =
+            m_->pool().load<std::uint32_t>(frontier_.offset + kLevelOff);
+        frontier.resize(
+            m_->pool().load<std::uint32_t>(frontier_.offset + kSizeOff));
+        m_->pool().read(frontier_.offset + kQueueOff, frontier.data(),
+                        frontier.size() * 4);
+    };
+    s.resume = [this, &frontier, &durable_level, &resumed] {
+        // Half-marked nodes of the crashed level need no scrub:
+        // re-executing the level re-derives them.
+        resumed = traverse(std::move(frontier), durable_level);
+    };
+    s.ops_done = [&resumed] { return resumed; };
+    s.check = [this, &ref, &durable_level, crash_level](CrashOutcome &o) {
+        o.strict_ok = host_cost_ == ref;
+        return o.strict_ok && durable_level >= crash_level;
+    };
+    const CrashOutcome o = runCrashSequence(
+        *m_, s, point, survive_prob, /*open_persist_window=*/true, &r);
+    GPM_ASSERT(o.fired, "BFS crash point did not fire");
     return r;
 }
 

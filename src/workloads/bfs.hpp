@@ -81,9 +81,10 @@ class GpBfs
     WorkloadResult run();
 
     /**
-     * Crash mid-traversal (during level processing), then resume from
-     * the durable cost/frontier state and finish; verifies against a
-     * host reference BFS. Counts how many levels were *not* redone.
+     * Crash half-way through the marking kernel of the level
+     * @p progress_frac of the way to the diameter, resume from the
+     * durable cost/frontier state and finish (runCrashSequence);
+     * verifies against a host BFS. ops_done: levels run after reboot.
      */
     WorkloadResult runWithCrash(double progress_frac,
                                 double survive_prob);
@@ -95,9 +96,6 @@ class GpBfs
     std::uint32_t durableCost(std::uint32_t v) const;
 
     const CsrGraph &graph() const { return graph_; }
-
-    /** Levels executed by the last run()/resume (test observability). */
-    std::uint32_t levelsExecuted() const { return levels_executed_; }
 
   private:
     /** One BFS level; returns the next frontier. Persistence follows
@@ -111,8 +109,8 @@ class GpBfs
         const std::optional<CrashPoint> &crash = std::nullopt);
 
     /** Run levels until the frontier empties, starting from the given
-     *  state. */
-    void traverse(std::vector<std::uint32_t> frontier,
+     *  state; returns the levels run. */
+    std::uint32_t traverse(std::vector<std::uint32_t> frontier,
                   std::uint32_t level);
 
     std::uint64_t costAddr(std::uint32_t v) const;
@@ -124,7 +122,6 @@ class GpBfs
     PmRegion frontier_;  ///< u32 level; u32 size; u32 nodes[]
     PmRegion cap_stage_; ///< CAP's per-level compact update record
     std::vector<std::uint32_t> host_cost_;  ///< HBM mirror
-    std::uint32_t levels_executed_ = 0;
 };
 
 } // namespace gpm

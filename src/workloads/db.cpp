@@ -481,48 +481,31 @@ GpDb::run()
 void
 GpDb::recoverUpdate()
 {
-    telemetry::Span span("recovery", "gpdb_recover");
-    telemetry::count("recovery.invocations");
-    PmRecoveryScope rscope(m_->pool().recorder());
-    const std::uint32_t crashed_batch =
-        m_->pool().load<std::uint32_t>(meta_.offset + kBatchIdOff);
-    const std::uint32_t tpb = 256;
+    undoLogRecover<RowLogEntry>(
+        *m_, "gpdb_recover", "gpdb.log", p_.update_rows,
+        meta_.offset + kBatchIdOff, meta_.offset + kTxnFlagOff,
+        [this](ThreadCtx &ctx, const RowLogEntry &entry) {
+            ctx.pmWrite(rowAddr(entry.row_idx), &entry.old_row,
+                        sizeof(DbRow));
+        });
+}
 
-    GpmLog log = GpmLog::open(*m_, "gpdb.log");
-    KernelDesc k;
-    k.name = "gpdb_recover";
-    k.blocks = static_cast<std::uint32_t>(ceilDiv(p_.update_rows, tpb));
-    k.block_threads = tpb;
-    k.phases.push_back([this, &log, crashed_batch](ThreadCtx &ctx) {
-        RowLogEntry entry;
-        if (!log.read(ctx, &entry, sizeof(entry)))
-            return;
-        if (entry.batch != crashed_batch)
-            return;
-        ctx.pmWrite(rowAddr(entry.row_idx), &entry.old_row,
-                    sizeof(DbRow));
-        gpmPersist(ctx);
-        log.remove(ctx, sizeof(entry));
-    });
-    m_->runKernel(k);
-
-    const std::uint32_t zero = 0;
-    m_->cpuWritePersist(meta_.offset + kTxnFlagOff, &zero, 4, 1);
+std::uint64_t
+GpDb::doomedThreadPhases(const GpDbParams &p, TxnKind kind)
+{
+    const std::uint32_t rows =
+        kind == TxnKind::Insert ? p.insert_rows : p.update_rows;
+    return alignUp(std::uint64_t(rows), 256);
 }
 
 WorkloadResult
 GpDb::runWithCrash(TxnKind kind, std::uint32_t crash_batch, double frac,
                    double survive_prob)
 {
-    const std::uint32_t tpb = 256;
-    const std::uint32_t n = kind == TxnKind::Insert ? p_.insert_rows
-                                                    : p_.update_rows;
-    const std::uint64_t threads = ceilDiv(n, tpb) * tpb;
     WorkloadResult r;
     const CrashOutcome o = runCrashPoint(
         kind, crashReference(p_, kind, crash_batch),
-        CrashPoint::afterThreadPhases(static_cast<std::uint64_t>(
-            frac * static_cast<double>(threads))),
+        CrashPoint::afterFraction(frac, doomedThreadPhases(p_, kind)),
         survive_prob, /*open_persist_window=*/true, &r);
     GPM_ASSERT(o.fired || frac >= 1.0, "crash point did not fire");
     return r;
@@ -570,94 +553,62 @@ GpDb::runCrashPoint(TxnKind kind, const CrashReference &ref,
                     const CrashPoint &point, double survive_prob,
                     bool open_persist_window, WorkloadResult *result_out)
 {
-    GPM_REQUIRE(inKernelPersistence(m_->kind()),
-                "crash recovery needs in-kernel persistence");
-    GPM_REQUIRE(p_.use_hcl || kind == TxnKind::Insert,
+    const bool insert = kind == TxnKind::Insert;
+    GPM_REQUIRE(p_.use_hcl || insert,
                 "per-thread undo recovery requires the HCL log");
     GPM_REQUIRE(ref.initial.size() == std::uint64_t(p_.initial_rows) *
                                           GpDbParams::kRowBytes,
                 "crash reference built for other params");
-    const std::uint32_t crash_batch = ref.crash_batch;
-
-    setupFrom(ref.initial.data());
-    WorkloadResult r;
-    CrashOutcome o;
-    const bool window =
-        open_persist_window && m_->kind() == PlatformKind::Gpm;
-
-    // Persistence window stays open through crash and recovery.
-    if (window)
-        gpmPersistBegin(*m_);
-
-    const SimNs t0 = m_->now();
-    for (std::uint32_t b = 0; b < crash_batch; ++b) {
-        if (kind == TxnKind::Insert)
-            runInsertGpm(b, false);
-        else
-            runUpdateGpm(b, false);
-    }
-    const SimNs clean_ns = m_->now() - t0;
-
-    // The clean batches must have committed exactly the rows the
-    // reference expects: the doomed batch and the oracle both build
-    // on that count, so a lost commit must not go unnoticed here.
-    const std::uint64_t ref_count = ref.pre_crash.rows;
-    const std::uint64_t live_count =
-        m_->pool().load<std::uint64_t>(meta_.offset + kRowCountOff);
-    GPM_ASSERT(live_count == ref_count, "gpDB holds ", live_count,
-               " rows before crash batch ", crash_batch,
-               ", the reference expects ", ref_count);
-
-    // The doomed batch: the clean batch kernel, armed mid-flight.
-    try {
-        if (kind == TxnKind::Insert)
-            runInsertGpm(crash_batch, false, point);
-        else
-            runUpdateGpm(crash_batch, false, point);
-    } catch (const KernelCrashed &) {
-        o.fired = true;
-    }
-    m_->pool().crash(survive_prob);
-
-    const SimNs r0 = m_->now();
-    if (m_->pool().load<std::uint32_t>(meta_.offset + kTxnFlagOff) ==
-        1) {
-        if (!window && m_->kind() == PlatformKind::Gpm)
-            gpmPersistBegin(*m_);  // reboot-time recovery persists
-        if (kind == TxnKind::Update) {
-            recoverUpdate();
-        } else {
-            // The durable row count never advanced: partial rows are
-            // invisible; just clear the flag (Table 5's gpDB (I)).
-            const std::uint32_t zero = 0;
-            m_->cpuWritePersist(meta_.offset + kTxnFlagOff, &zero, 4,
-                                1);
+    CrashSteps s;
+    s.workload = CrashWorkload::Db;
+    s.crash_step = ref.crash_batch;
+    s.setup = [this, &ref] { setupFrom(ref.initial.data()); };
+    s.step = [this, insert, &ref](std::uint32_t b,
+                                  const std::optional<CrashPoint> &armed) {
+        if (armed) {
+            // The clean batches must have committed exactly the rows
+            // the reference expects: the doomed batch and the oracle
+            // both build on that count, so a lost commit must not go
+            // unnoticed here.
+            const std::uint64_t live =
+                m_->pool().load<std::uint64_t>(meta_.offset +
+                                               kRowCountOff);
+            GPM_ASSERT(live == ref.pre_crash.rows, "gpDB holds ", live,
+                       " rows before crash batch ", b,
+                       ", the reference expects ", ref.pre_crash.rows);
         }
-        if (!window && m_->kind() == PlatformKind::Gpm)
-            gpmPersistEnd(*m_);
-        o.recovery_ran = true;
-    }
-    r.recovery_ns = m_->now() - r0;
-    r.op_ns = clean_ns;
-    r.ops_done = static_cast<double>(crash_batch) *
-                 (kind == TxnKind::Insert ? p_.insert_rows
-                                          : p_.update_rows);
-
-    {
-        telemetry::Span span("oracle", "check");
+        if (insert)
+            runInsertGpm(b, false, armed);
+        else
+            runUpdateGpm(b, false, armed);
+    };
+    s.in_flight = [this] {
+        return m_->pool().load<std::uint32_t>(meta_.offset +
+                                              kTxnFlagOff) == 1;
+    };
+    s.recover = [this, insert] {
+        if (!insert) {
+            recoverUpdate();
+            return;
+        }
+        // The durable row count never advanced: partial rows are
+        // invisible; just clear the flag (Table 5's gpDB (I)).
+        const std::uint32_t zero = 0;
+        m_->cpuWritePersist(meta_.offset + kTxnFlagOff, &zero, 4, 1);
+    };
+    s.ops_done = [this, insert, &ref] {
+        return static_cast<double>(ref.crash_batch) *
+               (insert ? p_.insert_rows : p_.update_rows);
+    };
+    s.check = [this, &ref](CrashOutcome &o) {
         const std::uint64_t count = durableRowCount();
-        const std::uint8_t *table = m_->pool().durable() + table_.offset;
-        const std::uint64_t bytes = count * GpDbParams::kRowBytes;
-        const CrashImage *match = ref.match(table, bytes, count);
-        o.strict_ok = match == &ref.pre_crash ||
-                      (!o.fired && match == &ref.committed);
-        o.state_hash =
-            fnv1aU64(count, match ? match->hash : fnv1a(table, bytes));
-    }
-    r.verified = o.strict_ok;
-    if (result_out)
-        *result_out = r;
-    return o;
+        o.state_hash = fnv1aU64(
+            count, ref.check(o, m_->pool().durable() + table_.offset,
+                             count * GpDbParams::kRowBytes, count));
+        return o.strict_ok;
+    };
+    return runCrashSequence(*m_, s, point, survive_prob,
+                            open_persist_window, result_out);
 }
 
 } // namespace gpm

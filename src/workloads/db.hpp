@@ -108,6 +108,10 @@ class GpDb
     WorkloadResult runWithCrash(TxnKind kind, std::uint32_t crash_batch,
                                 double frac, double survive_prob);
 
+    /** Thread phases of the doomed @p kind batch kernel. */
+    static std::uint64_t doomedThreadPhases(const GpDbParams &p,
+                                            TxnKind kind);
+
     /**
      * Expected durable tables of a @p kind crash in batch
      * @p crash_batch: the initial rows, every earlier batch applied
@@ -119,12 +123,10 @@ class GpDb
                                          std::uint32_t crash_batch);
 
     /**
-     * Descriptor-armed crash run (see GpKvs::runCrashPoint for the
-     * contract). @p ref must come from crashReference() with this
-     * instance's params and @p kind. The clean batches must leave
-     * exactly pre_crash's row count (checked before arming).
-     * strict_ok accepts either the pre_crash table or, when @p point
-     * never fired, the committed one — rows and row count both.
+     * Descriptor-armed crash run (runCrashSequence), @p ref from
+     * crashReference() with these params and @p kind. The clean
+     * batches must leave pre_crash's row count (checked before
+     * arming); strict_ok compares rows and row count both.
      */
     CrashOutcome runCrashPoint(TxnKind kind, const CrashReference &ref,
                                const CrashPoint &point,

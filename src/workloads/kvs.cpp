@@ -437,50 +437,27 @@ GpKvs::run()
     WorkloadSpan verify("verify", "kvs");
     bool gets_ok = false;
     const ExpectedStore want = expectedStore(&gets_ok);
-    r.verified =
-        gets_ok &&
-        storeMatches(want, m_->pool().durable() + store_.offset) &&
-        (!host_copy_ || storeMatches(want, host_copy_->image(0)));
+    r.verified = gets_ok && storesMatch(want);
     return r;
 }
 
 void
 GpKvs::recover()
 {
-    telemetry::Span span("recovery", "gpkvs_recover");
-    telemetry::count("recovery.invocations");
-    PmRecoveryScope rscope(m_->pool().recorder());
-    const std::uint32_t crashed_batch =
-        m_->pool().load<std::uint32_t>(meta_.offset + kBatchIdOff);
+    undoLogRecover<EpochEntry>(
+        *m_, "gpkvs_recover", "gpkvs.log",
+        std::uint64_t(p_.batch_ops) * GpKvsParams::kGroup,
+        meta_.offset + kBatchIdOff, meta_.offset + kTxnFlagOff,
+        [this](ThreadCtx &ctx, const EpochEntry &entry) {
+            ctx.pmStore(pairAddr(entry.e.set, entry.e.way),
+                        KvPair{entry.e.old_key, entry.e.old_value});
+        });
+}
 
-    const std::uint64_t threads =
-        std::uint64_t(p_.batch_ops) * GpKvsParams::kGroup;
-    const std::uint32_t tpb = 256;
-
-    GpmLog log = GpmLog::open(*m_, "gpkvs.log");
-    KernelDesc k;
-    k.name = "gpkvs_recover";
-    k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
-    k.block_threads = tpb;
-    k.phases.push_back([this, &log, crashed_batch](ThreadCtx &ctx) {
-        EpochEntry entry;
-        if (!log.read(ctx, &entry, sizeof(entry)))
-            return;
-        // Entries from earlier, committed batches must not be undone.
-        if (entry.batch != crashed_batch)
-            return;
-        ctx.pmStore(pairAddr(entry.e.set, entry.e.way),
-                    KvPair{entry.e.old_key, entry.e.old_value});
-        gpmPersist(ctx);
-        // Only drop the log entry once the undo itself is durable —
-        // recovery must stay recoverable (section 5.2).
-        log.remove(ctx, sizeof(entry));
-    });
-    m_->runKernel(k);
-    m_->advance(log.consumeSerializationNs());
-
-    const std::uint32_t zero = 0;
-    m_->cpuWritePersist(meta_.offset + kTxnFlagOff, &zero, 4, 1);
+std::uint64_t
+GpKvs::doomedThreadPhases(const GpKvsParams &p)
+{
+    return std::uint64_t(p.batch_ops) * GpKvsParams::kGroup;
 }
 
 WorkloadResult
@@ -488,14 +465,11 @@ GpKvs::runWithCrash(std::uint32_t crash_batch, double frac,
                     double survive_prob)
 {
     GPM_REQUIRE(frac >= 0.0 && frac <= 1.0, "bad crash fraction");
-    const std::uint64_t threads =
-        std::uint64_t(p_.batch_ops) * GpKvsParams::kGroup;
     WorkloadResult r;
     const CrashOutcome o = runCrashPoint(
         crashReference(p_, crash_batch),
-        CrashPoint::afterThreadPhases(static_cast<std::uint64_t>(
-            frac * static_cast<double>(threads))),
-        survive_prob, /*open_persist_window=*/true, &r);
+        CrashPoint::afterFraction(frac, doomedThreadPhases(p_)), survive_prob,
+        /*open_persist_window=*/true, &r);
     GPM_ASSERT(o.fired || frac >= 1.0, "crash point did not fire");
     return r;
 }
@@ -525,72 +499,32 @@ GpKvs::runCrashPoint(const CrashReference &ref, const CrashPoint &point,
                      double survive_prob, bool open_persist_window,
                      WorkloadResult *result_out)
 {
-    GPM_REQUIRE(inKernelPersistence(m_->kind()),
-                "crash recovery needs in-kernel persistence");
     GPM_REQUIRE(p_.use_hcl,
                 "per-thread undo recovery requires the HCL log");
-    const std::uint32_t crash_batch = ref.crash_batch;
-    GPM_REQUIRE(crash_batch < p_.batches, "crash batch out of range");
-
-    setup();
-    WorkloadResult r;
-    CrashOutcome o;
-    // Only PlatformKind::Gpm has a DDIO toggle; eADR needs no window.
-    const bool window =
-        open_persist_window && m_->kind() == PlatformKind::Gpm;
-
-    const SimNs t0 = m_->now();
-    for (std::uint32_t b = 0; b < crash_batch; ++b) {
-        if (window)
-            gpmPersistBegin(*m_);
-        runBatchGpm(makeBatch(b), /*ndp=*/false);
-        if (window)
-            gpmPersistEnd(*m_);
-        r.ops_done += p_.batch_ops;
-    }
-    const SimNs clean_ns = m_->now() - t0;
-
-    // The doomed batch: the clean batch kernel, armed mid-flight.
-    if (window)
-        gpmPersistBegin(*m_);
-    try {
-        runBatchGpm(makeBatch(crash_batch), /*ndp=*/false, point);
-    } catch (const KernelCrashed &) {
-        o.fired = true;
-    }
-    m_->pool().crash(survive_prob);
-
-    // Reboot: recover if the durable flag says a batch was in flight.
-    // Recovery always runs inside a persist window — after a reboot
-    // the recovery procedure gets to configure DDIO correctly even if
-    // the crashed application never did.
-    const SimNs r0 = m_->now();
-    if (m_->pool().load<std::uint32_t>(meta_.offset + kTxnFlagOff) ==
-        1) {
-        if (!window && m_->kind() == PlatformKind::Gpm)
-            gpmPersistBegin(*m_);
-        recover();
-        if (!window && m_->kind() == PlatformKind::Gpm)
-            gpmPersistEnd(*m_);
-        o.recovery_ran = true;
-    }
-    r.recovery_ns = m_->now() - r0;
-    r.op_ns = clean_ns;
-
-    {
-        // Atomicity: the durable store is all or nothing of the batch.
-        telemetry::Span span("oracle", "check");
-        const std::uint8_t *img = m_->pool().durable() + store_.offset;
-        const CrashImage *match = ref.match(img, p_.storeBytes());
-        o.strict_ok = match == &ref.pre_crash ||
-                      (!o.fired && match == &ref.committed);
-        o.state_hash = match ? match->hash
-                             : fnv1a(img, p_.storeBytes());
-    }
-    r.verified = o.strict_ok;
-    if (result_out)
-        *result_out = r;
-    return o;
+    GPM_REQUIRE(ref.crash_batch < p_.batches, "crash batch out of range");
+    CrashSteps s;
+    s.workload = CrashWorkload::Kvs;
+    s.crash_step = ref.crash_batch;
+    s.setup = [this] { setup(); };
+    s.step = [this](std::uint32_t b,
+                    const std::optional<CrashPoint> &armed) {
+        runBatchGpm(makeBatch(b), /*ndp=*/false, armed);
+    };
+    s.in_flight = [this] {
+        return m_->pool().load<std::uint32_t>(meta_.offset +
+                                              kTxnFlagOff) == 1;
+    };
+    s.recover = [this] { recover(); };
+    s.ops_done = [this, &ref] {
+        return static_cast<double>(ref.crash_batch) * p_.batch_ops;
+    };
+    s.check = [this, &ref](CrashOutcome &o) {
+        o.state_hash = ref.check(o, m_->pool().durable() + store_.offset,
+                                 p_.storeBytes());
+        return o.strict_ok;
+    };
+    return runCrashSequence(*m_, s, point, survive_prob,
+                            open_persist_window, result_out);
 }
 
 bool
@@ -1147,6 +1081,17 @@ GpKvs::storeMatches(const ExpectedStore &want,
         untouched = set + 1;
     }
     return allZero(untouched, p_.n_sets);
+}
+
+bool
+GpKvs::storesMatch(const ExpectedStore &want) const
+{
+    // storeMatches fixes every byte of the store, so one walk of the
+    // durable image and a plain comparison of the copy suffice.
+    const std::uint8_t *durable = m_->pool().durable() + store_.offset;
+    return storeMatches(want, durable) &&
+           (!host_copy_ || std::memcmp(durable, host_copy_->image(0),
+                                       p_.storeBytes()) == 0);
 }
 
 } // namespace gpm

@@ -153,6 +153,9 @@ class GpKvs
     WorkloadResult runWithCrash(std::uint32_t crash_batch, double frac,
                                 double survive_prob);
 
+    /** Thread phases of the doomed batch kernel. */
+    static std::uint64_t doomedThreadPhases(const GpKvsParams &p);
+
     /**
      * Expected durable stores of a crash in batch @p crash_batch: every
      * earlier batch applied (pre_crash), and the doomed batch on top
@@ -162,18 +165,9 @@ class GpKvs
                                          std::uint32_t crash_batch);
 
     /**
-     * Descriptor-armed crash run (the torture-matrix entry point):
-     * run batches up to @p ref's crash batch cleanly, arm @p point on
-     * the doomed batch's kernel, crash the pool with @p survive_prob
-     * line survival, reboot, recover, and report the outcome.
-     * @p ref must come from crashReference() with this instance's
-     * params; strict_ok means the durable store equals its pre_crash
-     * image, or its committed image when @p point never fired.
-     *
-     * @p open_persist_window false leaves DDIO on for the doomed run
-     * (PersistDomain::LlcVolatile — the GPM-NDP trap); recovery then
-     * still runs inside its own persist window, modelling a correct
-     * reboot-time recovery procedure on top of crash-time data loss.
+     * Descriptor-armed crash run (runCrashSequence; the torture-matrix
+     * entry point) of batch @p ref.crash_batch, @p ref from
+     * crashReference() with these params.
      */
     CrashOutcome runCrashPoint(const CrashReference &ref,
                                const CrashPoint &point,
@@ -230,12 +224,23 @@ class GpKvs
     ExpectedStore expectedStore(bool *gets_ok = nullptr) const;
 
     /**
-     * run()'s store check: does @p store, storeBytes() bytes laid out
-     * like the PM store, hold exactly @p want? Every touched set must
-     * equal its reference ways and every other set must be all zero.
+     * Does @p store, storeBytes() bytes laid out like the PM store,
+     * hold exactly @p want? Every touched set must equal its reference
+     * ways and every other set must be all zero.
      */
     bool storeMatches(const ExpectedStore &want,
                       const std::uint8_t *store) const;
+
+    /** run()'s store check: the durable store holds exactly @p want
+     *  and CAP's device copy equals it byte for byte. */
+    bool storesMatch(const ExpectedStore &want) const;
+
+    /** CAP's device copy of the store; nullptr on in-kernel platforms. */
+    std::uint8_t *
+    deviceCopy()
+    {
+        return host_copy_ ? host_copy_->image(0) : nullptr;
+    }
 
     static std::uint64_t hashKey(std::uint64_t key);
 

@@ -252,16 +252,20 @@ GpPrefixSum::run()
     return r;
 }
 
+std::uint64_t
+GpPrefixSum::doomedThreadPhases(const PsParams &p)
+{
+    // Two phases per thread in the partial-sums kernel.
+    return 2ull * p.blocks * p.block_threads;
+}
+
 WorkloadResult
 GpPrefixSum::runWithCrash(double frac, double survive_prob)
 {
-    const std::uint64_t total_threads =
-        std::uint64_t(p_.blocks) * p_.block_threads;
     WorkloadResult r;
     const CrashOutcome o = runCrashPoint(
-        CrashPoint::afterThreadPhases(static_cast<std::uint64_t>(
-            frac * 2.0 * static_cast<double>(total_threads))),
-        survive_prob, /*open_persist_window=*/true, &r);
+        CrashPoint::afterFraction(frac, doomedThreadPhases(p_)), survive_prob,
+        /*open_persist_window=*/true, &r);
     GPM_ASSERT(o.fired, "prefix-sum crash point did not fire");
     return r;
 }
@@ -271,57 +275,37 @@ GpPrefixSum::runCrashPoint(const CrashPoint &point, double survive_prob,
                            bool open_persist_window,
                            WorkloadResult *result_out)
 {
-    GPM_REQUIRE(inKernelPersistence(m_->kind()),
-                "prefix-sum resume needs in-kernel persistence");
-    setup();
-    CrashOutcome o;
-    const bool window =
-        open_persist_window && m_->kind() == PlatformKind::Gpm;
-    if (window)
-        gpmPersistBegin(*m_);
-
-    try {
-        partialSumsKernel(point);
-    } catch (const KernelCrashed &) {
-        o.fired = true;
-    }
-    m_->pool().crash(survive_prob);
-
-    // Resume under a fresh persist window (reboot-time recovery gets
-    // DDIO right even when the crashed run never did): the sentinel
-    // check skips completed blocks (the recovery logic is native to
-    // the kernel, section 5.4), everything else recomputes.
-    if (!window && m_->kind() == PlatformKind::Gpm)
-        gpmPersistBegin(*m_);
-    WorkloadResult r;
-    const SimNs r0 = m_->now();
-    {
+    CrashSteps s;
+    s.workload = CrashWorkload::PrefixSum;
+    s.setup = [this] { setup(); };
+    s.step = [this](std::uint32_t, const std::optional<CrashPoint> &armed) {
+        partialSumsKernel(armed);
+    };
+    s.recover = [this] {
+        // The sentinel check skips completed blocks (the recovery logic
+        // is native to the kernel, section 5.4); everything else
+        // recomputes.
         PmRecoveryScope rscope(m_->pool().recorder());
         blocks_skipped_ = 0;
         partialSumsKernel(std::nullopt);
         finalKernel();
-    }
-    r.recovery_ns = m_->now() - r0;
-    r.op_ns = r.recovery_ns;
-    r.ops_done = static_cast<double>(blocks_skipped_);
-    o.recovery_ran = true;
-
-    const std::vector<std::uint64_t> ref = referencePrefix();
-    o.strict_ok = true;
-    for (std::uint64_t i = 0; i < ref.size(); ++i) {
-        if (durablePrefix(i) != ref[i]) {
-            o.strict_ok = false;
-            break;
+    };
+    s.ops_done = [this] { return static_cast<double>(blocks_skipped_); };
+    s.check = [this](CrashOutcome &o) {
+        const std::vector<std::uint64_t> ref = referencePrefix();
+        o.strict_ok = true;
+        for (std::uint64_t i = 0; i < ref.size(); ++i) {
+            if (durablePrefix(i) != ref[i]) {
+                o.strict_ok = false;
+                break;
+            }
         }
-    }
-    o.state_hash = fnv1a(m_->pool().durable() + out_.offset,
-                         p_.elements() * 8);
-    if (!window && m_->kind() == PlatformKind::Gpm)
-        gpmPersistEnd(*m_);
-    r.verified = o.strict_ok;
-    if (result_out)
-        *result_out = r;
-    return o;
+        o.state_hash =
+            fnv1a(m_->pool().durable() + out_.offset, p_.elements() * 8);
+        return o.strict_ok;
+    };
+    return runCrashSequence(*m_, s, point, survive_prob,
+                            open_persist_window, result_out);
 }
 
 std::vector<std::uint64_t>

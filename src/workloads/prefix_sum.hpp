@@ -64,14 +64,14 @@ class GpPrefixSum
      */
     WorkloadResult runWithCrash(double frac, double survive_prob);
 
+    /** Thread phases of the partial-sum kernel. */
+    static std::uint64_t doomedThreadPhases(const PsParams &p);
+
     /**
-     * Descriptor-armed crash run: crash the partial-sum kernel at
-     * @p point, reboot, resume (sentinel-skip re-run) and finish.
-     * strict_ok means the full durable output equals the reference —
-     * the kernel's native recovery is a recompute, so there is a
-     * single legal final state regardless of where the crash landed.
-     * @p result_out, when given, gets the resume timing, the blocks
-     * the sentinel check skipped (ops_done) and verified = strict_ok.
+     * Descriptor-armed crash run (runCrashSequence) of the partial-sum
+     * kernel; recovery is the sentinel-skip re-run. strict_ok: the
+     * durable output equals the reference (one legal final state);
+     * ops_done counts the blocks the sentinel check skipped.
      */
     CrashOutcome runCrashPoint(const CrashPoint &point,
                                double survive_prob,

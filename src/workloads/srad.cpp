@@ -255,17 +255,23 @@ GpSrad::run()
     return r;
 }
 
+std::uint64_t
+GpSrad::doomedThreadPhases(const SradParams &p)
+{
+    const std::uint64_t blocks = std::max<std::uint64_t>(
+        1, ceilDiv(p.pixels(), std::uint64_t(256) * 15));
+    return blocks * 256;
+}
+
 WorkloadResult
 GpSrad::runWithCrash(std::uint32_t crash_iter, double survive_prob)
 {
     // Same mid-kernel point the fixed-fraction harness always used:
     // half the launch's thread phases.
-    const std::uint64_t blocks = std::max<std::uint64_t>(
-        1, ceilDiv(p_.pixels(), std::uint64_t(256) * 15));
     WorkloadResult r;
     const CrashOutcome o = runCrashPoint(
         crashReference(p_, crash_iter),
-        CrashPoint::afterThreadPhases(blocks * 256 / 2), survive_prob,
+        CrashPoint::afterFraction(0.5, doomedThreadPhases(p_)), survive_prob,
         /*open_persist_window=*/true, &r);
     GPM_ASSERT(o.fired, "SRAD crash point did not fire");
     return r;
@@ -298,75 +304,53 @@ GpSrad::runCrashPoint(const CrashReference &ref, const CrashPoint &point,
                       double survive_prob, bool open_persist_window,
                       WorkloadResult *result_out)
 {
-    GPM_REQUIRE(inKernelPersistence(m_->kind()),
-                "SRAD resume needs in-kernel persistence");
-    const std::uint32_t crash_iter = ref.crash_batch;
-    GPM_REQUIRE(crash_iter < p_.iterations, "crash iteration too late");
-    const std::uint64_t n = p_.pixels();
-    GPM_REQUIRE(ref.final.bytes.size() == n * 4,
+    GPM_REQUIRE(ref.crash_batch < p_.iterations,
+                "crash iteration too late");
+    GPM_REQUIRE(ref.final.bytes.size() == p_.pixels() * 4,
                 "crash reference built for other params");
-    setup();
-
-    const bool window =
-        open_persist_window && m_->kind() == PlatformKind::Gpm;
-    if (window)
-        gpmPersistBegin(*m_);
-
-    for (std::uint32_t iter = 0; iter < crash_iter; ++iter)
-        runIteration(iter, std::nullopt);
-
-    CrashOutcome o;
-    try {
-        runIteration(crash_iter, point);
-    } catch (const KernelCrashed &) {
-        o.fired = true;
-    }
-    m_->pool().crash(survive_prob);
-
-    // Reboot. Recovery always opens a persist window of its own: the
-    // restarted process configures DDIO correctly even if the crashed
-    // one never did.
-    const bool reopen = !window && m_->kind() == PlatformKind::Gpm;
-    if (reopen)
-        gpmPersistBegin(*m_);
-    WorkloadResult r;
-    const SimNs r0 = m_->now();
-    std::uint32_t done = 0;
-    {
-        PmRecoveryScope rscope(m_->pool().recorder());
-        done = m_->pool().load<std::uint32_t>(meta_.offset);
-        host_img_.assign(n, 0.0f);
-        m_->pool().read(imgAddr(done % 2, 0), host_img_.data(), n * 4);
-    }
-    m_->cpuPmRead(n * 4, p_.cap_threads);
-    r.recovery_ns = m_->now() - r0;
-    for (std::uint32_t iter = done; iter < p_.iterations; ++iter)
-        runIteration(iter, std::nullopt);
-    r.op_ns = m_->now() - r0;
-    r.ops_done = p_.iterations - done;
-    o.recovery_ran = true;
-    if (reopen)
-        gpmPersistEnd(*m_);
-    if (window)
-        gpmPersistEnd(*m_);
-
-    {
-        // Recompute recovery: one legal final state regardless of
-        // where (or whether) the crash landed.
-        telemetry::Span span("oracle", "check");
-        o.strict_ok = ref.final.equals(host_img_.data(), n * 4);
+    std::uint32_t done = 0;  // iterations the durable counter holds
+    CrashSteps s;
+    s.workload = CrashWorkload::Srad;
+    s.crash_step = ref.crash_batch;
+    s.setup = [this] { setup(); };
+    s.step = [this](std::uint32_t iter,
+                    const std::optional<CrashPoint> &armed) {
+        runIteration(iter, armed);
+    };
+    s.recover = [this, &done] {
+        // Reboot from the durable iteration counter and the image
+        // buffer it names (double buffering keeps the previous pass
+        // intact under a torn one).
+        const std::uint64_t n = p_.pixels();
+        {
+            PmRecoveryScope rscope(m_->pool().recorder());
+            done = m_->pool().load<std::uint32_t>(meta_.offset);
+            host_img_.assign(n, 0.0f);
+            m_->pool().read(imgAddr(done % 2, 0), host_img_.data(),
+                            n * 4);
+        }
+        m_->cpuPmRead(n * 4, p_.cap_threads);
+    };
+    s.resume = [this, &done] {
+        for (std::uint32_t iter = done; iter < p_.iterations; ++iter)
+            runIteration(iter, std::nullopt);
+    };
+    s.ops_done = [this, &done] { return p_.iterations - done; };
+    s.check = [this, &ref, &done](CrashOutcome &o) {
+        // Recompute recovery: one legal final state wherever (or
+        // whether) the crash landed.
+        const std::uint64_t bytes = p_.pixels() * 4;
+        o.strict_ok = ref.final.equals(host_img_.data(), bytes);
         const std::uint8_t *img =
             m_->pool().visible() + imgAddr(p_.iterations % 2, 0);
-        o.state_hash = fnv1aU64(
-            m_->pool().load<std::uint32_t>(meta_.offset),
-            ref.final.equals(img, n * 4) ? ref.final.hash
-                                         : fnv1a(img, n * 4));
-    }
-    if (result_out) {
-        r.verified = o.strict_ok && done == crash_iter;
-        *result_out = r;
-    }
-    return o;
+        o.state_hash =
+            fnv1aU64(m_->pool().load<std::uint32_t>(meta_.offset),
+                     ref.final.equals(img, bytes) ? ref.final.hash
+                                                  : fnv1a(img, bytes));
+        return o.strict_ok && done == ref.crash_batch;
+    };
+    return runCrashSequence(*m_, s, point, survive_prob,
+                            open_persist_window, result_out);
 }
 
 std::vector<float>

@@ -67,6 +67,9 @@ class GpSrad
     WorkloadResult runWithCrash(std::uint32_t crash_iter,
                                 double survive_prob);
 
+    /** Thread phases of the doomed iteration's kernel. */
+    static std::uint64_t doomedThreadPhases(const SradParams &p);
+
     /**
      * Expected images of a crash in iteration @p crash_iter: the
      * image after crash_iter passes (pre_crash), after one more
@@ -77,14 +80,11 @@ class GpSrad
                                          std::uint32_t crash_iter);
 
     /**
-     * Descriptor-armed crash run: crash iteration ref.crash_batch at
-     * @p point, reboot from the durable iteration counter + image
-     * buffer, resume to completion. @p ref must come from
-     * crashReference() with this instance's params. strict_ok means
-     * the final image equals ref.final byte for byte (recompute
-     * recovery: one legal final state). @p result_out, when given,
-     * gets the recovery timing and verified = strict_ok and recovery
-     * resumed from the crashed iteration.
+     * Descriptor-armed crash run (runCrashSequence) of iteration
+     * @p ref.crash_batch, @p ref from crashReference() with these
+     * params. strict_ok: the final image equals ref.final (recompute
+     * recovery has one legal final state); verified also needs the
+     * resume to start at the crashed iteration.
      */
     CrashOutcome runCrashPoint(const CrashReference &ref,
                                const CrashPoint &point,

@@ -11,15 +11,23 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
+#include "gpm/gpm_log.hpp"
+#include "gpm/gpm_runtime.hpp"
+#include "gpusim/kernel.hpp"
 #include "platform/machine.hpp"
+#include "pmem/pm_events.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace gpm {
+
+struct CrashOutcome;
 
 /** One expected durable image of a crash scenario, with its FNV-1a. */
 struct CrashImage {
@@ -55,10 +63,12 @@ struct CrashReference {
     CrashImage committed;  ///< ...and crash_batch applied on top
     CrashImage final;      ///< SRAD: every iteration applied
 
-    /** &pre_crash or &committed when one of them equals the @p n
-     *  bytes at @p p (with @p rows rows), else nullptr. */
-    const CrashImage *match(const void *p, std::size_t n,
-                            std::uint64_t rows = 0) const;
+    /** The committed-prefix rule of a transactional check: @p o.strict_ok
+     *  when the @p n bytes at @p p (with @p rows rows) equal pre_crash,
+     *  or committed when @p o never fired. Returns the bytes' FNV-1a,
+     *  reused from an equal image. */
+    std::uint64_t check(CrashOutcome &o, const void *p, std::size_t n,
+                        std::uint64_t rows = 0) const;
 };
 
 /**
@@ -100,6 +110,108 @@ struct WorkloadResult {
         return op_ns > 0 ? ops_done * 1e3 / op_ns : 0.0;
     }
 };
+
+/** The crash-recoverable workloads (and the pmheap torture adapter's
+ *  GpmMap), indexing kCrashSchedules. */
+enum class CrashWorkload : std::uint8_t {
+    Kvs, Db, Srad, PrefixSum, Bfs, Pmheap
+};
+
+/**
+ * How a workload's crash run recovers and keeps its persist window
+ * (DESIGN.md decision #5): transactional (recover when in flight; op_ns
+ * is the clean prefix) or native resume (always recover, then finish;
+ * op_ns runs from the reboot); the run's window per step or once;
+ * whether it closes after the resume.
+ */
+struct CrashSchedule {
+    const char *name;
+    bool transactional;
+    bool window_per_step;
+    bool close_run_window;
+};
+
+inline constexpr CrashSchedule kCrashSchedules[] = {
+    // name         transactional  window_per_step  close_run_window
+    {"gpKVS",       true,          true,            false},
+    {"gpDB",        true,          false,           false},
+    {"SRAD",        false,         false,           true},
+    {"prefix-sum",  false,         false,           false},
+    {"BFS",         false,         false,           false},
+    {"pmheap",      true,          true,            false},
+};
+
+/** A workload's hooks for runCrashSequence, called once per step
+ *  (DESIGN.md decision #5); unused ones stay empty. */
+struct CrashSteps {
+    CrashWorkload workload = CrashWorkload::Kvs;
+    std::uint32_t crash_step = 0;  ///< [0, crash_step) run clean
+    std::function<void()> setup;
+    /** A set @p armed arms the step's kernel; the step then returns
+     *  right after it, never committing. */
+    std::function<void(std::uint32_t s,
+                       const std::optional<CrashPoint> &armed)>
+        step;
+    std::function<bool()> in_flight;   ///< transactional: recover?
+    std::function<void()> recover;     ///< timed as recovery_ns
+    std::function<void()> resume;      ///< native: finish the run
+    std::function<double()> ops_done;
+    /** Set strict_ok and state_hash; return WorkloadResult::verified. */
+    std::function<bool(CrashOutcome &)> check;
+};
+
+/**
+ * The crash-point driver behind every crash-recoverable workload's
+ * runCrashPoint: set up, run the clean prefix, run the doomed step
+ * armed with @p point, crash with @p survive_prob line survival,
+ * reboot, recover, and check inside an `oracle/check` span.
+ * @p open_persist_window false leaves DDIO on for the run (the GPM-NDP
+ * trap); recovery then persists inside a window of its own.
+ */
+CrashOutcome runCrashSequence(Machine &m, const CrashSteps &s,
+                              const CrashPoint &point,
+                              double survive_prob,
+                              bool open_persist_window,
+                              WorkloadResult *result_out);
+
+/**
+ * Undo-log recovery (Figure 6(b)), shared by gpKVS and gpDB: a
+ * `recovery/<kernel>` span over one @p threads-thread kernel on the
+ * log at @p log_path. Each thread reads its Entry and, when it belongs
+ * to the step the u32 at @p batch_addr names, has @p undo store the
+ * old value, persists it and only then drops the entry, so recovery
+ * stays recoverable (section 5.2). Finally clears the u32 in-flight
+ * flag at @p flag_addr.
+ */
+template <typename Entry, typename Undo>
+void
+undoLogRecover(Machine &m, const char *kernel, const char *log_path,
+               std::uint64_t threads, std::uint64_t batch_addr,
+               std::uint64_t flag_addr, Undo &&undo)
+{
+    telemetry::Span span("recovery", kernel);
+    telemetry::count("recovery.invocations");
+    PmRecoveryScope rscope(m.pool().recorder());
+    const std::uint32_t crashed = m.pool().load<std::uint32_t>(batch_addr);
+    GpmLog log = GpmLog::open(m, log_path);
+    KernelDesc k;
+    k.name = kernel;
+    k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, 256));
+    k.block_threads = 256;
+    k.phases.push_back([&log, &undo, crashed](ThreadCtx &ctx) {
+        Entry entry;
+        // Entries of earlier, committed steps must not be undone.
+        if (!log.read(ctx, &entry, sizeof(entry)) || entry.batch != crashed)
+            return;
+        undo(ctx, entry);
+        gpmPersist(ctx);
+        log.remove(ctx, sizeof(entry));
+    });
+    m.runKernel(k);
+    m.advance(log.consumeSerializationNs());
+    const std::uint32_t zero = 0;
+    m.cpuWritePersist(flag_addr, &zero, 4, 1);
+}
 
 /**
  * A `workload` span over one host-side phase of a workload's run()

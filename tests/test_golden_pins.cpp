@@ -7,11 +7,13 @@
  * grid, pmheap cells and seeded-bug corpus with witness replay), so
  * tier-1 ctest guards the simulator's observable behaviour end to end.
  * Scale sweeps (gpmtorture --scale: the default grid, the mid-traffic
- * serve grid and the pmheap grid) are checked at width 4 only, by
- * their own test under the ctest label golden-scale.
+ * serve grid and the pmheap grid) and the crash-results row (every
+ * crash path's WorkloadResult, bit for bit) are checked at width 4
+ * only, by their own test under the ctest label golden-scale.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -24,6 +26,8 @@
 #include "analysis/check_runner.hpp"
 #include "crashtest/crash_scheduler.hpp"
 #include "crashtest/torture_runner.hpp"
+#include "harness/experiments.hpp"
+#include "harness/sweep.hpp"
 #include "persistency_bugs/corpus.hpp"
 
 namespace gpm {
@@ -84,6 +88,64 @@ checkRow(CheckConfig cfg, int jobs)
     return {r.cells.size(), classes.str(), hex16(r.signature())};
 }
 
+/** FNV-1a over every field of @p r, doubles by their bits, in the
+ *  field order of perfbench's result fingerprint. */
+std::uint64_t
+foldResult(const WorkloadResult &r, std::uint64_t h)
+{
+    h = fnv1aU64(r.supported, h);
+    h = fnv1aU64(std::bit_cast<std::uint64_t>(r.op_ns), h);
+    h = fnv1aU64(std::bit_cast<std::uint64_t>(r.persist_ns), h);
+    h = fnv1aU64(std::bit_cast<std::uint64_t>(r.recovery_ns), h);
+    h = fnv1aU64(r.persisted_payload, h);
+    h = fnv1aU64(r.pcie_write_bytes, h);
+    h = fnv1aU64(std::bit_cast<std::uint64_t>(r.ops_done), h);
+    return fnv1aU64(r.verified, h);
+}
+
+/** Every crash path's full WorkloadResult: Table 5's eight crash cells
+ *  (bench::runBenchWithCrash) and the native workloads' crash-and-
+ *  resume runs at their canonical params, swept @p jobs wide. */
+PinRow
+crashResultsRow(int jobs)
+{
+    using bench::Bench;
+    const SimConfig cfg;
+    const auto native = [&cfg](auto run) {
+        return [&cfg, run] {
+            Machine m(cfg, PlatformKind::Gpm, bench::pmCapacity());
+            return run(m);
+        };
+    };
+    std::vector<std::function<WorkloadResult()>> runs;
+    for (const Bench b : {Bench::Kvs, Bench::Kvs95, Bench::DbInsert,
+                          Bench::DbUpdate, Bench::Dnn, Bench::Cfd,
+                          Bench::Blk, Bench::Hotspot})
+        runs.push_back([&cfg, b] { return bench::runBenchWithCrash(b, cfg); });
+    runs.push_back(native([](Machine &m) {
+        return GpSrad(m, bench::sradParams()).runWithCrash(2, 0.5);
+    }));
+    runs.push_back(native([](Machine &m) {
+        return GpPrefixSum(m, bench::psParams()).runWithCrash(0.5, 0.5);
+    }));
+    runs.push_back(native([](Machine &m) {
+        return GpBfs(m, bench::bfsParams()).runWithCrash(0.6, 0.5);
+    }));
+
+    SweepOptions opt;
+    opt.workers = jobs;
+    const std::vector<WorkloadResult> results = sweep(
+        runs, [](SweepLane &, const auto &run) { return run(); }, opt);
+    std::uint64_t h = kFnvOffset;
+    std::size_t verified = 0;
+    for (const WorkloadResult &r : results) {
+        h = foldResult(r, h);
+        verified += r.verified ? 1 : 0;
+    }
+    return {results.size(), "verified=" + std::to_string(verified),
+            hex16(h)};
+}
+
 struct Sweep {
     std::function<PinRow(int)> run;
     bool scale = false;  ///< checked at jobs 4 only (label golden-scale)
@@ -113,6 +175,7 @@ sweeps()
           true}},
         {"torture-pmheap-scale",
          {[](int j) { return tortureRow({"pmheap"}, j, true); }, true}},
+        {"crash-results", {crashResultsRow, true}},
         {"check-clean", {[](int j) { return checkRow({}, j); }}},
         {"check-pmheap",
          {[](int j) {

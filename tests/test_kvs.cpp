@@ -309,6 +309,26 @@ TEST(GpKvsStoreCheck, AcceptsTheRunImageAndRejectsEachCorruption)
     EXPECT_TRUE(kvs.storeMatches(want, ref.committed.bytes.data()));
 }
 
+TEST(GpKvsStoreCheck, RejectsACapDeviceCopyOneByteOff)
+{
+    // Under CAP the check compares the device copy with the durable
+    // store byte for byte, so one flipped byte in the copy fails it.
+    SimConfig cfg;
+    const GpKvsParams p = sparseParams();
+    Machine m(cfg, PlatformKind::CapFs, 64_MiB);
+    GpKvs kvs(m, p);
+    ASSERT_TRUE(kvs.run().verified);
+    const GpKvs::ExpectedStore want = kvs.expectedStore();
+    ASSERT_TRUE(kvs.storesMatch(want));
+    for (const std::uint64_t byte : {std::uint64_t(0), p.storeBytes() / 2,
+                                     p.storeBytes() - 1}) {
+        kvs.deviceCopy()[byte] ^= 0x01;
+        EXPECT_FALSE(kvs.storesMatch(want)) << "byte " << byte;
+        kvs.deviceCopy()[byte] ^= 0x01;
+    }
+    EXPECT_TRUE(kvs.storesMatch(want));
+}
+
 class GpKvsCrash : public ::testing::TestWithParam<std::tuple<int, int>>
 {
 };
