@@ -64,8 +64,7 @@ CpuPmKvs::setHash(std::uint64_t key, std::uint64_t value)
     const std::uint64_t addr =
         store_.offset +
         (std::uint64_t(set) * GpKvsParams::kWays + way) * sizeof(KvPair);
-    m_->pool().cpuWrite(0, addr, &nv, sizeof(nv));
-    m_->pool().persistRange(addr, sizeof(nv));
+    m_->pool().cpuWritePersist(0, addr, &nv, sizeof(nv));
     // Scattered 256 B internal line write at the media.
     m_->nvm().recordScattered(m_->config().xpline_bytes, 1);
 }
@@ -105,15 +104,13 @@ CpuPmKvs::setLsm(std::uint64_t key, std::uint64_t value)
     // WAL append: sequential, unaligned PM writes.
     const WalRecord rec{key, value};
     const std::uint64_t addr = wal_.offset + 64 + wal_tail_;
-    m_->pool().cpuWrite(0, addr, &rec, sizeof(rec));
-    m_->pool().persistRange(addr, sizeof(rec));
+    m_->pool().cpuWritePersist(0, addr, &rec, sizeof(rec));
     m_->nvm().recordRun(addr, sizeof(rec), 1 + sizeof(rec) / 64);
     wal_tail_ += sizeof(rec);
 
     // Persist the WAL tail so recovery knows the committed prefix.
     const std::uint64_t tail = wal_tail_;
-    m_->pool().cpuWrite(0, wal_.offset, &tail, 8);
-    m_->pool().persistRange(wal_.offset, 8);
+    m_->pool().cpuWritePersist(0, wal_.offset, &tail, 8);
 
     memtable_[key] = value;
     if (memtable_.size() >= p_.memtable_ops)

@@ -1,12 +1,16 @@
 #include "platform/machine.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "telemetry/telemetry.hpp"
 
 namespace gpm {
 
 namespace {
+
+/** Records capPersistChunks warms ahead of the one it copies. */
+constexpr std::size_t kRecordsAhead = 4;
 
 /**
  * Fold one launch's stats into the session counters. The per-launch
@@ -191,18 +195,19 @@ Machine::dmaDeviceToHost(std::uint64_t bytes)
 void
 Machine::hostStorePersist(OwnerId owner, std::uint64_t pm_addr,
                           const void *src, std::uint64_t size,
-                          std::uint64_t record_bytes)
+                          std::uint64_t txn_bytes,
+                          const WrittenRecords *written)
 {
-    pool_.cpuWrite(owner, pm_addr, src, size);
-    pool_.persistRange(pm_addr, size);
+    pool_.cpuWritePersist(owner, pm_addr, src, size, written);
     media_->recordRun(pm_addr, size,
-                      std::max<std::uint64_t>(1, size / record_bytes));
+                      std::max<std::uint64_t>(1, size / txn_bytes));
     persist_payload_ += size;
 }
 
 void
 Machine::cpuWritePersist(std::uint64_t pm_addr, const void *src,
-                         std::uint64_t size, int threads)
+                         std::uint64_t size, int threads,
+                         const WrittenRecords *written)
 {
     // Each flushing thread sweeps a contiguous chunk in line-sized
     // transactions; the flush path, not the media, is usually the
@@ -210,7 +215,7 @@ Machine::cpuWritePersist(std::uint64_t pm_addr, const void *src,
     media_->closeRuns();
     const NvmTierBytes before = media_->bytes();
     hostStorePersist(next_cpu_owner_++, pm_addr, src, size,
-                     cfg_.cache_line);
+                     cfg_.cache_line, written);
     // Under eADR no flushes are needed (CAP-eADR, section 6.1); the
     // store stream still drains through the media.
     const SimNs flush_ns = pool_.domain() == PersistDomain::LlcDurable
@@ -259,20 +264,21 @@ Machine::cpuPmRead(std::uint64_t bytes, int threads)
 
 void
 Machine::capPersist(std::uint64_t pm_addr, const void *src,
-                    std::uint64_t bytes, int threads)
+                    std::uint64_t bytes, int threads,
+                    const WrittenRecords *written)
 {
     switch (kind_) {
       case PlatformKind::CapFs:
-        capFsPersist(pm_addr, src, bytes);
+        capFsPersist(pm_addr, src, bytes, written);
         return;
       case PlatformKind::CapMm:
       case PlatformKind::CapEadr:
-        capMmPersist(pm_addr, src, bytes, threads);
+        capMmPersist(pm_addr, src, bytes, threads, written);
         return;
       case PlatformKind::Gpufs:
         GPM_REQUIRE(supports(WriteGrain::Block, bytes),
                     "GPUfs cannot hold files of ", bytes, " bytes");
-        gpufsWrite(pm_addr, src, bytes);
+        gpufsWrite(pm_addr, src, bytes, written);
         return;
       default:
         fatal("capPersist on ", platformName(kind_),
@@ -282,58 +288,81 @@ Machine::capPersist(std::uint64_t pm_addr, const void *src,
 
 void
 Machine::capMmPersist(std::uint64_t pm_addr, const void *src,
-                      std::uint64_t size, int threads)
+                      std::uint64_t size, int threads,
+                      const WrittenRecords *written)
 {
     telemetry::Span span("cap", "persist");
     dmaDeviceToHost(size);
-    cpuWritePersist(pm_addr, src, size, threads);
+    cpuWritePersist(pm_addr, src, size, threads, written);
 }
 
 void
 Machine::capFsPersist(std::uint64_t pm_addr, const void *src,
-                      std::uint64_t size)
+                      std::uint64_t size, const WrittenRecords *written)
 {
     telemetry::Span span("cap", "persist");
     dmaDeviceToHost(size);
     // fsync makes it durable.
     hostStorePersist(next_cpu_owner_++, pm_addr, src, size,
-                     cfg_.fs_block_bytes);
+                     cfg_.fs_block_bytes, written);
     advance(fs_.writeFsyncTime(size, 1));
 }
 
 void
 Machine::capPersistChunks(std::uint64_t region_base,
                           const void *host_base, std::uint64_t bytes,
-                          const std::vector<std::uint64_t> &chunk_idx,
+                          const WrittenRecords &written,
                           std::uint64_t chunk_bytes, int threads)
 {
     GPM_REQUIRE(kind_ == PlatformKind::CapFs ||
                     kind_ == PlatformKind::CapMm ||
                     kind_ == PlatformKind::CapEadr,
                 "capPersistChunks on ", platformName(kind_));
-    if (chunk_idx.empty())
+    if (written.offsets.empty())
         return;
     telemetry::Span span("cap", "persist");
-    const auto chunkSize = [&](std::uint64_t c) {
-        GPM_REQUIRE(c < ceilDiv(bytes, chunk_bytes), "chunk ", c,
-                    " past a structure of ", bytes, " bytes");
-        return std::min(chunk_bytes, bytes - c * chunk_bytes);
-    };
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : chunk_idx)
-        total += chunkSize(c);
-    dmaDeviceToHost(total);
+    const std::span<const std::uint64_t> offs = written.offsets;
+    const std::uint64_t rb = written.bytes;
+    std::uint64_t end = 0;  // past the previous record
+    for (const std::uint64_t off : offs) {
+        const std::uint64_t chunk_end = std::min(
+            off / chunk_bytes * chunk_bytes + chunk_bytes, bytes);
+        GPM_REQUIRE(rb > 0 && off >= end && off < chunk_end &&
+                        rb <= chunk_end - off,
+                    "written record [", off, ", +", rb,
+                    ") out of order, or not inside one ", chunk_bytes,
+                    " B chunk of a ", bytes, " B structure");
+        end = off + rb;
+    }
 
+    // Every chunk holding a record is moved and persisted in full
+    // (Table 4's amplification); the host copies only the records.
     const OwnerId owner = next_cpu_owner_++;
     media_->closeRuns();
     const NvmTierBytes before = media_->bytes();
-    for (const std::uint64_t c : chunk_idx) {
-        const std::uint64_t off = c * chunk_bytes;
-        hostStorePersist(owner, region_base + off,
-                         static_cast<const std::uint8_t *>(host_base) +
-                             off,
-                         chunkSize(c), cfg_.cache_line);
+    std::uint64_t total = 0;
+    const auto *host = static_cast<const std::uint8_t *>(host_base);
+    std::vector<std::uint64_t> in_chunk;  // rebased to the chunk start
+    for (std::size_t i = 0; i < offs.size();) {
+        const std::uint64_t c_off = offs[i] / chunk_bytes * chunk_bytes;
+        const std::uint64_t c_size = std::min(chunk_bytes, bytes - c_off);
+        in_chunk.clear();
+        for (; i < offs.size() && offs[i] < c_off + c_size; ++i) {
+            in_chunk.push_back(offs[i] - c_off);
+            // Scattered records miss the host caches: warm a few
+            // records ahead (host-only, DESIGN.md decision #10).
+            if (i + kRecordsAhead < offs.size()) {
+                const std::uint64_t ahead = offs[i + kRecordsAhead];
+                pool_.prefetch(region_base + ahead, rb);
+                prefetchHostLines(host + ahead, rb);
+            }
+        }
+        const WrittenRecords records{in_chunk, rb};
+        hostStorePersist(owner, region_base + c_off, host + c_off, c_size,
+                         cfg_.cache_line, &records);
+        total += c_size;
     }
+    dmaDeviceToHost(total);
     const SimNs media_ns = media_->writeTime(media_->bytes() - before);
     if (kind_ == PlatformKind::CapFs) {
         advance(fs_.writeFsyncTime(total, 1));
@@ -349,13 +378,13 @@ Machine::capPersistChunks(std::uint64_t region_base,
 
 void
 Machine::gpufsWrite(std::uint64_t pm_addr, const void *src,
-                    std::uint64_t size)
+                    std::uint64_t size, const WrittenRecords *written)
 {
     const std::uint64_t calls =
         std::max<std::uint64_t>(1, ceilDiv(size, 1_MiB));
     // The host OS persists.
     hostStorePersist(next_cpu_owner_++, pm_addr, src, size,
-                     cfg_.fs_block_bytes);
+                     cfg_.fs_block_bytes, written);
     pcie_write_bytes_ += size;
     advance(static_cast<double>(calls) * cfg_.gpufs_call_ns +
             pcie_.bulkTime(size) +

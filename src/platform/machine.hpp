@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "gpusim/gpu_executor.hpp"
 #include "memsim/host_models.hpp"
@@ -124,41 +123,53 @@ class Machine
      * flushes under eADR); GPUfs gwrite()s it in one RPC per MiB.
      * Functionally durable on return.
      *
+     * Every byte is charged. With @p written, the host copies only
+     * those records; PM must already hold the rest of @p src (see
+     * PmPool::cpuWritePersist).
+     *
      * @throws FatalError on a platform whose kernels persist on their
      *         own (GPM, GPM-NDP, GPM-eADR, CPU-only), or on GPUfs for a
      *         file supports() rejects.
      */
     void capPersist(std::uint64_t pm_addr, const void *src,
-                    std::uint64_t bytes, int threads);
+                    std::uint64_t bytes, int threads,
+                    const WrittenRecords *written = nullptr);
 
     /**
-     * CAP persist of a dirty-chunk set: the kernel reports which
-     * fixed-size chunks of a device structure it touched, and only
-     * those are DMA-ed out and persisted (one DMA + one fs write or
-     * flush pass for the gathered set). This is the chunked-transfer
-     * moderation of section 3.2 — and still the source of Table 4's
-     * write amplification, since a chunk is dirtied by a single byte.
+     * CAP persist of a dirty-chunk set: the kernel reports the records
+     * it wrote, and only the fixed-size chunks of a device structure
+     * that hold one are DMA-ed out and persisted (one DMA + one fs
+     * write or flush pass for the gathered set). This is the
+     * chunked-transfer moderation of section 3.2 — and still the
+     * source of Table 4's write amplification, since a chunk is
+     * dirtied by a single byte. Each chunk is charged in full; the
+     * host copies only its records, so PM must already hold the rest
+     * of every such chunk.
      *
      * @param region_base  PM address of the structure's start.
      * @param host_base    Device-volatile copy of the structure.
      * @param bytes        Size of the structure; a last chunk that
      *                     runs past it moves only the bytes inside.
-     * @param chunk_idx    Indices of dirty chunks, each inside it.
+     * @param written      Records the kernel wrote, offsets from the
+     *                     structure's start: ascending, disjoint, each
+     *                     inside one chunk of the structure.
      * @param chunk_bytes  Chunk granularity.
      * @param threads      CPU flush threads (ignored on CAP-fs, which
      *                     writes and fsyncs the set in one call).
      */
     void capPersistChunks(std::uint64_t region_base,
                           const void *host_base, std::uint64_t bytes,
-                          const std::vector<std::uint64_t> &chunk_idx,
+                          const WrittenRecords &written,
                           std::uint64_t chunk_bytes, int threads);
 
     /**
      * CPU store + flush of CPU-generated data (CPU-only baselines and
-     * the CPU half of GPM-NDP). No DMA is charged.
+     * the CPU half of GPM-NDP). No DMA is charged. With @p written, as
+     * for capPersist, only those records are copied.
      */
     void cpuWritePersist(std::uint64_t pm_addr, const void *src,
-                         std::uint64_t size, int threads);
+                         std::uint64_t size, int threads,
+                         const WrittenRecords *written = nullptr);
 
     /**
      * Flush an address range already stored to PM (GPM-NDP's
@@ -198,20 +209,22 @@ class Machine
   private:
     /**
      * The host store-and-persist sequence every host path shares:
-     * store [pm_addr, pm_addr+size) as CPU owner @p owner, persist the
-     * range, record it as one media run of @p record_bytes-sized
-     * transactions, and count it as persisted payload. Time is the
-     * caller's to charge.
+     * store [pm_addr, pm_addr+size) as CPU owner @p owner (only the
+     * @p written records, when given), persist the range, record it as
+     * one media run of @p txn_bytes-sized transactions, and count it
+     * as persisted payload. Time is the caller's to charge.
      */
     void hostStorePersist(OwnerId owner, std::uint64_t pm_addr,
                           const void *src, std::uint64_t size,
-                          std::uint64_t record_bytes);
+                          std::uint64_t txn_bytes,
+                          const WrittenRecords *written);
     void capMmPersist(std::uint64_t pm_addr, const void *src,
-                      std::uint64_t size, int threads);
+                      std::uint64_t size, int threads,
+                      const WrittenRecords *written);
     void capFsPersist(std::uint64_t pm_addr, const void *src,
-                      std::uint64_t size);
+                      std::uint64_t size, const WrittenRecords *written);
     void gpufsWrite(std::uint64_t pm_addr, const void *src,
-                    std::uint64_t size);
+                    std::uint64_t size, const WrittenRecords *written);
 
     SimNs fenceLatency() const;
     double effectiveGpuRate(std::uint64_t threads) const;

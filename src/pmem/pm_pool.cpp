@@ -297,6 +297,12 @@ PmPool::writeCommon(OwnerId owner, std::uint64_t addr, const void *src,
         copyBytes(images_.durable() + addr, src, size);
         return;
     }
+    appendExtent(owner, addr, size);
+}
+
+PmPool::StoreExtent
+PmPool::appendExtent(OwnerId owner, std::uint64_t addr, std::uint64_t size)
+{
     OwnerSlot &o = owners_[claimOwner(owner)];
     if (o.tail != kNone) {
         // Coalesce with the owner's most recent extent when the new
@@ -308,13 +314,14 @@ PmPool::writeCommon(OwnerId owner, std::uint64_t addr, const void *src,
         // unchanged for non-contiguous streams.
         LogEntry &last = log_[o.tail];
         if (addr <= last.addr + last.size && addr + size >= last.addr) {
+            const StoreExtent merged{o.tail, last.addr, last.size};
             const std::uint64_t lo = std::min(last.addr, addr);
             const std::uint64_t hi =
                 std::max(last.addr + last.size, addr + size);
             last.addr = lo;
             last.size = hi - lo;
             ++stats_.extents_merged;
-            return;
+            return merged;
         }
     }
     const auto i = static_cast<std::uint32_t>(log_.size());
@@ -325,6 +332,7 @@ PmPool::writeCommon(OwnerId owner, std::uint64_t addr, const void *src,
         log_[o.tail].next = i;
     o.tail = i;
     ++live_;
+    return {i, 0, 0};
 }
 
 void
@@ -369,8 +377,14 @@ PmPool::drain(std::uint64_t addr, std::uint64_t size)
 std::uint64_t
 PmPool::drainEntry(std::uint32_t i)
 {
+    drain(log_[i].addr, log_[i].size);
+    return retireEntry(i);
+}
+
+std::uint64_t
+PmPool::retireEntry(std::uint32_t i)
+{
     LogEntry &e = log_[i];
-    drain(e.addr, e.size);
     e.next = kDrained;
     --live_;
     return e.size;
@@ -511,13 +525,72 @@ void
 PmPool::persistRange(std::uint64_t addr, std::uint64_t size)
 {
     checkRange(addr, size);
+    flushRange(addr, size, StoreExtent{});
+}
+
+void
+PmPool::cpuWritePersist(OwnerId owner, std::uint64_t addr, const void *src,
+                        std::uint64_t size, const WrittenRecords *written)
+{
+    checkRange(addr, size);
+    if (written) {
+        std::uint64_t end = 0;
+        for (const std::uint64_t off : written->offsets) {
+            GPM_REQUIRE(written->bytes > 0 && off >= end && off <= size &&
+                            written->bytes <= size - off,
+                        "written record [", off, ", +", written->bytes,
+                        ") out of order or outside a ", size,
+                        " B store");
+            end = off + written->bytes;
+        }
+    }
+    owner |= kCpuOwnerBase;
+    if (recorder_)
+        recorder_->store(domain_, owner, addr, size);
+    images_.markDirty(addr, size);
+    // The store enters both images at once; its pending extent then
+    // drains without a second copy of the range.
+    const auto *bytes = static_cast<const std::uint8_t *>(src);
+    std::uint8_t *visible = images_.visible() + addr;
+    std::uint8_t *durable = images_.durable() + addr;
+    if (!written) {
+        copyBytes(visible, bytes, size);
+        copyBytes(durable, bytes, size);
+    } else {
+        for (const std::uint64_t off : written->offsets) {
+            copyBytes(visible + off, bytes + off, written->bytes);
+            copyBytes(durable + off, bytes + off, written->bytes);
+        }
+    }
+    const StoreExtent stored = domain_ == PersistDomain::LlcDurable
+        ? StoreExtent{}
+        : appendExtent(owner, addr, size);
+    flushRange(addr, size, stored);
+}
+
+void
+PmPool::flushRange(std::uint64_t addr, std::uint64_t size,
+                   const StoreExtent &stored)
+{
     const std::uint64_t lo = addr, hi = addr + size;
     const std::size_t live_before = live_;
     std::uint64_t drained = 0;
     for (std::uint32_t i = 0; i < log_.size(); ++i) {
         const LogEntry &e = log_[i];
-        if (e.next != kDrained && e.addr < hi && e.addr + e.size > lo)
+        if (e.next == kDrained || e.addr >= hi || e.addr + e.size <= lo)
+            continue;
+        if (i != stored.index) {
             drained += drainEntry(i);
+            continue;
+        }
+        // Only what the store merged into can still differ between
+        // the images; the store itself is in both.
+        if (stored.prior_size > 0)
+            copyBytes(images_.durable() + stored.prior_addr,
+                      images_.visible() + stored.prior_addr,
+                      stored.prior_size);
+        ++stats_.extents_drained;
+        drained += retireEntry(i);
     }
     // A drained extent may sit inside a chain: relink them all.
     if (live_ == 0)

@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -177,6 +178,16 @@ struct PmPoolStats {
                                          ///< owner's previous extent
 };
 
+/**
+ * The records a host store actually changed inside its range:
+ * ascending, disjoint offsets from the range's start, each @c bytes
+ * long.
+ */
+struct WrittenRecords {
+    std::span<const std::uint64_t> offsets;
+    std::uint64_t bytes = 0;
+};
+
 /** Simulated byte-addressable persistent memory with crash semantics. */
 class PmPool
 {
@@ -285,6 +296,22 @@ class PmPool
      *  [addr, addr+size), regardless of owner (CLFLUSHOPT semantics). */
     void persistRange(std::uint64_t addr, std::uint64_t size);
 
+    /**
+     * cpuWrite of [addr, addr+size) followed by persistRange of the
+     * same range, in one call: the same images, recorder events, dirty
+     * pages and PmPoolStats as the pair.
+     *
+     * With @p written, only its records are copied from @p src. The
+     * caller guarantees that the visible image already holds @p src's
+     * bytes everywhere else in the range; by the pending-extent
+     * invariant the durable image then holds them too once the flush
+     * has drained the extents overlapping the range. Events, dirty
+     * pages and counters still cover the whole range.
+     */
+    void cpuWritePersist(OwnerId owner, std::uint64_t addr,
+                         const void *src, std::uint64_t size,
+                         const WrittenRecords *written = nullptr);
+
     /** Persist everything pending (e.g. an orderly shutdown). */
     void persistAll();
 
@@ -375,11 +402,33 @@ class PmPool
         std::uint32_t tail = kNone;  ///< the owner's last extent
     };
 
+    /** The pending extent a store went into, for flushRange: its log
+     *  index (kNone when none) and what it covered before the store
+     *  merged into it (nothing when the store opened it). */
+    struct StoreExtent {
+        std::uint32_t index = kNone;
+        std::uint64_t prior_addr = 0;
+        std::uint64_t prior_size = 0;
+    };
+
     void checkRange(std::uint64_t addr, std::uint64_t size) const;
     void writeCommon(OwnerId owner, std::uint64_t addr, const void *src,
                      std::uint64_t size);
+    /** Record a visible-only store as @p owner's pending extent. */
+    StoreExtent appendExtent(OwnerId owner, std::uint64_t addr,
+                             std::uint64_t size);
     void drain(std::uint64_t addr, std::uint64_t size);
     std::uint64_t drainEntry(std::uint32_t i);
+    /** Mark extent @p i drained without copying; returns its size. */
+    std::uint64_t retireEntry(std::uint32_t i);
+    /**
+     * persistRange's body: drain every pending extent overlapping
+     * [addr, addr+size), relink, record the flush. @p stored is the
+     * extent of a store the caller already copied into both images;
+     * of it only the prior part is copied.
+     */
+    void flushRange(std::uint64_t addr, std::uint64_t size,
+                    const StoreExtent &stored);
 
     /** @p owner's table slot, or kNone when it has none this epoch. */
     std::uint32_t findOwner(OwnerId owner);
@@ -407,8 +456,10 @@ class PmPool
     // an extent's bytes equal before it stops being pending, and
     // loadDurable starts from equal images. crash() relies on it to
     // restore just the pending extents instead of the whole image.
-    // It also means writeCommon and loadDurable are the only places
-    // new bytes enter either image, so they alone mark dirty pages.
+    // cpuWritePersist writes both images and drains its range before
+    // it returns. writeCommon, cpuWritePersist and loadDurable are the
+    // only places new bytes enter either image, so they alone mark
+    // dirty pages.
     PmImages images_;
     PmEventRecorder *recorder_ = nullptr;
 

@@ -141,6 +141,9 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
     const std::uint32_t tpb = kLevelTpb;
 
     std::uint64_t marked = 0;
+    // Every neighbour at distance level+1, whether this kernel marks
+    // it or it was marked before (by a level cut short by a crash).
+    std::vector<std::uint32_t> next;
     KernelDesc k;
     k.name = "bfs_level";
     k.blocks = static_cast<std::uint32_t>(levelThreads(frontier.size()) /
@@ -151,7 +154,7 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
     // the launch; CAP relaunches (and DMAs) every level.
     k.no_launch_overhead = in_kernel && !first_level;
     k.phases.push_back([this, &frontier, level, gpu_direct, in_kernel,
-                        &marked](ThreadCtx &ctx) {
+                        &marked, &next](ThreadCtx &ctx) {
         const std::uint64_t i = ctx.globalId();
         if (i >= frontier.size())
             return;
@@ -163,14 +166,16 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
         bool wrote = false;
         for (std::uint32_t e = begin; e < end; ++e) {
             const std::uint32_t v = graph_.col[e];
-            if (host_cost_[v] != kInf)
-                continue;
-            host_cost_[v] = level + 1;
-            ++marked;
-            if (gpu_direct) {
-                ctx.pmStore(costAddr(v), level + 1);
-                wrote = true;
+            if (host_cost_[v] == kInf) {
+                host_cost_[v] = level + 1;
+                ++marked;
+                if (gpu_direct) {
+                    ctx.pmStore(costAddr(v), level + 1);
+                    wrote = true;
+                }
             }
+            if (host_cost_[v] == level + 1)
+                next.push_back(v);
         }
         if (wrote && in_kernel)
             ctx.threadfenceSystem();
@@ -180,12 +185,11 @@ GpBfs::runLevel(const std::vector<std::uint32_t> &frontier,
         return {};  // a doomed level never persists its frontier
 
     // Next frontier: every node at distance level+1 (idempotent under
-    // re-execution; see header comment). The scan runs on-device.
-    std::vector<std::uint32_t> next;
-    for (std::uint32_t v = 0; v < p_.nodes(); ++v) {
-        if (host_cost_[v] == level + 1)
-            next.push_back(v);
-    }
+    // re-execution; see header comment), in node order, as the
+    // on-device scan over all nodes charged below finds them. Each is
+    // a neighbour of this level's frontier.
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
     chargeGpuCompute(*m_, static_cast<double>(p_.nodes()),
                      std::uint64_t(p_.nodes()) * 4,
                      /*charge_launch=*/!in_kernel);

@@ -14,8 +14,10 @@
  *
  * Levels are idempotent: a level marks unvisited neighbours of the
  * persisted frontier with level+1 and then recomputes the next
- * frontier as "every node with cost level+1", so re-running a
- * partially executed level after a crash converges to the same state.
+ * frontier as "every neighbour with cost level+1", marked now or by
+ * an earlier partial run of the level, which is every node with cost
+ * level+1. So re-running a partially executed level after a crash
+ * converges to the same state.
  *
  * Under GPM the traversal runs as a persistent kernel (one launch,
  * on-device looping); CAP pays a launch + DMA + persist round trip

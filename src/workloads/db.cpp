@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -79,13 +78,17 @@ GpDb::makeUpdateTargets(std::uint32_t batch,
                         std::uint64_t row_count) const
 {
     Rng rng = Rng(p_.seed ^ 0xdbdbdbdbull).split(batch);
-    std::unordered_set<std::uint64_t> seen;
+    std::vector<std::uint64_t> seen(ceilDiv(row_count, 64), 0);
     std::vector<std::uint64_t> targets;
     targets.reserve(p_.update_rows);
     while (targets.size() < p_.update_rows) {
         const std::uint64_t t = rng.below(row_count);
-        if (seen.insert(t).second)
-            targets.push_back(t);
+        std::uint64_t &word = seen[t / 64];
+        const std::uint64_t bit = std::uint64_t(1) << (t % 64);
+        if (word & bit)
+            continue;
+        word |= bit;
+        targets.push_back(t);
     }
     return targets;
 }
@@ -354,10 +357,17 @@ GpDb::runUpdateCap(std::uint32_t batch)
     m_->runKernel(k);
 
     // Updated rows are scattered and unknown to the host: the whole
-    // live table is transferred and persisted (Table 4's ~20x).
+    // live table is transferred and persisted (Table 4's ~20x). The
+    // host copies only the updated rows; PM already holds the rest,
+    // since setup and every batch persist the whole table.
+    std::vector<std::uint64_t> rows(targets.size());
+    for (std::size_t i = 0; i < targets.size(); ++i)
+        rows[i] = targets[i] * GpDbParams::kRowBytes;
+    std::sort(rows.begin(), rows.end());
+    const WrittenRecords written{rows, GpDbParams::kRowBytes};
     const std::uint64_t bytes = count * GpDbParams::kRowBytes;
     m_->capPersist(table_.offset, mirror_.data(), bytes,
-                   p_.cap_threads);
+                   p_.cap_threads, &written);
 }
 
 WorkloadResult

@@ -318,18 +318,19 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
         std::uint64_t(ops.size()) * GpKvsParams::kGroup;
     const std::uint32_t tpb = 256;
 
-    // The kernel reports dirty transfer chunks so CAP can moderate
-    // the extraneous movement (section 3.2) — a chunk is still
-    // dirtied by a single 16 B update, hence Table 4's amplification.
-    std::vector<bool> dirty(
-        ceilDiv(p_.storeBytes(), p_.cap_chunk_bytes), false);
+    // The kernel reports the pairs it wrote so CAP can moderate the
+    // extraneous movement to their chunks (section 3.2) — a chunk is
+    // still dirtied by a single 16 B update, hence Table 4's
+    // amplification.
+    std::vector<std::uint64_t> written;
+    written.reserve(ops.size());
 
     probe_.resize(ops.size());
     KernelDesc k;
     k.name = "gpkvs_batch_volatile";
     k.blocks = static_cast<std::uint32_t>(ceilDiv(threads, tpb));
     k.block_threads = tpb;
-    k.phases.push_back([this, &ops, &dirty](ThreadCtx &ctx) {
+    k.phases.push_back([this, &ops, &written](ThreadCtx &ctx) {
         const std::uint64_t gtid = ctx.globalId();
         const std::uint64_t op_idx = gtid / GpKvsParams::kGroup;
         if (op_idx >= ops.size())
@@ -364,27 +365,24 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
             return;
         hostWays(pr.set)[pr.way] = KvPair{op.key, op.value};
         ctx.hbmTraffic(sizeof(KvPair));
-        const std::uint64_t byte_off =
+        written.push_back(
             (std::uint64_t(pr.set) * GpKvsParams::kWays + pr.way) *
-            sizeof(KvPair);
-        dirty[byte_off / p_.cap_chunk_bytes] = true;
+            sizeof(KvPair));
     });
     m_->runKernel(k);
 
-    // The updated indices are only known at chunk granularity; every
-    // dirty chunk is transferred and persisted in full, and is what
-    // the device copy zeroes when it is handed back.
-    std::vector<std::uint64_t> chunks;
-    for (std::uint64_t c = 0; c < dirty.size(); ++c) {
-        if (!dirty[c])
-            continue;
-        chunks.push_back(c);
-        const std::uint64_t off = c * p_.cap_chunk_bytes;
-        host_copy_->markDirty(
-            off, std::min(p_.cap_chunk_bytes, p_.storeBytes() - off));
-    }
+    // Every chunk holding a written pair is transferred and persisted
+    // in full; the host copies only the pairs. The rest of each chunk
+    // already matches PM: the device copy and the pool start zeroed,
+    // and every batch persists every pair it wrote. The pairs are
+    // also what the device copy zeroes when it is handed back.
+    std::sort(written.begin(), written.end());
+    written.erase(std::unique(written.begin(), written.end()),
+                  written.end());
+    for (const std::uint64_t off : written)
+        host_copy_->markDirty(off, sizeof(KvPair));
     m_->capPersistChunks(store_.offset, host_copy_->image(0),
-                         p_.storeBytes(), chunks,
+                         p_.storeBytes(), {written, sizeof(KvPair)},
                          p_.cap_chunk_bytes, p_.cap_threads);
 }
 

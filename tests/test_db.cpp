@@ -5,8 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/hash.hpp"
 #include "crash_hash_grid.hpp"
+#include "harness/experiments.hpp"
 #include "workloads/db.hpp"
 
 namespace gpm {
@@ -56,6 +59,26 @@ TEST(GpDb, CapPlatformsVerify)
         Machine m(cfg, kind, 64_MiB);
         GpDb db(m, smallParams());
         EXPECT_TRUE(db.run().verified) << platformName(kind);
+    }
+}
+
+TEST(GpDb, CapUpdateCellsEndWithVisibleEqualToDurable)
+{
+    // CAP's UPDATE persists copy only the updated rows, so a missed
+    // row would leave the visible or the durable table behind the
+    // mirror. The canonical cells must end with the durable table
+    // equal to the mirror (run's check) and to the visible table.
+    for (const PlatformKind kind : {PlatformKind::CapFs,
+                                    PlatformKind::CapMm}) {
+        SCOPED_TRACE(platformName(kind));
+        Machine m(SimConfig{}, kind, bench::pmCapacity());
+        GpDb db(m, bench::dbParams());
+        ASSERT_TRUE(db.run(GpDb::TxnKind::Update).verified);
+        const PmRegion table = m.pool().region("gpdb.table");
+        EXPECT_EQ(std::memcmp(m.pool().visible() + table.offset,
+                              m.pool().durable() + table.offset,
+                              table.size),
+                  0);
     }
 }
 

@@ -4,8 +4,9 @@
  * compares its unit count, class counts and signature with the
  * manifest, at sweep widths 1 and 4. The rows are the same pins the
  * CLIs print (gpmtorture default/serve/pmheap sweeps, gpmcheck clean
- * grid, pmheap cells and seeded-bug corpus with witness replay), so
- * tier-1 ctest guards the simulator's observable behaviour end to end.
+ * grid, pmheap cells and seeded-bug corpus with witness replay) and the
+ * Fig 9 matrix fingerprint perfbench's fig-grid prints, so tier-1 ctest
+ * guards the simulator's observable behaviour end to end.
  * Scale sweeps (gpmtorture --scale: the default grid, the mid-traffic
  * serve grid and the pmheap grid) and the crash-results row (every
  * crash path's WorkloadResult, bit for bit) are checked at width 4
@@ -146,6 +147,30 @@ crashResultsRow(int jobs)
             hex16(h)};
 }
 
+/** The Fig 9 matrix as perfbench's fig-grid runs it: every workload
+ *  on CAP-fs, CAP-mm, GPM and GPUfs at seed 1, folded in that order,
+ *  swept @p jobs wide. */
+PinRow
+fig9CellsRow(int jobs)
+{
+    std::vector<bench::BenchCell> cells;
+    for (const bench::Bench b : bench::kAllBenches)
+        for (const PlatformKind k :
+             {PlatformKind::CapFs, PlatformKind::CapMm, PlatformKind::Gpm,
+              PlatformKind::Gpufs})
+            cells.push_back({b, k, 1});
+    const std::vector<WorkloadResult> results =
+        bench::runBenchCells(cells, bench::benchConfig(), jobs);
+    std::uint64_t h = kFnvOffset;
+    std::size_t verified = 0;
+    for (const WorkloadResult &r : results) {
+        h = foldResult(r, h);
+        verified += r.verified ? 1 : 0;
+    }
+    return {results.size(), "verified=" + std::to_string(verified),
+            hex16(h)};
+}
+
 struct Sweep {
     std::function<PinRow(int)> run;
     bool scale = false;  ///< checked at jobs 4 only (label golden-scale)
@@ -176,6 +201,7 @@ sweeps()
         {"torture-pmheap-scale",
          {[](int j) { return tortureRow({"pmheap"}, j, true); }, true}},
         {"crash-results", {crashResultsRow, true}},
+        {"fig9-cells", {fig9CellsRow}},
         {"check-clean", {[](int j) { return checkRow({}, j); }}},
         {"check-pmheap",
          {[](int j) {

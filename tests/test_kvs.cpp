@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -124,6 +126,28 @@ expectSameResult(const WorkloadResult &a, const WorkloadResult &b)
     EXPECT_EQ(a.pcie_write_bytes, b.pcie_write_bytes);
     EXPECT_EQ(a.ops_done, b.ops_done);
     EXPECT_EQ(a.verified, b.verified);
+}
+
+TEST(GpKvsDeviceCopy, CapCellsEndWithVisibleDurableAndCopyEqual)
+{
+    // CAP's persists copy only the pairs a batch wrote, so a missed
+    // pair would leave the visible image, the durable one or both
+    // behind the device copy. The canonical cells must end with all
+    // three equal.
+    for (const PlatformKind kind : {PlatformKind::CapFs,
+                                    PlatformKind::CapMm}) {
+        SCOPED_TRACE(platformName(kind));
+        Machine m(SimConfig{}, kind, bench::pmCapacity());
+        GpKvs kvs(m, bench::kvsParams());
+        ASSERT_TRUE(kvs.run().verified);
+        const PmRegion store = m.pool().region("gpkvs.data");
+        const std::uint8_t *visible = m.pool().visible() + store.offset;
+        const std::uint8_t *durable = m.pool().durable() + store.offset;
+        EXPECT_EQ(std::memcmp(visible, durable, store.size), 0);
+        EXPECT_EQ(std::memcmp(kvs.deviceCopy(), durable, store.size), 0);
+        EXPECT_TRUE(std::any_of(durable, durable + store.size,
+                                [](std::uint8_t c) { return c != 0; }));
+    }
 }
 
 TEST(GpKvsDeviceCopy, RecycledCopiesLeaveEveryCellUnchanged)

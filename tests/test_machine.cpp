@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gpm/gpm_runtime.hpp"
 #include "gpusim/kernel.hpp"
 #include "platform/machine.hpp"
@@ -135,15 +138,19 @@ TEST(Machine, CapPersistChunksOnlyMovesDirtyChunks)
     SimConfig cfg;
     Machine m(cfg, PlatformKind::CapMm, 16_MiB);
     const PmRegion r = m.pool().map("buf", 64_KiB, true);
-    std::vector<std::uint8_t> host(64_KiB, 0x11);
-    m.capPersistChunks(r.offset, host.data(), host.size(), {1, 3}, 4096,
-                       8);
+    // One 16 B record written in each of chunks 1 and 3.
+    const std::vector<std::uint64_t> offs = {4096, 3 * 4096 + 32};
+    std::vector<std::uint8_t> host(64_KiB, 0);
+    for (const std::uint64_t off : offs)
+        std::fill_n(host.begin() + off, 16, 0x11);
+    m.capPersistChunks(r.offset, host.data(), host.size(), {offs, 16},
+                       4096, 8);
     EXPECT_EQ(m.persistPayloadBytes(), 2u * 4096);
     // Chunk 1 durable, chunk 0 untouched.
     EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(r.offset + 4096),
               0x11);
     EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(r.offset), 0x00);
-    // No chunks: free and silent.
+    // No records: free and silent.
     const SimNs t = m.now();
     m.capPersistChunks(r.offset, host.data(), host.size(), {}, 4096, 8);
     EXPECT_DOUBLE_EQ(m.now(), t);
@@ -157,15 +164,23 @@ TEST(Machine, CapPersistChunksClipsTheLastChunkToTheStructure)
     Machine m(cfg, PlatformKind::CapMm, 16_MiB);
     const PmRegion r = m.pool().map("buf", 1_KiB, true);
     const PmRegion next = m.pool().map("next", 4_KiB, true);
-    std::vector<std::uint8_t> host(1_KiB, 0x22);
-    m.capPersistChunks(r.offset, host.data(), host.size(), {0}, 4096, 8);
+    const std::vector<std::uint64_t> last = {1_KiB - 16};
+    std::vector<std::uint8_t> host(1_KiB, 0);
+    std::fill_n(host.end() - 16, 16, 0x22);
+    m.capPersistChunks(r.offset, host.data(), host.size(), {last, 16},
+                       4096, 8);
     EXPECT_EQ(m.persistPayloadBytes(), 1_KiB);
     EXPECT_EQ(m.pcieWriteBytes(), 1_KiB);
     EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(r.offset + 1_KiB - 1),
               0x22);
     EXPECT_EQ(m.pool().loadDurable<std::uint8_t>(next.offset), 0x00);
+    // A record in chunk 1, or running past the structure, is refused.
+    const std::vector<std::uint64_t> chunk1 = {4096};
     EXPECT_THROW(m.capPersistChunks(r.offset, host.data(), host.size(),
-                                    {1}, 4096, 8),
+                                    {chunk1, 16}, 4096, 8),
+                 FatalError);
+    EXPECT_THROW(m.capPersistChunks(r.offset, host.data(), host.size(),
+                                    {last, 32}, 4096, 8),
                  FatalError);
 }
 
@@ -186,7 +201,8 @@ TEST(Machine, GpufsWriteRequiresGpufsPlatform)
     const PmRegion r = m.pool().map("f", 4096, true);
     std::uint8_t b[16] = {};
     EXPECT_THROW(m.capPersist(r.offset, b, 16, 1), FatalError);
-    EXPECT_THROW(m.capPersistChunks(r.offset, b, 16, {0}, 16, 1),
+    const std::vector<std::uint64_t> first = {0};
+    EXPECT_THROW(m.capPersistChunks(r.offset, b, 16, {first, 16}, 16, 1),
                  FatalError);
 
     Machine g(cfg, PlatformKind::Gpufs, 16_MiB);

@@ -386,6 +386,41 @@ prefetchScript(PmPool &pool, PmEventRecorder &rec, bool hint)
     pool.crash(0.5);
 }
 
+/** Two pools that ran equivalent scripts: the same recorded events,
+ *  counters, pending extents and images. */
+void
+expectSamePools(const PmPool &a, const PmEventRecorder &ra,
+                const PmPool &b, const PmEventRecorder &rb)
+{
+    const std::vector<PmEvent> &ea = ra.events();
+    const std::vector<PmEvent> &eb = rb.events();
+    ASSERT_EQ(ea.size(), eb.size());
+    for (std::size_t i = 0; i < ea.size(); ++i) {
+        EXPECT_EQ(ea[i].kind, eb[i].kind) << i;
+        EXPECT_EQ(ea[i].domain, eb[i].domain) << i;
+        EXPECT_EQ(ea[i].armed, eb[i].armed) << i;
+        EXPECT_EQ(ea[i].kernel, eb[i].kernel) << i;
+        EXPECT_EQ(ea[i].launch, eb[i].launch) << i;
+        EXPECT_EQ(ea[i].phase, eb[i].phase) << i;
+        EXPECT_EQ(ea[i].ordinal, eb[i].ordinal) << i;
+        EXPECT_EQ(ea[i].owner, eb[i].owner) << i;
+        EXPECT_EQ(ea[i].addr, eb[i].addr) << i;
+        EXPECT_EQ(ea[i].size, eb[i].size) << i;
+        EXPECT_EQ(ea[i].drained, eb[i].drained) << i;
+    }
+    const PmPoolStats &sa = a.stats(), &sb = b.stats();
+    EXPECT_EQ(sa.crashes, sb.crashes);
+    EXPECT_EQ(sa.extents_drained, sb.extents_drained);
+    EXPECT_EQ(sa.crash_sub_extents, sb.crash_sub_extents);
+    EXPECT_EQ(sa.crash_survivors, sb.crash_survivors);
+    EXPECT_EQ(sa.extents_merged, sb.extents_merged);
+    EXPECT_EQ(a.pendingExtents(), b.pendingExtents());
+    EXPECT_EQ(a.pendingBytes(), b.pendingBytes());
+    ASSERT_EQ(a.capacity(), b.capacity());
+    EXPECT_EQ(std::memcmp(a.visible(), b.visible(), a.capacity()), 0);
+    EXPECT_EQ(std::memcmp(a.durable(), b.durable(), a.capacity()), 0);
+}
+
 TEST(PmPool, PrefetchIsInert)
 {
     constexpr std::size_t cap = 64_KiB;
@@ -396,31 +431,7 @@ TEST(PmPool, PrefetchIsInert)
     hinted.setRecorder(&hinted_rec);
     prefetchScript(plain, plain_rec, false);
     prefetchScript(hinted, hinted_rec, true);
-
-    const std::vector<PmEvent> &a = plain_rec.events();
-    const std::vector<PmEvent> &b = hinted_rec.events();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].kind, b[i].kind) << i;
-        EXPECT_EQ(a[i].domain, b[i].domain) << i;
-        EXPECT_EQ(a[i].armed, b[i].armed) << i;
-        EXPECT_EQ(a[i].kernel, b[i].kernel) << i;
-        EXPECT_EQ(a[i].launch, b[i].launch) << i;
-        EXPECT_EQ(a[i].phase, b[i].phase) << i;
-        EXPECT_EQ(a[i].ordinal, b[i].ordinal) << i;
-        EXPECT_EQ(a[i].owner, b[i].owner) << i;
-        EXPECT_EQ(a[i].addr, b[i].addr) << i;
-        EXPECT_EQ(a[i].size, b[i].size) << i;
-        EXPECT_EQ(a[i].drained, b[i].drained) << i;
-    }
-    const PmPoolStats &sa = plain.stats(), &sb = hinted.stats();
-    EXPECT_EQ(sa.crashes, sb.crashes);
-    EXPECT_EQ(sa.extents_drained, sb.extents_drained);
-    EXPECT_EQ(sa.crash_sub_extents, sb.crash_sub_extents);
-    EXPECT_EQ(sa.crash_survivors, sb.crash_survivors);
-    EXPECT_EQ(sa.extents_merged, sb.extents_merged);
-    EXPECT_EQ(std::memcmp(plain.visible(), hinted.visible(), cap), 0);
-    EXPECT_EQ(std::memcmp(plain.durable(), hinted.durable(), cap), 0);
+    expectSamePools(plain, plain_rec, hinted, hinted_rec);
 
     // On a fresh pool, degenerate calls neither throw nor write.
     PmPool fresh(cap, PersistDomain::McDurable);
@@ -433,6 +444,118 @@ TEST(PmPool, PrefetchIsInert)
     for (const std::uint8_t *img : {fresh.visible(), fresh.durable()})
         EXPECT_TRUE(std::all_of(img, img + cap,
                                 [](std::uint8_t c) { return c == 0; }));
+}
+
+/**
+ * cpuWritePersist against the cpuWrite + persistRange pair it replaces,
+ * on random pools: other owners' pending extents (and the storing
+ * owner's own, which the store may merge into) overlap the range, the
+ * domain switches between all three, and a recorder is attached. A
+ * store is the whole range, or sparse records over a source that
+ * equals the visible image elsewhere (the entry point's precondition).
+ * Each seed ends in a crash, so the pending logs must match too.
+ */
+TEST(PmPool, CpuWritePersistMatchesWriteThenPersistRange)
+{
+    constexpr std::size_t kCap = 16_KiB;
+    constexpr PersistDomain kDomains[] = {PersistDomain::McDurable,
+                                          PersistDomain::LlcVolatile,
+                                          PersistDomain::LlcDurable};
+    std::uint64_t sparse_stores = 0, whole_stores = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng ops(seed * 104729);
+        PmEventRecorder pair_rec, one_rec;  // outlive the pools
+        PmPool pair(kCap, kDomains[seed % 3], seed);
+        PmPool one(kCap, kDomains[seed % 3], seed);
+        pair.setRecorder(&pair_rec);
+        one.setRecorder(&one_rec);
+        std::vector<std::uint8_t> buf(2048);
+        for (std::uint64_t step = 0; step < 300; ++step) {
+            const std::uint64_t op = ops.below(100);
+            const OwnerId who = ops.below(4);
+            const std::uint64_t addr = ops.below(kCap - 1);
+            const std::uint64_t size =
+                ops.between(1, std::min<std::uint64_t>(buf.size(),
+                                                       kCap - addr));
+            for (std::uint64_t i = 0; i < size; ++i)
+                buf[i] = static_cast<std::uint8_t>(ops.next());
+            if (op < 45) {
+                // Pending stores for the flushes to drain.
+                if (ops.chance(0.5)) {
+                    pair.cpuWrite(who, addr, buf.data(), size);
+                    one.cpuWrite(who, addr, buf.data(), size);
+                } else {
+                    pair.deviceWrite(who, addr, buf.data(), size);
+                    one.deviceWrite(who, addr, buf.data(), size);
+                }
+            } else if (op < 52) {
+                pair.persistOwner(who);
+                one.persistOwner(who);
+            } else if (op < 56) {
+                const PersistDomain d = kDomains[ops.below(3)];
+                pair.setDomain(d);
+                one.setDomain(d);
+            } else if (op < 70) {
+                pair.cpuWrite(who, addr, buf.data(), size);
+                pair.persistRange(addr, size);
+                one.cpuWritePersist(who, addr, buf.data(), size);
+                ++whole_stores;
+            } else {
+                // Records of one size, ascending and disjoint, some
+                // touching the range's ends; the rest of the source is
+                // what the visible image already holds.
+                std::memcpy(buf.data(), one.visible() + addr, size);
+                const std::uint64_t rb = ops.between(1, 64);
+                std::vector<std::uint64_t> offs;
+                if (ops.chance(0.2) && size >= rb) {
+                    offs.push_back(size - rb);  // only the last record
+                } else {
+                    for (std::uint64_t off = ops.below(2) ? 0
+                                                          : ops.below(rb);
+                         off + rb <= size; off += rb + ops.below(3 * rb))
+                        offs.push_back(off);
+                }
+                for (const std::uint64_t off : offs)
+                    for (std::uint64_t i = 0; i < rb; ++i)
+                        buf[off + i] = static_cast<std::uint8_t>(ops.next());
+                const WrittenRecords written{offs, rb};
+                pair.cpuWrite(who, addr, buf.data(), size);
+                pair.persistRange(addr, size);
+                one.cpuWritePersist(who, addr, buf.data(), size, &written);
+                ++sparse_stores;
+            }
+            if (::testing::Test::HasFailure())
+                return;
+        }
+        expectSamePools(pair, pair_rec, one, one_rec);
+        pair.crash(0.5);
+        one.crash(0.5);
+        expectSamePools(pair, pair_rec, one, one_rec);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_GT(whole_stores, 1000u);
+    EXPECT_GT(sparse_stores, 5000u);
+}
+
+TEST(PmPool, CpuWritePersistRefusesRecordsOutsideTheRange)
+{
+    PmPool pool(64_KiB, PersistDomain::McDurable);
+    std::uint8_t buf[256] = {};
+    const auto store = [&](std::vector<std::uint64_t> offs,
+                           std::uint64_t rb) {
+        const WrittenRecords written{offs, rb};
+        pool.cpuWritePersist(0, 1024, buf, sizeof buf, &written);
+    };
+    EXPECT_NO_THROW(store({0, 240}, 16));
+    EXPECT_THROW(store({248}, 16), FatalError);   // runs past the end
+    EXPECT_THROW(store({256}, 16), FatalError);   // starts at the end
+    EXPECT_THROW(store({~std::uint64_t(0) - 7}, 16), FatalError);
+    EXPECT_THROW(store({32, 16}, 16), FatalError);  // descending
+    EXPECT_THROW(store({0, 8}, 16), FatalError);    // overlapping
+    EXPECT_THROW(store({0}, 0), FatalError);        // empty records
+    EXPECT_EQ(pool.pendingExtents(), 0u);
 }
 
 /**
