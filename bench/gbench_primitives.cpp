@@ -8,6 +8,9 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "gpm/gpm_checkpoint.hpp"
 #include "gpm/gpm_log.hpp"
 #include "gpm/gpm_runtime.hpp"
@@ -33,6 +36,29 @@ BM_PmPoolDeviceWritePersist(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PmPoolDeviceWritePersist);
+
+void
+BM_PmPoolDeviceWritePersistRandom(benchmark::State &state)
+{
+    // gpKVS's store pattern: 16 B pairs at random addresses over a
+    // 32 MiB footprint, each fenced, so most stores miss the host
+    // caches. The addresses are drawn up front.
+    constexpr std::uint64_t kFootprint = 32_MiB;
+    PmPool pool(kFootprint, PersistDomain::McDurable);
+    Rng rng(3);
+    std::vector<std::uint64_t> addrs(1 << 20);
+    for (std::uint64_t &a : addrs)
+        a = rng.below(kFootprint / 16) * 16;
+    const std::uint64_t pair[2] = {42, 43};
+    std::size_t i = 0;
+    for (auto _ : state) {
+        pool.deviceWrite(7, addrs[i], pair, sizeof pair);
+        pool.persistOwner(7);
+        i = (i + 1) & (addrs.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PmPoolDeviceWritePersistRandom);
 
 void
 BM_NvmClassifierSequential(benchmark::State &state)

@@ -16,19 +16,18 @@ namespace gpm {
 
 namespace {
 
-/** An idle mapping on the free list (see RecycledImages). */
-struct IdleImages {
+/** An idle mapping on the free list (see RecycledImage). */
+struct IdleImage {
     std::uint8_t *base;
     std::size_t size;
-    unsigned count;
     std::vector<std::uint64_t> resident;
 };
 
 /** Process-wide free list of released image mappings. */
 struct ImageFreeList {
     std::mutex mu;
-    std::vector<IdleImages> idle;  ///< most recently released last
-    std::size_t live = 0;          ///< RecycledImages holding a mapping
+    std::vector<IdleImage> idle;  ///< most recently released last
+    std::size_t live = 0;         ///< RecycledImage holding a mapping
     std::size_t peak_live = 0;     ///< bound on idle.size()
 };
 
@@ -44,14 +43,14 @@ freeList()
 std::size_t
 imageStride(std::size_t capacity)
 {
-    return alignUp(capacity, RecycledImages::kPageBytes);
+    return alignUp(capacity, RecycledImage::kPageBytes);
 }
 
 std::size_t
 pageWords(std::size_t capacity)
 {
     const std::size_t pages =
-        imageStride(capacity) / RecycledImages::kPageBytes;
+        imageStride(capacity) / RecycledImage::kPageBytes;
     return (pages + 63) / 64;
 }
 
@@ -76,9 +75,9 @@ forEachRun(const std::vector<std::uint64_t> &bits, std::size_t size,
         std::uint64_t q = p + 1;
         while (q < npages && (bits[q / 64] >> (q % 64) & 1))
             ++q;
-        const std::uint64_t lo = p * RecycledImages::kPageBytes;
+        const std::uint64_t lo = p * RecycledImage::kPageBytes;
         const std::uint64_t hi =
-            std::min<std::uint64_t>(q * RecycledImages::kPageBytes, size);
+            std::min<std::uint64_t>(q * RecycledImage::kPageBytes, size);
         fn(lo, hi - lo);
         p = q;
     }
@@ -103,10 +102,11 @@ copyBytes(void *dst, const void *src, std::uint64_t n)
     }
 }
 
+/** Slot hash of the owner and pre-image tables. */
 inline std::size_t
-ownerHash(OwnerId owner)
+slotHash(std::uint64_t key)
 {
-    const std::uint64_t h = owner * 0x9e3779b97f4a7c15ull;
+    const std::uint64_t h = key * 0x9e3779b97f4a7c15ull;
     return static_cast<std::size_t>(h ^ (h >> 32));
 }
 
@@ -121,17 +121,15 @@ popcount(const std::vector<std::uint64_t> &bits)
 
 } // namespace
 
-RecycledImages::RecycledImages(std::size_t size, unsigned count)
-    : size_(size), stride_(imageStride(size)), count_(count)
+RecycledImage::RecycledImage(std::size_t size) : size_(size)
 {
-    GPM_REQUIRE(size > 0 && count > 0,
-                "recycled images need a non-zero size and count");
+    GPM_REQUIRE(size > 0, "a recycled image needs a non-zero size");
     ImageFreeList &fl = freeList();
     {
         std::lock_guard<std::mutex> lock(fl.mu);
         // Most recent first: its pages are the likeliest to be hot.
         for (auto it = fl.idle.rbegin(); it != fl.idle.rend(); ++it) {
-            if (it->size != size || it->count != count)
+            if (it->size != size)
                 continue;
             base_ = it->base;
             resident_ = std::move(it->resident);
@@ -142,10 +140,10 @@ RecycledImages::RecycledImages(std::size_t size, unsigned count)
             fl.peak_live = std::max(fl.peak_live, ++fl.live);
     }
     if (!base_) {
-        void *p = ::mmap(nullptr, count * stride_, PROT_READ | PROT_WRITE,
+        void *p = ::mmap(nullptr, imageStride(size), PROT_READ | PROT_WRITE,
                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
         GPM_REQUIRE(p != MAP_FAILED, "image allocation of ",
-                    count * stride_, " bytes failed");
+                    imageStride(size), " bytes failed");
         base_ = static_cast<std::uint8_t *>(p);
         resident_.assign(pageWords(size), 0);
         std::lock_guard<std::mutex> lock(fl.mu);
@@ -154,27 +152,25 @@ RecycledImages::RecycledImages(std::size_t size, unsigned count)
     dirty_.assign(resident_.size(), 0);
 }
 
-RecycledImages::RecycledImages(RecycledImages &&o) noexcept
+RecycledImage::RecycledImage(RecycledImage &&o) noexcept
     : base_(std::exchange(o.base_, nullptr)), size_(o.size_),
-      stride_(o.stride_), count_(o.count_),
       resident_(std::move(o.resident_)), dirty_(std::move(o.dirty_))
 {
 }
 
-RecycledImages::~RecycledImages()
+RecycledImage::~RecycledImage()
 {
     if (base_)
         release();
 }
 
 void
-RecycledImages::release()
+RecycledImage::release()
 {
     // Zero what this owner wrote and keep every page resident: the
     // successor takes the mapping over whatever it writes where.
     forEachRun(dirty_, size_, [&](std::uint64_t off, std::uint64_t n) {
-        for (unsigned i = 0; i < count_; ++i)
-            std::memset(image(i) + off, 0, n);
+        std::memset(base_ + off, 0, n);
     });
     for (std::size_t w = 0; w < resident_.size(); ++w)
         resident_[w] |= dirty_[w];
@@ -183,11 +179,11 @@ RecycledImages::release()
     // Only owners of mixed sizes can overfill the list; the oldest
     // idle mapping is then unmapped.
     ImageFreeList &fl = freeList();
-    std::optional<IdleImages> evicted;
+    std::optional<IdleImage> evicted;
     {
         std::lock_guard<std::mutex> lock(fl.mu);
         --fl.live;
-        fl.idle.push_back({base_, size_, count_, std::move(resident_)});
+        fl.idle.push_back({base_, size_, std::move(resident_)});
         if (fl.idle.size() > fl.peak_live) {
             evicted = std::move(fl.idle.front());
             fl.idle.erase(fl.idle.begin());
@@ -196,8 +192,7 @@ RecycledImages::release()
     std::uint64_t dropped = 0;
     if (evicted) {
         dropped = popcount(evicted->resident);
-        ::munmap(evicted->base,
-                 evicted->count * imageStride(evicted->size));
+        ::munmap(evicted->base, imageStride(evicted->size));
     }
     base_ = nullptr;
     telemetry::count("pool.pages_kept", kept);
@@ -224,7 +219,7 @@ PmPool::setRecorder(PmEventRecorder *rec)
 
 PmPool::PmPool(std::size_t capacity, PersistDomain domain,
                std::uint64_t seed)
-    : images_(capacity), domain_(domain), rng_(seed)
+    : image_(capacity), domain_(domain), rng_(seed)
 {
 }
 
@@ -250,9 +245,9 @@ PmPool::map(const std::string &name, std::uint64_t size, bool create)
     GPM_REQUIRE(size > 0, "cannot create empty region '", name, "'");
 
     const std::uint64_t offset = alignUp(alloc_cursor_, 256);
-    GPM_REQUIRE(offset + size <= images_.size(),
+    GPM_REQUIRE(offset + size <= image_.size(),
                 "PM pool exhausted allocating '", name, "' (", size,
-                " bytes at ", offset, " of ", images_.size(), ")");
+                " bytes at ", offset, " of ", image_.size(), ")");
     alloc_cursor_ = offset + size;
     PmRegion r{offset, size};
     regions_.emplace(it, name, r);
@@ -278,9 +273,9 @@ PmPool::region(const std::string &name) const
 void
 PmPool::checkRange(std::uint64_t addr, std::uint64_t size) const
 {
-    GPM_REQUIRE(addr + size <= images_.size() && addr + size >= addr,
+    GPM_REQUIRE(addr + size <= image_.size() && addr + size >= addr,
                 "PM access [", addr, ", ", addr + size,
-                ") out of pool of ", images_.size(), " bytes");
+                ") out of pool of ", image_.size(), " bytes");
 }
 
 void
@@ -290,18 +285,21 @@ PmPool::writeCommon(OwnerId owner, std::uint64_t addr, const void *src,
     checkRange(addr, size);
     if (recorder_)
         recorder_->store(domain_, owner, addr, size);
-    images_.markDirty(addr, size);
-    copyBytes(images_.visible() + addr, src, size);
+    image_.markDirty(addr, size);
     if (domain_ == PersistDomain::LlcDurable) {
         // eADR: the LLC is inside the persistence domain.
-        copyBytes(images_.durable() + addr, src, size);
+        copyBytes(image_.data() + addr, src, size);
+        refreshPreImages(addr, size);
         return;
     }
-    appendExtent(owner, addr, size);
+    const std::uint32_t pre = savePreImages(addr, size);
+    copyBytes(image_.data() + addr, src, size);
+    appendExtent(owner, addr, size, pre);
 }
 
-PmPool::StoreExtent
-PmPool::appendExtent(OwnerId owner, std::uint64_t addr, std::uint64_t size)
+void
+PmPool::appendExtent(OwnerId owner, std::uint64_t addr, std::uint64_t size,
+                     std::uint32_t pre)
 {
     OwnerSlot &o = owners_[claimOwner(owner)];
     if (o.tail != kNone) {
@@ -314,25 +312,26 @@ PmPool::appendExtent(OwnerId owner, std::uint64_t addr, std::uint64_t size)
         // unchanged for non-contiguous streams.
         LogEntry &last = log_[o.tail];
         if (addr <= last.addr + last.size && addr + size >= last.addr) {
-            const StoreExtent merged{o.tail, last.addr, last.size};
             const std::uint64_t lo = std::min(last.addr, addr);
             const std::uint64_t hi =
                 std::max(last.addr + last.size, addr + size);
             last.addr = lo;
             last.size = hi - lo;
+            // Two extents in one line merge into that line.
+            if (last.pre != pre)
+                last.pre = kNone;
             ++stats_.extents_merged;
-            return merged;
+            return;
         }
     }
     const auto i = static_cast<std::uint32_t>(log_.size());
-    log_.push_back({addr, size, owner, kNone});
+    log_.push_back({addr, size, owner, kNone, pre});
     if (o.tail == kNone)
         o.head = i;
     else
         log_[o.tail].next = i;
     o.tail = i;
     ++live_;
-    return {i, 0, 0};
 }
 
 void
@@ -355,36 +354,145 @@ PmPool::read(std::uint64_t addr, void *dst, std::uint64_t size) const
     checkRange(addr, size);
     if (recorder_ && recorder_->inRecovery())
         recorder_->recoveryRead(domain_, addr, size);
-    copyBytes(dst, images_.visible() + addr, size);
+    copyBytes(dst, image_.data() + addr, size);
+}
+
+DurableBytes
+PmPool::durableRange(std::uint64_t addr, std::uint64_t size) const
+{
+    checkRange(addr, size);
+    const std::uint8_t *image = image_.data() + addr;
+    std::vector<std::uint8_t> patched;
+    forEachPreImage(addr, size,
+                    [&](std::uint32_t i, std::uint64_t lo, std::uint64_t n) {
+                        if (patched.empty())
+                            patched.assign(image, image + size);
+                        std::memcpy(patched.data() + (lo - addr),
+                                    preImage(i, lo), n);
+                    });
+    return patched.empty() ? DurableBytes(image)
+                           : DurableBytes(std::move(patched));
 }
 
 void
 PmPool::prefetch(std::uint64_t addr, std::uint64_t bytes) const
 {
-    if (bytes == 0 || addr + bytes > images_.size() || addr + bytes < addr)
+    if (bytes == 0 || addr + bytes > image_.size() || addr + bytes < addr)
         return;
-    prefetchHostLines(images_.visible() + addr, bytes);
-    prefetchHostLines(images_.durable() + addr, bytes);
+    prefetchHostLines(image_.data() + addr, bytes);
+}
+
+std::uint32_t
+PmPool::preSlot(std::uint64_t line) const
+{
+    const std::size_t mask = pre_slots_.size() - 1;
+    std::size_t i = slotHash(line) & mask;
+    while (pre_slots_[i].epoch == epoch_ && pre_slots_[i].line != line)
+        i = (i + 1) & mask;
+    return static_cast<std::uint32_t>(i);
+}
+
+std::uint32_t
+PmPool::findPreImage(std::uint64_t line) const
+{
+    const PreSlot &s = pre_slots_[preSlot(line)];
+    return s.epoch == epoch_ ? s.index : kNone;
+}
+
+std::uint32_t
+PmPool::savePreImages(std::uint64_t addr, std::uint64_t size)
+{
+    if (size == 0)
+        return kNone;
+    const std::uint64_t first = addr / kCrashLineBytes;
+    const std::uint64_t last = (addr + size - 1) / kCrashLineBytes;
+    std::uint32_t index = kNone;
+    for (std::uint64_t line = first; line <= last; ++line) {
+        std::uint32_t slot = preSlot(line);
+        if (pre_slots_[slot].epoch == epoch_) {
+            index = pre_slots_[slot].index;
+            continue;
+        }
+        index = static_cast<std::uint32_t>(pre_lines_.size());
+        // Keep the load under 1/2 so every probe terminates.
+        if ((index + 1) * 2 > pre_slots_.size()) {
+            growPreTable();
+            slot = preSlot(line);
+        }
+        pre_slots_[slot] = PreSlot{line, epoch_, index};
+        pre_lines_.push_back(line);
+        if (pre_bytes_.size() < pre_lines_.size() * kCrashLineBytes)
+            pre_bytes_.resize(2 * pre_lines_.size() * kCrashLineBytes);
+        // A line never crosses the page-aligned end of the mapping.
+        std::memcpy(pre_bytes_.data() + index * kCrashLineBytes,
+                    image_.data() + line * kCrashLineBytes,
+                    kCrashLineBytes);
+    }
+    return first == last ? index : kNone;
 }
 
 void
-PmPool::drain(std::uint64_t addr, std::uint64_t size)
+PmPool::growPreTable()
 {
-    copyBytes(images_.durable() + addr, images_.visible() + addr, size);
+    pre_slots_.assign(2 * pre_slots_.size(), PreSlot{});
+    for (std::uint32_t i = 0; i < pre_lines_.size(); ++i)
+        pre_slots_[preSlot(pre_lines_[i])] =
+            PreSlot{pre_lines_[i], epoch_, i};
+}
+
+template <typename Fn>
+void
+PmPool::forEachPreImage(std::uint64_t addr, std::uint64_t size,
+                        Fn &&fn) const
+{
+    if (pre_lines_.empty() || size == 0)
+        return;
+    const std::uint64_t first = addr / kCrashLineBytes;
+    const std::uint64_t last = (addr + size - 1) / kCrashLineBytes;
+    const auto visit = [&](std::uint64_t line, std::uint32_t i) {
+        const std::uint64_t lo = std::max(addr, line * kCrashLineBytes);
+        const std::uint64_t hi =
+            std::min(addr + size, (line + 1) * kCrashLineBytes);
+        fn(i, lo, hi - lo);
+    };
+    // Probe the range's lines or scan the table, whichever is shorter.
+    if (last - first < pre_lines_.size()) {
+        for (std::uint64_t line = first; line <= last; ++line) {
+            const std::uint32_t i = findPreImage(line);
+            if (i != kNone)
+                visit(line, i);
+        }
+    } else {
+        for (std::uint32_t i = 0; i < pre_lines_.size(); ++i)
+            if (pre_lines_[i] >= first && pre_lines_[i] <= last)
+                visit(pre_lines_[i], i);
+    }
+}
+
+void
+PmPool::refreshPreImages(std::uint64_t addr, std::uint64_t size)
+{
+    forEachPreImage(addr, size,
+                    [&](std::uint32_t i, std::uint64_t lo, std::uint64_t n) {
+                        std::memcpy(preImage(i, lo), image_.data() + lo, n);
+                    });
+}
+
+void
+PmPool::drain(std::uint64_t addr, std::uint64_t size, std::uint32_t pre)
+{
+    if (pre != kNone)
+        std::memcpy(preImage(pre, addr), image_.data() + addr, size);
+    else
+        refreshPreImages(addr, size);
     ++stats_.extents_drained;
 }
 
 std::uint64_t
 PmPool::drainEntry(std::uint32_t i)
 {
-    drain(log_[i].addr, log_[i].size);
-    return retireEntry(i);
-}
-
-std::uint64_t
-PmPool::retireEntry(std::uint32_t i)
-{
     LogEntry &e = log_[i];
+    drain(e.addr, e.size, e.pre);
     e.next = kDrained;
     --live_;
     return e.size;
@@ -410,7 +518,7 @@ std::uint32_t
 PmPool::probeOwner(OwnerId owner, bool claim)
 {
     std::size_t mask = owners_.size() - 1;
-    std::size_t i = ownerHash(owner) & mask;
+    std::size_t i = slotHash(owner) & mask;
     for (; owners_[i].epoch == epoch_; i = (i + 1) & mask)
         if (owners_[i].owner == owner)
             return last_slot_ = static_cast<std::uint32_t>(i);
@@ -420,7 +528,7 @@ PmPool::probeOwner(OwnerId owner, bool claim)
     if ((owners_used_ + 1) * 2 > owners_.size()) {
         rehashOwners();
         mask = owners_.size() - 1;
-        i = ownerHash(owner) & mask;
+        i = slotHash(owner) & mask;
         while (owners_[i].epoch == epoch_)
             i = (i + 1) & mask;
     }
@@ -446,7 +554,7 @@ PmPool::rehashOwners()
     for (const OwnerSlot &s : old) {
         if (s.epoch != epoch_ || s.head == kNone)
             continue;
-        std::size_t i = ownerHash(s.owner) & mask;
+        std::size_t i = slotHash(s.owner) & mask;
         while (owners_[i].epoch == epoch_)
             i = (i + 1) & mask;
         owners_[i] = s;
@@ -470,7 +578,7 @@ PmPool::compactLog()
         else
             log_[o.tail].next = kept;
         o.tail = kept;
-        log_[kept++] = {e.addr, e.size, e.owner, kNone};
+        log_[kept++] = {e.addr, e.size, e.owner, kNone, e.pre};
     }
     log_.resize(kept);
 }
@@ -483,6 +591,7 @@ PmPool::settleLog()
         ++epoch_;
         owners_used_ = 0;
         last_slot_ = kNone;
+        pre_lines_.clear();
     } else if (log_.size() > 2 * live_ + 64) {
         compactLog();
     }
@@ -525,7 +634,21 @@ void
 PmPool::persistRange(std::uint64_t addr, std::uint64_t size)
 {
     checkRange(addr, size);
-    flushRange(addr, size, StoreExtent{});
+    const std::uint64_t lo = addr, hi = addr + size;
+    const std::size_t live_before = live_;
+    std::uint64_t drained = 0;
+    for (std::uint32_t i = 0; i < log_.size(); ++i) {
+        const LogEntry &e = log_[i];
+        if (e.next != kDrained && e.addr < hi && e.addr + e.size > lo)
+            drained += drainEntry(i);
+    }
+    // A drained extent may sit inside a chain: relink them all.
+    if (live_ == 0)
+        settleLog();
+    else if (live_ != live_before)
+        compactLog();
+    if (recorder_)
+        recorder_->flushRange(domain_, addr, size, drained);
 }
 
 void
@@ -547,58 +670,22 @@ PmPool::cpuWritePersist(OwnerId owner, std::uint64_t addr, const void *src,
     owner |= kCpuOwnerBase;
     if (recorder_)
         recorder_->store(domain_, owner, addr, size);
-    images_.markDirty(addr, size);
-    // The store enters both images at once; its pending extent then
-    // drains without a second copy of the range.
+    image_.markDirty(addr, size);
+    // The store needs no pre-image: the flush below makes the whole
+    // range durable before the call returns.
     const auto *bytes = static_cast<const std::uint8_t *>(src);
-    std::uint8_t *visible = images_.visible() + addr;
-    std::uint8_t *durable = images_.durable() + addr;
+    std::uint8_t *image = image_.data() + addr;
     if (!written) {
-        copyBytes(visible, bytes, size);
-        copyBytes(durable, bytes, size);
+        copyBytes(image, bytes, size);
     } else {
-        for (const std::uint64_t off : written->offsets) {
-            copyBytes(visible + off, bytes + off, written->bytes);
-            copyBytes(durable + off, bytes + off, written->bytes);
-        }
+        for (const std::uint64_t off : written->offsets)
+            copyBytes(image + off, bytes + off, written->bytes);
     }
-    const StoreExtent stored = domain_ == PersistDomain::LlcDurable
-        ? StoreExtent{}
-        : appendExtent(owner, addr, size);
-    flushRange(addr, size, stored);
-}
-
-void
-PmPool::flushRange(std::uint64_t addr, std::uint64_t size,
-                   const StoreExtent &stored)
-{
-    const std::uint64_t lo = addr, hi = addr + size;
-    const std::size_t live_before = live_;
-    std::uint64_t drained = 0;
-    for (std::uint32_t i = 0; i < log_.size(); ++i) {
-        const LogEntry &e = log_[i];
-        if (e.next == kDrained || e.addr >= hi || e.addr + e.size <= lo)
-            continue;
-        if (i != stored.index) {
-            drained += drainEntry(i);
-            continue;
-        }
-        // Only what the store merged into can still differ between
-        // the images; the store itself is in both.
-        if (stored.prior_size > 0)
-            copyBytes(images_.durable() + stored.prior_addr,
-                      images_.visible() + stored.prior_addr,
-                      stored.prior_size);
-        ++stats_.extents_drained;
-        drained += retireEntry(i);
-    }
-    // A drained extent may sit inside a chain: relink them all.
-    if (live_ == 0)
-        settleLog();
-    else if (live_ != live_before)
-        compactLog();
-    if (recorder_)
-        recorder_->flushRange(domain_, addr, size, drained);
+    if (domain_ == PersistDomain::LlcDurable)
+        refreshPreImages(addr, size);
+    else
+        appendExtent(owner, addr, size, kNone);
+    persistRange(addr, size);
 }
 
 void
@@ -627,7 +714,7 @@ PmPool::crash(double survive_prob)
     ++stats_.crashes;
     if (domain_ == PersistDomain::LlcDurable) {
         // eADR drains caches on power failure; with nothing left
-        // pending the two images are already equal.
+        // pending the image is the durable contents.
         persistAll();
     } else {
         // Lines roll owner-ascending, then in insertion order: owner by
@@ -656,24 +743,24 @@ PmPool::crash(double survive_prob)
                     const std::uint64_t a = std::max(lo, e.addr);
                     ++stats_.crash_sub_extents;
                     if (survive_prob > 0.0 && rng_.chance(survive_prob)) {
-                        drain(a, std::min(lo + kCrashLineBytes, end) - a);
+                        drain(a, std::min(lo + kCrashLineBytes, end) - a,
+                              e.pre);
                         ++stats_.crash_survivors;
                     }
                 }
             }
         }
         // Post-reboot: only durable contents remain visible. By the
-        // class invariant the images differ only inside pending
-        // extents, so restoring those is the whole reset. It is a
-        // second pass: restoring one extent before an overlapping
-        // extent's surviving line was drained would lose that line.
-        for (const LogEntry &e : log_) {
-            if (e.next == kDrained)
-                continue;
-            std::memcpy(images_.visible() + e.addr,
-                        images_.durable() + e.addr, e.size);
-            restored_bytes += e.size;
-        }
+        // class invariant only lines with a pre-image can differ, so
+        // copying those back is the whole reset. It is a second pass:
+        // restoring one line before an overlapping extent's surviving
+        // part of it was drained would lose that part.
+        for (std::uint32_t i = 0; i < pre_lines_.size(); ++i)
+            std::memcpy(image_.data() + pre_lines_[i] * kCrashLineBytes,
+                        pre_bytes_.data() + i * kCrashLineBytes,
+                        kCrashLineBytes);
+        if (span.armed())
+            restored_bytes = pendingBytes();
         live_ = 0;
         settleLog();
     }
@@ -710,7 +797,7 @@ PmPool::saveDurable(const std::string &path) const
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     GPM_REQUIRE(os.good(), "cannot open '", path, "' for writing");
 
-    const std::uint64_t cap = images_.size();
+    const std::uint64_t cap = image_.size();
     const std::uint64_t nregions = regions_.size();
     os.write(reinterpret_cast<const char *>(&cap), sizeof(cap));
     os.write(reinterpret_cast<const char *>(&alloc_cursor_),
@@ -722,8 +809,8 @@ PmPool::saveDurable(const std::string &path) const
         os.write(name.data(), static_cast<std::streamsize>(len));
         os.write(reinterpret_cast<const char *>(&r), sizeof(r));
     }
-    os.write(reinterpret_cast<const char *>(images_.durable()),
-             static_cast<std::streamsize>(images_.size()));
+    os.write(reinterpret_cast<const char *>(durableRange(0, cap).data()),
+             static_cast<std::streamsize>(cap));
     GPM_REQUIRE(os.good(), "short write saving pool to '", path, "'");
 }
 
@@ -753,11 +840,10 @@ PmPool::loadDurable(const std::string &path, PersistDomain domain,
         if (at == pool.regions_.end() || at->first != name)
             pool.regions_.emplace(at, std::move(name), r);
     }
-    pool.images_.markDirty(0, cap);
-    is.read(reinterpret_cast<char *>(pool.images_.durable()),
+    pool.image_.markDirty(0, cap);
+    is.read(reinterpret_cast<char *>(pool.image_.data()),
             static_cast<std::streamsize>(cap));
     GPM_REQUIRE(is.good(), "short read loading pool from '", path, "'");
-    std::memcpy(pool.images_.visible(), pool.images_.durable(), cap);
     return pool;
 }
 

@@ -2,13 +2,14 @@
  * @file
  * Crash-consistent simulated persistent-memory device.
  *
- * PmPool is the functional heart of the reproduction: it holds two
- * images of the PM contents —
- *
- *   - the *visible* image: what loads observe while the system runs
- *     (writes are immediately visible, UVA-style, regardless of
- *     durability), and
- *   - the *durable* image: what survives a crash.
+ * PmPool is the functional heart of the reproduction. It holds one
+ * byte image, the *visible* contents: what loads observe while the
+ * system runs (writes are immediately visible, UVA-style, regardless
+ * of durability). The *durable* contents, what survives a crash, are
+ * that image with the *pre-images* of the lines still pending patched
+ * in: a pre-image holds the durable bytes of one 128 B crash line that
+ * a pending store touched. Only those lines can differ, so the pool
+ * never keeps a second full image.
  *
  * A store moves from visible-only to durable according to the machine's
  * PersistDomain (see sim_config.hpp):
@@ -53,18 +54,18 @@ namespace gpm {
 class PmEventRecorder;
 
 /**
- * Zero-filled byte images, recycled between owners through one
+ * A zero-filled byte image, recycled between owners through one
  * process-wide free list.
  *
- * The images (one or more, each `size` bytes) live in one anonymous
- * private mapping, so a fresh instance is O(1) to build and reads as
- * zero everywhere. What a sweep pays for instead is the first-touch
- * fault on every page an owner writes, once per image, and the munmap
- * that frees those pages again. So a released mapping is not
- * unmapped. The owner zeroes the pages it wrote (markDirty) in every
- * image and hands the mapping, with a bitmap of its resident 4 KiB
- * pages, to the free list. The next instance of the same size and
- * image count takes it over as it is, whatever it writes where.
+ * The image lives in an anonymous private mapping, so a fresh instance
+ * is O(1) to build and reads as zero everywhere. What a sweep pays for
+ * instead is the first-touch fault on every page an owner writes, and
+ * the munmap that frees those pages again. So a released mapping is
+ * not unmapped. The owner zeroes the pages it wrote (markDirty) and
+ * hands the mapping, with a bitmap of its resident 4 KiB pages, to the
+ * free list. The next instance of the same size takes it over as it
+ * is, whatever it writes where: a pool's image and CAP's device copy
+ * of gpKVS's store share the list.
  *
  * Every byte a successor can see is zero; only where the pages live
  * differs. Pages follow addresses, not layouts: a mapping keeps at
@@ -75,30 +76,26 @@ class PmEventRecorder;
  * of instances ever live at once. A moved-from instance recycles
  * nothing.
  */
-class RecycledImages
+class RecycledImage
 {
   public:
     /** Dirty/resident tracking granularity: the common host page. */
     static constexpr std::uint64_t kPageBytes = 4096;
 
-    /** @p count zero-filled images of @p size bytes each. */
-    RecycledImages(std::size_t size, unsigned count);
-    RecycledImages(RecycledImages &&o) noexcept;
-    RecycledImages(const RecycledImages &) = delete;
-    RecycledImages &operator=(const RecycledImages &) = delete;
-    RecycledImages &operator=(RecycledImages &&) = delete;
-    ~RecycledImages();
+    /** A zero-filled image of @p size bytes. */
+    explicit RecycledImage(std::size_t size);
+    RecycledImage(RecycledImage &&o) noexcept;
+    RecycledImage(const RecycledImage &) = delete;
+    RecycledImage &operator=(const RecycledImage &) = delete;
+    RecycledImage &operator=(RecycledImage &&) = delete;
+    ~RecycledImage();
 
     std::size_t size() const { return size_; }
-    std::uint8_t *image(unsigned i) { return base_ + i * stride_; }
-    const std::uint8_t *
-    image(unsigned i) const
-    {
-        return base_ + i * stride_;
-    }
+    std::uint8_t *data() { return base_; }
+    const std::uint8_t *data() const { return base_; }
 
-    /** Note that [addr, addr+size) may now hold non-zero bytes in
-     *  any image. Every byte that enters an image must be covered. */
+    /** Note that [addr, addr+size) may now hold non-zero bytes. Every
+     *  byte that enters the image must be covered. */
     void
     markDirty(std::uint64_t addr, std::uint64_t size)
     {
@@ -114,28 +111,8 @@ class RecycledImages
 
     std::uint8_t *base_ = nullptr;
     std::size_t size_ = 0;
-    std::size_t stride_ = 0;               ///< offset between images
-    unsigned count_ = 0;                   ///< images in the mapping
     std::vector<std::uint64_t> resident_;  ///< zero pages kept resident
     std::vector<std::uint64_t> dirty_;     ///< pages this owner wrote
-};
-
-/**
- * The visible and durable byte images of one pool: a recycled pair, so
- * a released pool's mapping goes to the next pool of the same capacity
- * whatever regions it maps. One markDirty covers both images.
- */
-class PmImages : public RecycledImages
-{
-  public:
-    explicit PmImages(std::size_t capacity) : RecycledImages(capacity, 2)
-    {
-    }
-
-    std::uint8_t *visible() { return image(0); }
-    const std::uint8_t *visible() const { return image(0); }
-    std::uint8_t *durable() { return image(1); }
-    const std::uint8_t *durable() const { return image(1); }
 };
 
 /**
@@ -188,6 +165,34 @@ struct WrittenRecords {
     std::uint64_t bytes = 0;
 };
 
+/**
+ * The durable bytes of one pool range (PmPool::durableRange): the
+ * pool's image itself when no pre-image overlaps the range, otherwise
+ * a copy with the pre-images patched in. Valid until the pool next
+ * changes.
+ */
+class DurableBytes
+{
+  public:
+    DurableBytes(DurableBytes &&) = default;
+    DurableBytes(const DurableBytes &) = delete;
+    DurableBytes &operator=(const DurableBytes &) = delete;
+    DurableBytes &operator=(DurableBytes &&) = delete;
+
+    const std::uint8_t *data() const { return data_; }
+
+  private:
+    friend class PmPool;
+    explicit DurableBytes(const std::uint8_t *image) : data_(image) {}
+    explicit DurableBytes(std::vector<std::uint8_t> patched)
+        : data_(patched.data()), patched_(std::move(patched))
+    {
+    }
+
+    const std::uint8_t *data_;
+    std::vector<std::uint8_t> patched_;  ///< empty when data_ is the image
+};
+
 /** Simulated byte-addressable persistent memory with crash semantics. */
 class PmPool
 {
@@ -200,7 +205,7 @@ class PmPool
     PmPool(std::size_t capacity, PersistDomain domain,
            std::uint64_t seed = 1);
 
-    std::size_t capacity() const { return images_.size(); }
+    std::size_t capacity() const { return image_.size(); }
     PersistDomain domain() const { return domain_; }
 
     /** Change the persistence domain (gpm_persist_begin/end toggling). */
@@ -254,9 +259,9 @@ class PmPool
 
     /**
      * Host-only hint: warm the host cache lines of [addr, addr+bytes)
-     * in the visible and durable images, ahead of a store and its
-     * drain. No modelled cost, no recorder event, no counter; a zero
-     * or out-of-range request does nothing (DESIGN.md decision #10).
+     * in the image, ahead of a store (and the pre-image it may save).
+     * No modelled cost, no recorder event, no counter; a zero or
+     * out-of-range request does nothing (DESIGN.md decision #10).
      */
     void prefetch(std::uint64_t addr, std::uint64_t bytes) const;
 
@@ -298,15 +303,14 @@ class PmPool
 
     /**
      * cpuWrite of [addr, addr+size) followed by persistRange of the
-     * same range, in one call: the same images, recorder events, dirty
-     * pages and PmPoolStats as the pair.
+     * same range, in one call: the same visible and durable contents,
+     * recorder events, dirty pages and PmPoolStats as the pair.
      *
      * With @p written, only its records are copied from @p src. The
-     * caller guarantees that the visible image already holds @p src's
-     * bytes everywhere else in the range; by the pending-extent
-     * invariant the durable image then holds them too once the flush
-     * has drained the extents overlapping the range. Events, dirty
-     * pages and counters still cover the whole range.
+     * caller guarantees that the image already holds @p src's bytes
+     * everywhere else in the range; the flush then makes the whole
+     * range durable as it stands. Events, dirty pages and counters
+     * still cover the whole range.
      */
     void cpuWritePersist(OwnerId owner, std::uint64_t addr,
                          const void *src, std::uint64_t size,
@@ -321,10 +325,10 @@ class PmPool
      * Power failure: every pending extent is first split at 128 B
      * cache-line boundaries and each sub-extent independently survives
      * with probability @p survive_prob (natural eviction before the
-     * crash); everything else is lost and the visible image is reset
-     * to the durable image, i.e. the post-reboot state. The reset copies
-     * only the pending extents, after every line has been rolled, so
-     * its cost is the bytes the run dirtied, not the pool's capacity.
+     * crash); everything else is lost and the image is reset to the
+     * durable contents, i.e. the post-reboot state. The reset copies
+     * back only the pre-images, after every line has been rolled, so
+     * its cost is the lines the run left pending, not the capacity.
      *
      * Line granularity matters: a multi-chunk HCL entry or a 60 B row
      * straddling a line can be *torn* — partially durable — which is
@@ -353,25 +357,27 @@ class PmPool
 
     // ---- inspection & file backing ------------------------------------
 
-    /** Durable image base (tests inspect what a crash would preserve). */
-    const std::uint8_t *durable() const { return images_.durable(); }
+    /**
+     * What a crash would preserve of [addr, addr+size): the image
+     * itself when no pending line overlaps the range, which is every
+     * clean run's verify, else a patched copy.
+     */
+    DurableBytes durableRange(std::uint64_t addr, std::uint64_t size) const;
 
-    /** Visible image base. */
-    const std::uint8_t *visible() const { return images_.visible(); }
+    /** Image base: the visible contents. */
+    const std::uint8_t *visible() const { return image_.data(); }
 
-    /** Typed load from the durable image (test helper). */
+    /** Typed load of durable contents. */
     template <typename T>
     T
     loadDurable(std::uint64_t addr) const
     {
-        GPM_REQUIRE(addr + sizeof(T) <= images_.size(),
-                    "durable load out of range");
         T v;
-        std::memcpy(&v, images_.durable() + addr, sizeof(T));
+        std::memcpy(&v, durableRange(addr, sizeof(T)).data(), sizeof(T));
         return v;
     }
 
-    /** Serialize the durable image + region table to @p path. */
+    /** Serialize the durable contents + region table to @p path. */
     void saveDurable(const std::string &path) const;
 
     /** Restore a pool previously saved with saveDurable. */
@@ -391,6 +397,8 @@ class PmPool
         std::uint64_t size;
         OwnerId owner;
         std::uint32_t next;  ///< owner's next extent, kNone, or kDrained
+        std::uint32_t pre;   ///< its line's pre-image when it lies in
+                             ///< one line, else kNone
     };
 
     /** An owner's pending chain, in the open-addressed owner table.
@@ -402,33 +410,60 @@ class PmPool
         std::uint32_t tail = kNone;  ///< the owner's last extent
     };
 
-    /** The pending extent a store went into, for flushRange: its log
-     *  index (kNone when none) and what it covered before the store
-     *  merged into it (nothing when the store opened it). */
-    struct StoreExtent {
-        std::uint32_t index = kNone;
-        std::uint64_t prior_addr = 0;
-        std::uint64_t prior_size = 0;
+    /** A line's pre-image in the open-addressed pre-image table.
+     *  Slots stamped with an older epoch are empty. */
+    struct PreSlot {
+        std::uint64_t line = 0;   ///< address / kCrashLineBytes
+        std::uint64_t epoch = 0;
+        std::uint32_t index = 0;  ///< into pre_lines_ and pre_bytes_
     };
 
     void checkRange(std::uint64_t addr, std::uint64_t size) const;
     void writeCommon(OwnerId owner, std::uint64_t addr, const void *src,
                      std::uint64_t size);
-    /** Record a visible-only store as @p owner's pending extent. */
-    StoreExtent appendExtent(OwnerId owner, std::uint64_t addr,
-                             std::uint64_t size);
-    void drain(std::uint64_t addr, std::uint64_t size);
+    /** Record a visible-only store as @p owner's pending extent; @p pre
+     *  is its line's pre-image when it lies in one line, else kNone. */
+    void appendExtent(OwnerId owner, std::uint64_t addr,
+                      std::uint64_t size, std::uint32_t pre);
+    /** [addr, addr+size) becomes durable: copy it into the pre-images
+     *  it overlaps (@p pre, when it lies in that one line). */
+    void drain(std::uint64_t addr, std::uint64_t size, std::uint32_t pre);
+    /** Drain extent @p i, mark it drained and return its size. */
     std::uint64_t drainEntry(std::uint32_t i);
-    /** Mark extent @p i drained without copying; returns its size. */
-    std::uint64_t retireEntry(std::uint32_t i);
-    /**
-     * persistRange's body: drain every pending extent overlapping
-     * [addr, addr+size), relink, record the flush. @p stored is the
-     * extent of a store the caller already copied into both images;
-     * of it only the prior part is copied.
-     */
-    void flushRange(std::uint64_t addr, std::uint64_t size,
-                    const StoreExtent &stored);
+
+    /** The table slot holding @p line, or the empty slot it would
+     *  take. */
+    std::uint32_t preSlot(std::uint64_t line) const;
+    /** @p line's index in pre_lines_, or kNone. */
+    std::uint32_t findPreImage(std::uint64_t line) const;
+    /** Save the current bytes of every line [addr, addr+size) touches
+     *  that has no pre-image yet: a pending store is about to write
+     *  them. Returns the line's pre-image when the range lies in one
+     *  line, else kNone. */
+    std::uint32_t savePreImages(std::uint64_t addr, std::uint64_t size);
+    /** Double the pre-image table and re-insert this epoch's lines. */
+    void growPreTable();
+    /** Copy the image's bytes of [addr, addr+size) into the
+     *  pre-images it overlaps: those bytes are durable now. */
+    void refreshPreImages(std::uint64_t addr, std::uint64_t size);
+    /** Call fn(index, lo, n) for each pre-image overlapping
+     *  [addr, addr+size), with [lo, lo+n) the overlap. */
+    template <typename Fn>
+    void forEachPreImage(std::uint64_t addr, std::uint64_t size,
+                         Fn &&fn) const;
+    /** Pre-image @p i's byte for the pool address @p addr. */
+    std::uint8_t *
+    preImage(std::uint32_t i, std::uint64_t addr)
+    {
+        return pre_bytes_.data() + i * kCrashLineBytes +
+               addr % kCrashLineBytes;
+    }
+    const std::uint8_t *
+    preImage(std::uint32_t i, std::uint64_t addr) const
+    {
+        return pre_bytes_.data() + i * kCrashLineBytes +
+               addr % kCrashLineBytes;
+    }
 
     /** @p owner's table slot, or kNone when it has none this epoch. */
     std::uint32_t findOwner(OwnerId owner);
@@ -442,25 +477,27 @@ class PmPool
     void rehashOwners();
     /** Drop drained entries from the log and relink every chain. */
     void compactLog();
-    /** After a persist: an empty log restarts (a new owner-table
-     *  epoch), a mostly drained one is compacted. */
+    /** After a persist: an empty log restarts (a new epoch empties
+     *  the owner and pre-image tables), a mostly drained one is
+     *  compacted. */
     void settleLog();
 
     /** First region whose name is not less than @p name. */
     std::vector<std::pair<std::string, PmRegion>>::const_iterator
     regionAt(const std::string &name) const;
 
-    // Invariant: the visible and durable images differ only inside
-    // pending extents. writeCommon records an extent covering every
-    // visible-only store (eADR stores write both images), drain makes
-    // an extent's bytes equal before it stops being pending, and
-    // loadDurable starts from equal images. crash() relies on it to
-    // restore just the pending extents instead of the whole image.
-    // cpuWritePersist writes both images and drains its range before
-    // it returns. writeCommon, cpuWritePersist and loadDurable are the
-    // only places new bytes enter either image, so they alone mark
-    // dirty pages.
-    PmImages images_;
+    // Invariant: the durable contents are the image with the
+    // pre-images patched in, and they differ from the image only
+    // inside pending extents. A pending store first saves the lines it
+    // touches that have no pre-image (writeCommon), so every pending
+    // byte lies in a line with one. A write that is durable on
+    // arrival (eADR, cpuWritePersist) refreshes the pre-images it
+    // overlaps, drain refreshes an extent's before it stops being
+    // pending, and the table empties with the log. crash() relies on
+    // it to copy back just the pre-images instead of the whole image.
+    // writeCommon, cpuWritePersist and loadDurable are the only places
+    // new bytes enter the image, so they alone mark dirty pages.
+    RecycledImage image_;
     PmEventRecorder *recorder_ = nullptr;
 
     // The pending extents. log_ holds them in append order; each
@@ -480,6 +517,15 @@ class PmPool
     std::size_t owners_used_ = 0;  ///< slots stamped this epoch
     std::size_t live_ = 0;         ///< pending extents in log_
     std::uint32_t last_slot_ = kNone;  ///< slot of the last owner seen
+
+    // The pre-images: pre_lines_[i]'s durable bytes are pre_bytes_[
+    // i * kCrashLineBytes, +kCrashLineBytes), in capture order, and
+    // pre_slots_ finds a line's index. A line keeps its pre-image
+    // until the log empties; settleLog's new epoch then empties the
+    // table in O(1), and the buffers keep their capacity.
+    std::vector<PreSlot> pre_slots_ = std::vector<PreSlot>(64);
+    std::vector<std::uint64_t> pre_lines_;
+    std::vector<std::uint8_t> pre_bytes_;
     /** Sorted by name, the order saveDurable writes them in. */
     std::vector<std::pair<std::string, PmRegion>> regions_;
     std::uint64_t alloc_cursor_ = 0;

@@ -329,15 +329,6 @@ GpmHeap::recover(bool apply_intent)
     return had;
 }
 
-bool
-GpmHeap::bitOf(const std::uint8_t *image, std::uint64_t off) const
-{
-    std::uint32_t c = classOfOffset(off);
-    std::uint64_t idx = (off - class_off_[c]) / p_.class_sizes[c];
-    std::uint64_t addr = bitmap_.offset + class_bm_off_[c] + idx / 8;
-    return (image[addr] >> (idx % 8)) & 1u;
-}
-
 void
 GpmHeap::rebuildFreeLists()
 {
@@ -442,20 +433,22 @@ std::uint64_t
 GpmHeap::durablePayloadHash(std::uint64_t handle) const
 {
     std::uint32_t len = lenOf(handle);
-    return fnv1a(m_->pool().durable() + slotAddr(handle), len);
+    return fnv1a(m_->pool().durableRange(slotAddr(handle), len).data(), len);
 }
 
 std::vector<std::uint64_t>
 GpmHeap::durableAllocatedOffsets() const
 {
     std::vector<std::uint64_t> out;
-    const std::uint8_t *img = m_->pool().durable();
+    const DurableBytes bitmap =
+        m_->pool().durableRange(bitmap_.offset, bitmap_.size);
     for (std::size_t c = 0; c < p_.class_sizes.size(); ++c)
         for (std::uint32_t i = 0; i < p_.slots_per_class; ++i) {
-            std::uint64_t off =
-                class_off_[c] + std::uint64_t(i) * p_.class_sizes[c];
-            if (bitOf(img, off))
-                out.push_back(off);
+            const std::uint8_t byte =
+                bitmap.data()[class_bm_off_[c] + i / 8];
+            if ((byte >> (i % 8)) & 1u)
+                out.push_back(class_off_[c] +
+                              std::uint64_t(i) * p_.class_sizes[c]);
         }
     std::sort(out.begin(), out.end());
     return out;
@@ -464,7 +457,8 @@ GpmHeap::durableAllocatedOffsets() const
 std::uint64_t
 GpmHeap::durableBitmapHash() const
 {
-    return fnv1a(m_->pool().durable() + bitmap_.offset, bitmap_.size);
+    return fnv1a(m_->pool().durableRange(bitmap_.offset, bitmap_.size).data(),
+                 bitmap_.size);
 }
 
 } // namespace gpm

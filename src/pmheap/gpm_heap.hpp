@@ -194,7 +194,6 @@ class GpmHeap
     std::uint32_t classOfOffset(std::uint64_t off) const;
     void rebuildFreeLists();
     void writeBitDurable(std::uint64_t handle, bool set);
-    bool bitOf(const std::uint8_t *image, std::uint64_t off) const;
 
     Machine *m_;
     GpmHeapParams p_;

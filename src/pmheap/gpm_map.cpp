@@ -299,13 +299,14 @@ GpmMap::durableEqualsOracle(
     for (const auto &kv : oracle)
         want.emplace(kv.first, kv.second);
 
-    const std::uint8_t *img = m_->pool().durable();
+    const DurableBytes dir = m_->pool().durableRange(dir_.offset, dir_.size);
     std::vector<std::uint64_t> dir_offsets;
     std::size_t found = 0;
     for (std::uint32_t g = 0; g < p_.n_groups; ++g)
         for (std::uint32_t w = 0; w < GpmMapParams::kWays; ++w) {
             MapEntry e;
-            std::memcpy(&e, img + entryAddr(g, w), sizeof(e));
+            std::memcpy(&e, dir.data() + (entryAddr(g, w) - dir_.offset),
+                        sizeof(e));
             if (e.key == 0)
                 continue;
             auto it = want.find(e.key);
@@ -335,7 +336,8 @@ std::uint64_t
 GpmMap::durableStateHash() const
 {
     std::uint64_t h =
-        fnv1a(m_->pool().durable() + dir_.offset, dir_.size);
+        fnv1a(m_->pool().durableRange(dir_.offset, dir_.size).data(),
+              dir_.size);
     return fnv1aU64(heap_.durableBitmapHash(), h);
 }
 

@@ -424,7 +424,10 @@ GpDb::run(TxnKind kind)
     WorkloadSpan verify("verify", key);
     const std::uint64_t live = durableRowCount();
     r.verified = live == mirrorRowCount() &&
-                 std::memcmp(m_->pool().durable() + table_.offset,
+                 std::memcmp(m_->pool()
+                                 .durableRange(table_.offset,
+                                               live * GpDbParams::kRowBytes)
+                                 .data(),
                              mirror_.data(),
                              live * GpDbParams::kRowBytes) == 0;
     return r;
@@ -612,9 +615,12 @@ GpDb::runCrashPoint(TxnKind kind, const CrashReference &ref,
     };
     s.check = [this, &ref](CrashOutcome &o) {
         const std::uint64_t count = durableRowCount();
+        const std::uint64_t bytes = count * GpDbParams::kRowBytes;
         o.state_hash = fnv1aU64(
-            count, ref.check(o, m_->pool().durable() + table_.offset,
-                             count * GpDbParams::kRowBytes, count));
+            count,
+            ref.check(o,
+                      m_->pool().durableRange(table_.offset, bytes).data(),
+                      bytes, count));
         return o.strict_ok;
     };
     return runCrashSequence(*m_, s, point, survive_prob,

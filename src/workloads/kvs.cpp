@@ -206,7 +206,7 @@ GpKvs::setup()
         }
     } else {
         // emplace releases any previous copy before taking one.
-        host_copy_.emplace(p_.storeBytes(), 1);
+        host_copy_.emplace(p_.storeBytes());
     }
 }
 
@@ -381,7 +381,7 @@ GpKvs::runBatchCap(const std::vector<Op> &ops)
                   written.end());
     for (const std::uint64_t off : written)
         host_copy_->markDirty(off, sizeof(KvPair));
-    m_->capPersistChunks(store_.offset, host_copy_->image(0),
+    m_->capPersistChunks(store_.offset, host_copy_->data(),
                          p_.storeBytes(), {written, sizeof(KvPair)},
                          p_.cap_chunk_bytes, p_.cap_threads);
 }
@@ -517,8 +517,9 @@ GpKvs::runCrashPoint(const CrashReference &ref, const CrashPoint &point,
         return static_cast<double>(ref.crash_batch) * p_.batch_ops;
     };
     s.check = [this, &ref](CrashOutcome &o) {
-        o.state_hash = ref.check(o, m_->pool().durable() + store_.offset,
-                                 p_.storeBytes());
+        o.state_hash = ref.check(
+            o, m_->pool().durableRange(store_.offset, p_.storeBytes()).data(),
+            p_.storeBytes());
         return o.strict_ok;
     };
     return runCrashSequence(*m_, s, point, survive_prob,
@@ -528,16 +529,18 @@ GpKvs::runCrashPoint(const CrashReference &ref, const CrashPoint &point,
 bool
 GpKvs::durableEquals(const std::vector<KvPair> &reference) const
 {
-    return std::memcmp(m_->pool().durable() + store_.offset,
-                       reference.data(),
-                       reference.size() * sizeof(KvPair)) == 0;
+    const std::uint64_t bytes = reference.size() * sizeof(KvPair);
+    return std::memcmp(
+               m_->pool().durableRange(store_.offset, bytes).data(),
+               reference.data(), bytes) == 0;
 }
 
 std::uint64_t
 GpKvs::durableStoreHash() const
 {
-    std::uint64_t h =
-        fnv1a(m_->pool().durable() + store_.offset, p_.storeBytes());
+    std::uint64_t h = fnv1a(
+        m_->pool().durableRange(store_.offset, p_.storeBytes()).data(),
+        p_.storeBytes());
     // Variable-size serving: fold the heap's durable allocation state
     // so two runs differing only in slot accounting can't collide.
     if (serve_heap_)
@@ -954,12 +957,12 @@ GpKvs::durableEqualsVar(const std::vector<KvPair> &reference,
         std::uint64_t(p_.n_sets) * GpKvsParams::kWays;
     GPM_REQUIRE(reference.size() == n, "reference mirror of ",
                 reference.size(), " slots, store has ", n);
-    const std::uint8_t *img = m_->pool().durable();
+    const DurableBytes store =
+        m_->pool().durableRange(store_.offset, p_.storeBytes());
     std::vector<std::uint64_t> live;
     for (std::uint64_t i = 0; i < n; ++i) {
         KvPair d;
-        std::memcpy(&d, img + store_.offset + i * sizeof(KvPair),
-                    sizeof(d));
+        std::memcpy(&d, store.data() + i * sizeof(KvPair), sizeof(d));
         const KvPair &r = reference[i];
         if (d.key != r.key)
             return false;
@@ -1086,9 +1089,10 @@ GpKvs::storesMatch(const ExpectedStore &want) const
 {
     // storeMatches fixes every byte of the store, so one walk of the
     // durable image and a plain comparison of the copy suffice.
-    const std::uint8_t *durable = m_->pool().durable() + store_.offset;
-    return storeMatches(want, durable) &&
-           (!host_copy_ || std::memcmp(durable, host_copy_->image(0),
+    const DurableBytes durable =
+        m_->pool().durableRange(store_.offset, p_.storeBytes());
+    return storeMatches(want, durable.data()) &&
+           (!host_copy_ || std::memcmp(durable.data(), host_copy_->data(),
                                        p_.storeBytes()) == 0);
 }
 

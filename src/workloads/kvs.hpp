@@ -239,7 +239,7 @@ class GpKvs
     std::uint8_t *
     deviceCopy()
     {
-        return host_copy_ ? host_copy_->image(0) : nullptr;
+        return host_copy_ ? host_copy_->data() : nullptr;
     }
 
     static std::uint64_t hashKey(std::uint64_t key);
@@ -393,7 +393,7 @@ class GpKvs
     KvPair *
     hostWays(std::uint32_t set)
     {
-        return reinterpret_cast<KvPair *>(host_copy_->image(0)) +
+        return reinterpret_cast<KvPair *>(host_copy_->data()) +
                std::uint64_t(set) * GpKvsParams::kWays;
     }
 
@@ -432,7 +432,7 @@ class GpKvs
     std::vector<GpmLog> log_;          ///< one log (vector for lazy init)
     /** CAP's volatile device copy of the store: one recycled image,
      *  so a cell inherits a zeroed, resident predecessor's pages. */
-    std::optional<RecycledImages> host_copy_;
+    std::optional<RecycledImage> host_copy_;
     std::vector<std::uint64_t> get_results_;  ///< last batch's GETs
     std::vector<Probe> probe_;  ///< per-op probes, reused across launches
     mutable std::vector<Op> ops_buf_;   ///< makeBatch's reused buffer

@@ -300,8 +300,9 @@ GpPrefixSum::runCrashPoint(const CrashPoint &point, double survive_prob,
                 break;
             }
         }
+        const std::uint64_t bytes = p_.elements() * 8;
         o.state_hash =
-            fnv1a(m_->pool().durable() + out_.offset, p_.elements() * 8);
+            fnv1a(m_->pool().durableRange(out_.offset, bytes).data(), bytes);
         return o.strict_ok;
     };
     return runCrashSequence(*m_, s, point, survive_prob,

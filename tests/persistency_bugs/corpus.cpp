@@ -16,6 +16,14 @@ namespace gpm {
 
 namespace {
 
+/** FNV-1a of the durable bytes of [addr, addr+size) of @p m's pool. */
+std::uint64_t
+durableHash(Machine &m, std::uint64_t addr, std::uint64_t size,
+            std::uint64_t h = kFnvOffset)
+{
+    return fnv1a(m.pool().durableRange(addr, size).data(), size, h);
+}
+
 /** Same adapter boilerplate the production invariants use. */
 template <typename Body>
 TortureOutcome
@@ -192,10 +200,9 @@ class DropFenceBug : public BugInvariant
     {
         const PmRegion entries = m.pool().region("bug.log.entries");
         const PmRegion tails = m.pool().region("bug.log.tails");
-        std::uint64_t h = fnv1a(m.pool().durable() + entries.offset,
-                                kThreads * kEntryBytes);
-        return fnv1a(m.pool().durable() + tails.offset, kThreads * 8,
-                     h);
+        const std::uint64_t h =
+            durableHash(m, entries.offset, kThreads * kEntryBytes);
+        return durableHash(m, tails.offset, kThreads * 8, h);
     }
 };
 
@@ -305,9 +312,9 @@ class ReorderFlipBug : public BugInvariant
     {
         const PmRegion data = m.pool().region("bug.ckpt.data");
         const PmRegion meta = m.pool().region("bug.ckpt.meta");
-        std::uint64_t h = fnv1a(m.pool().durable() + data.offset,
-                                kThreads * kSliceWords * 8);
-        return fnv1a(m.pool().durable() + meta.offset, 8, h);
+        const std::uint64_t h =
+            durableHash(m, data.offset, kThreads * kSliceWords * 8);
+        return durableHash(m, meta.offset, 8, h);
     }
 };
 
@@ -392,8 +399,7 @@ class CoalescedTailBug : public BugInvariant
     stateHash(Machine &m) const override
     {
         const PmRegion record = m.pool().region("bug.rec");
-        return fnv1a(m.pool().durable() + record.offset,
-                     kPayloadBytes + 8);
+        return durableHash(m, record.offset, kPayloadBytes + 8);
     }
 };
 
@@ -481,7 +487,7 @@ class TornValueBug : public BugInvariant
     stateHash(Machine &m) const override
     {
         const PmRegion slots = m.pool().region("bug.slots");
-        return fnv1a(m.pool().durable() + slots.offset, kThreads * 16);
+        return durableHash(m, slots.offset, kThreads * 16);
     }
 };
 
@@ -549,7 +555,7 @@ class DoubleFlushBug : public BugInvariant
     stateHash(Machine &m) const override
     {
         const PmRegion buf = m.pool().region("bug.buf");
-        return fnv1a(m.pool().durable() + buf.offset, kBytes);
+        return durableHash(m, buf.offset, kBytes);
     }
 };
 
@@ -623,9 +629,8 @@ class HostOnlyCommitBug : public BugInvariant
     {
         const PmRegion data = m.pool().region("bug.data");
         const PmRegion flag = m.pool().region("bug.flag");
-        std::uint64_t h =
-            fnv1a(m.pool().durable() + data.offset, kBytes);
-        return fnv1a(m.pool().durable() + flag.offset, 8, h);
+        const std::uint64_t h = durableHash(m, data.offset, kBytes);
+        return durableHash(m, flag.offset, 8, h);
     }
 };
 
@@ -720,9 +725,8 @@ class LateRedoBug : public BugInvariant
     {
         const PmRegion bitmap = m.pool().region("bug.heap.bitmap");
         const PmRegion redo = m.pool().region("bug.heap.redo");
-        std::uint64_t h = fnv1a(m.pool().durable() + bitmap.offset,
-                                kSlots * 8);
-        return fnv1a(m.pool().durable() + redo.offset, kSlots * 8, h);
+        std::uint64_t h = durableHash(m, bitmap.offset, kSlots * 8);
+        return durableHash(m, redo.offset, kSlots * 8, h);
     }
 };
 

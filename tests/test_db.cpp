@@ -76,7 +76,9 @@ TEST(GpDb, CapUpdateCellsEndWithVisibleEqualToDurable)
         ASSERT_TRUE(db.run(GpDb::TxnKind::Update).verified);
         const PmRegion table = m.pool().region("gpdb.table");
         EXPECT_EQ(std::memcmp(m.pool().visible() + table.offset,
-                              m.pool().durable() + table.offset,
+                              m.pool()
+                                  .durableRange(table.offset, table.size)
+                                  .data(),
                               table.size),
                   0);
     }
@@ -210,9 +212,12 @@ cleanDurableTable(GpDbParams p, GpDb::TxnKind kind, std::uint32_t batches)
     GpDb db(m, p);
     EXPECT_TRUE(db.run(kind).verified);
     const std::uint64_t rows = db.durableRowCount();
-    return CrashImage(m.pool().durable() +
-                          m.pool().region("gpdb.table").offset,
-                      rows * GpDbParams::kRowBytes, rows);
+    const std::uint64_t bytes = rows * GpDbParams::kRowBytes;
+    return CrashImage(
+        m.pool()
+            .durableRange(m.pool().region("gpdb.table").offset, bytes)
+            .data(),
+        bytes, rows);
 }
 
 TEST(GpDbCrashReference, ImagesEqualCleanRunsToAndPastTheCrashBatch)
@@ -282,10 +287,13 @@ TEST(GpDbCrashReference, StateHashIsTheDurableTableFnv)
                 kind, ref, c.point, c.survive_prob,
                 c.open_persist_window);
             const std::uint64_t count = db.durableRowCount();
-            const std::uint64_t table_hash =
-                fnv1a(m.pool().durable() +
-                          m.pool().region("gpdb.table").offset,
-                      count * GpDbParams::kRowBytes);
+            const std::uint64_t bytes = count * GpDbParams::kRowBytes;
+            const std::uint64_t table_hash = fnv1a(
+                m.pool()
+                    .durableRange(m.pool().region("gpdb.table").offset,
+                                  bytes)
+                    .data(),
+                bytes);
             EXPECT_EQ(o.state_hash, fnv1aU64(count, table_hash))
                 << c.label;
             const bool is_ref = table_hash == ref.pre_crash.hash ||

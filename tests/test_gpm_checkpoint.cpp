@@ -319,8 +319,9 @@ runCopy(PlatformKind kind, std::size_t granule, std::uint64_t bytes,
     out.now = m.now();
     out.media = m.nvm().bytes();
     out.write_txns = m.nvm().writeTxns();
-    const std::uint8_t *d = m.pool().durable() + buf.offset;
-    out.durable.assign(d, d + alignUp(bytes, 4));
+    const DurableBytes d =
+        m.pool().durableRange(buf.offset, alignUp(bytes, 4));
+    out.durable.assign(d.data(), d.data() + alignUp(bytes, 4));
     return out;
 }
 

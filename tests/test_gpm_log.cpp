@@ -275,7 +275,8 @@ TEST(GpmLogHcl, PrefetchInsertIsInert)
               hinted.pool().stats().extents_drained);
     EXPECT_EQ(std::memcmp(plain.pool().visible(), hinted.pool().visible(),
                           16_MiB), 0);
-    EXPECT_EQ(std::memcmp(plain.pool().durable(), hinted.pool().durable(),
+    EXPECT_EQ(std::memcmp(plain.pool().durableRange(0, 16_MiB).data(),
+                          hinted.pool().durableRange(0, 16_MiB).data(),
                           16_MiB), 0);
 }
 

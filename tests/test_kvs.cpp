@@ -142,7 +142,9 @@ TEST(GpKvsDeviceCopy, CapCellsEndWithVisibleDurableAndCopyEqual)
         ASSERT_TRUE(kvs.run().verified);
         const PmRegion store = m.pool().region("gpkvs.data");
         const std::uint8_t *visible = m.pool().visible() + store.offset;
-        const std::uint8_t *durable = m.pool().durable() + store.offset;
+        const DurableBytes image =
+            m.pool().durableRange(store.offset, store.size);
+        const std::uint8_t *durable = image.data();
         EXPECT_EQ(std::memcmp(visible, durable, store.size), 0);
         EXPECT_EQ(std::memcmp(kvs.deviceCopy(), durable, store.size), 0);
         EXPECT_TRUE(std::any_of(durable, durable + store.size,
@@ -239,9 +241,10 @@ TEST(GpKvsOversubscribed, FullSetsRejectSetsOnEveryPlatform)
                 << platformName(kind) << " get_ratio " << get_ratio;
             if (kind != PlatformKind::Gpm)
                 continue;
-            const std::uint8_t *img =
-                m.pool().durable() + m.pool().region("gpkvs.data").offset;
-            EXPECT_EQ(std::vector<std::uint8_t>(img, img + p.storeBytes()),
+            const DurableBytes img = m.pool().durableRange(
+                m.pool().region("gpkvs.data").offset, p.storeBytes());
+            EXPECT_EQ(std::vector<std::uint8_t>(img.data(),
+                                                img.data() + p.storeBytes()),
                       ref.committed.bytes)
                 << "get_ratio " << get_ratio;
         }
@@ -291,7 +294,8 @@ TEST(GpKvsStoreCheck, AcceptsTheRunImageAndRejectsEachCorruption)
     ASSERT_TRUE(kvs.run().verified);
     const std::uint64_t off = m.pool().region("gpkvs.data").offset;
     const GpKvs::ExpectedStore want = kvs.expectedStore();
-    EXPECT_TRUE(kvs.storeMatches(want, m.pool().durable() + off));
+    EXPECT_TRUE(kvs.storeMatches(
+        want, m.pool().durableRange(off, p.storeBytes()).data()));
     EXPECT_TRUE(kvs.storeMatches(want, m.pool().visible() + off));
 
     // The reference holds only the sets a SET touched, so the store
@@ -311,9 +315,9 @@ TEST(GpKvsStoreCheck, AcceptsTheRunImageAndRejectsEachCorruption)
     while (!touched(some_touched))
         ++some_touched;
 
-    const std::uint8_t *durable = m.pool().durable() + off;
-    const std::vector<std::uint8_t> image(durable,
-                                          durable + p.storeBytes());
+    const DurableBytes durable = m.pool().durableRange(off, p.storeBytes());
+    const std::vector<std::uint8_t> image(durable.data(),
+                                          durable.data() + p.storeBytes());
     constexpr std::uint64_t kSetBytes =
         GpKvsParams::kWays * sizeof(KvPair);
     for (const std::uint32_t set :
@@ -407,9 +411,9 @@ cleanDurableStore(GpKvsParams p, std::uint32_t batches)
     Machine m(cfg, PlatformKind::Gpm, 16_MiB);
     GpKvs kvs(m, p);
     EXPECT_TRUE(kvs.run().verified);
-    const std::uint8_t *img =
-        m.pool().durable() + m.pool().region("gpkvs.data").offset;
-    return {img, img + p.storeBytes()};
+    const DurableBytes img = m.pool().durableRange(
+        m.pool().region("gpkvs.data").offset, p.storeBytes());
+    return {img.data(), img.data() + p.storeBytes()};
 }
 
 TEST(GpKvsCrashReference, ImagesEqualCleanRunsToAndPastTheCrashBatch)
@@ -443,7 +447,10 @@ TEST(GpKvsCrashReference, StateHashIsTheDurableStoreFnv)
         const CrashOutcome o = kvs.runCrashPoint(
             ref, c.point, c.survive_prob, c.open_persist_window);
         const std::uint64_t direct = fnv1a(
-            m.pool().durable() + m.pool().region("gpkvs.data").offset,
+            m.pool()
+                .durableRange(m.pool().region("gpkvs.data").offset,
+                              p.storeBytes())
+                .data(),
             p.storeBytes());
         EXPECT_EQ(o.state_hash, direct) << c.label;
         const bool is_ref = direct == ref.pre_crash.hash ||

@@ -187,9 +187,9 @@ cleanDurableImage(SradParams p, std::uint32_t iterations)
     Machine m(cfg, PlatformKind::Gpm, 16_MiB);
     GpSrad srad(m, p);
     EXPECT_TRUE(srad.run().verified);
-    const std::uint8_t *img =
-        m.pool().durable() + sradImageAddr(m, p, iterations % 2);
-    return {img, img + p.pixels() * 4};
+    const DurableBytes img = m.pool().durableRange(
+        sradImageAddr(m, p, iterations % 2), p.pixels() * 4);
+    return {img.data(), img.data() + p.pixels() * 4};
 }
 
 TEST(SradCrashReference, ImagesEqualCleanRunsToAndPastTheCrashIteration)
@@ -224,8 +224,10 @@ TEST(SradCrashReference, StateHashIsTheDurableImageFnv)
         const CrashOutcome o = srad.runCrashPoint(
             ref, c.point, c.survive_prob, c.open_persist_window);
         const std::uint64_t img_hash =
-            fnv1a(m.pool().durable() +
-                      sradImageAddr(m, p, p.iterations % 2),
+            fnv1a(m.pool()
+                      .durableRange(sradImageAddr(m, p, p.iterations % 2),
+                                    p.pixels() * 4)
+                      .data(),
                   p.pixels() * 4);
         const std::uint32_t done = m.pool().loadDurable<std::uint32_t>(
             m.pool().region("srad.meta").offset);

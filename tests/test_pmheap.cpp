@@ -99,6 +99,30 @@ TEST(GpmHeap, TxCommitPublishesBitmapAndFreeRecycles)
     EXPECT_EQ(f.heap.freeSlotsFor(64), 8u);
 }
 
+TEST(GpmHeap, DurableViewsSkipUnfencedBitmapStores)
+{
+    // The durable oracles read the pool's durable view: an unfenced
+    // store over the bitmap is patched out until its owner fences.
+    HeapFixture f;
+    const std::vector<std::uint64_t> allocs = {f.heap.alloc(32)};
+    f.heap.txBegin(GpmHeap::TxMode::Commit, 1, allocs, {});
+    f.heap.txCommit();
+    const std::vector<std::uint64_t> offsets =
+        f.heap.durableAllocatedOffsets();
+    const std::uint64_t hash = f.heap.durableBitmapHash();
+    ASSERT_EQ(offsets.size(), 1u);
+
+    const PmRegion bitmap = f.m.pool().region("theap.bitmap");
+    const std::vector<std::uint8_t> ones(bitmap.size, 0xff);
+    f.m.pool().deviceWrite(9, bitmap.offset, ones.data(), ones.size());
+    EXPECT_EQ(f.heap.durableAllocatedOffsets(), offsets);
+    EXPECT_EQ(f.heap.durableBitmapHash(), hash);
+
+    ASSERT_TRUE(f.m.pool().persistOwner(9));
+    EXPECT_EQ(f.heap.durableAllocatedOffsets().size(), 4u * 8);
+    EXPECT_NE(f.heap.durableBitmapHash(), hash);
+}
+
 TEST(GpmHeap, InFlightRecordRoundTrips)
 {
     HeapFixture f;
